@@ -66,13 +66,6 @@ class IncidenceData:
     point_meets: tuple[tuple[int, int, ProjPoint], ...]
     singular_points: tuple[SingularPoint, ...]
 
-    def line_of(self, i: int, j: int) -> Subspace | None:
-        key = (min(i, j), max(i, j))
-        for a, b, line in self.double_lines:
-            if (a, b) == key:
-                return line
-        return None
-
 
 def compute_incidence(arr: Arrangement) -> IncidenceData:
     """Pairwise intersection structure plus the derived singular points.
@@ -305,13 +298,3 @@ def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> Zappa
         types=tuple(types),
     )
 
-
-def r3_points_with_central(
-    inc: IncidenceData, report: ZappaticReport
-) -> list[tuple[int, int]]:
-    """(singular point index, central plane index) for every R_3 point."""
-    out = []
-    for k, t in enumerate(report.types):
-        if t.kind == "R" and t.n == 3:
-            out.append((k, t.central))
-    return out

@@ -88,9 +88,14 @@ def _coord_point(i: int, n: int) -> ProjPoint:
     return ProjPoint([1 if j == i else 0 for j in range(n + 1)])
 
 
-def _finish(arr, attachments, discrepancies, family, d, g, seed) -> ConstructionResult:
-    inc = compute_incidence(arr)
-    report = zappatic_report(arr, inc)
+def _finish(
+    arr, attachments, discrepancies, family, d, g, seed, inc=None, report=None
+) -> ConstructionResult:
+    """Package a verified arrangement; pass inc/report when already computed."""
+    if inc is None:
+        inc = compute_incidence(arr)
+    if report is None:
+        report = zappatic_report(arr, inc)
     if not report.is_zappatic:
         raise InternalCheckError(
             f"{family} construction produced violations: {report.violations}"
@@ -272,7 +277,7 @@ def _attach_once(result, i, j, line1, line2, rng, allowed_extra, expect):
         t = point_types.get(x.coords)
         if t is None or t.kind != "R" or t.n != 3 or t.central != central:
             raise _Retry("new chain point misclassified")
-    return new_arr, (idx_l2, idx_l1), pi
+    return new_arr, (idx_l2, idx_l1), pi, inc, report
 
 
 def _sample_on_line(line: Subspace, anchor: ProjPoint | None, rng) -> ProjPoint:
@@ -322,7 +327,7 @@ def _attach_pair(
             else _free_line(plane_j, avoid2, rng)
         )
         try:
-            new_arr, new_idx, pi = _attach_once(
+            new_arr, new_idx, pi, inc, report = _attach_once(
                 result, i, j, line1, line2, rng, allowed_extra, expect
             )
         except _Retry as exc:
@@ -345,6 +350,8 @@ def _attach_pair(
             result.d + 2,
             result.g + 1,
             seed,
+            inc,
+            report,
         )
     raise GenericityError(
         f"no generic attachment found for planes ({i},{j}) after {RETRY_CAP} tries;"
@@ -638,6 +645,8 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
             d,
             g,
             seed,
+            inc,
+            report,
         )
     raise GenericityError(
         f"no generic cubic attachment for planes {pair} after {RETRY_CAP} tries;"

@@ -124,15 +124,23 @@ def span_subspaces(subspaces, ambient_dim: int) -> Subspace:
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection, computed through annihilator (dual) bases."""
+    """Exact intersection, from the left kernel of the stacked bases.
+
+    With A and B the basis rows of a and b, a kernel vector (x, y) of the
+    (r+1) x (k+l) matrix [A^T | B^T] says x.A = -y.B, a vector in both row
+    spans.  The rows of A and of B are each independent, so (x, y) -> x.A is
+    injective and the images span the intersection; Subspace canonicalises
+    them.  The kernel has at most k+l columns, e.g. 6 for two planes.
+    """
     _check_same_ambient(a, b)
-    n = a.ambient_dim + 1
     if a.is_empty() or b.is_empty():
         return Subspace(a.ambient_dim)
-    ann = list(linalg.nullspace(a.basis, ncols=n)) + list(
-        linalg.nullspace(b.basis, ncols=n)
+    rows = a.basis
+    kernel = linalg.nullspace(list(zip(*(rows + b.basis))))
+    return Subspace(
+        a.ambient_dim,
+        [[sum(c * x for c, x in zip(v, col)) for col in zip(*rows)] for v in kernel],
     )
-    return Subspace(a.ambient_dim, linalg.nullspace(ann, ncols=n))
 
 
 @dataclass(frozen=True)

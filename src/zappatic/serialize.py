@@ -24,9 +24,12 @@ def _encode_int(x: int):
 
 
 def _decode_int(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise RangeError(f"bad integer entry {x!r}")
-    return int(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:  # not a decimal integer, or over the int-string limit
+            pass
+    raise RangeError(f"bad integer entry {x!r:.40}")
 
 
 def arrangement_to_dict(arr: Arrangement, metadata: dict | None = None) -> dict:
@@ -50,8 +53,13 @@ def arrangement_from_dict(data: dict) -> tuple[Arrangement, dict]:
         raise RangeError(f"malformed arrangement file: missing {exc}")
     if not isinstance(n, int) or n < 2:
         raise RangeError("ambient_dim must be an integer >= 2")
+    metadata = data.get("metadata", {})
+    if not isinstance(raw_planes, list) or not isinstance(metadata, dict):
+        raise RangeError("planes must be a list and metadata an object")
     subs = []
     for rows in raw_planes:
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise RangeError("each plane must be a list of rows")
         basis = []
         for row in rows:
             entries = []
@@ -65,7 +73,7 @@ def arrangement_from_dict(data: dict) -> tuple[Arrangement, dict]:
                 entries.append(Fraction(num, den))
             basis.append(entries)
         subs.append(Subspace(n, basis))
-    return Arrangement(n, subs), data.get("metadata", {})
+    return Arrangement(n, subs), metadata
 
 
 def dumps(arr: Arrangement, metadata: dict | None = None) -> str:

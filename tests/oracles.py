@@ -7,6 +7,7 @@ they share no code path with zappatic.linalg's integer Bareiss kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def frac_rref(rows):
@@ -57,3 +58,32 @@ def frac_nullspace(rows, ncols=None):
             v[c] = -r[f]
         basis.append(v)
     return basis
+
+
+def frac_primitive(vec):
+    """Integer multiple of a rational vector with content 1, leading entry > 0."""
+    fr = [Fraction(x) for x in vec]
+    den = 1
+    for x in fr:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in fr]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g == 0:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def frac_meet(a_rows, b_rows, ncols):
+    """Basis of the intersection of two row spans, through annihilators.
+
+    The intersection is the common kernel of both annihilators (dual bases),
+    each taken with frac_nullspace.
+    """
+    if not a_rows or not b_rows:
+        return []
+    ann = frac_nullspace(a_rows) + frac_nullspace(b_rows)
+    return frac_nullspace(ann, ncols)

@@ -167,6 +167,51 @@ class TestClassifyCommand:
         assert code == 2
 
 
+def _rows(entry=None):
+    """Rows of a plane of P^3, with the entry at (1, 2) replaced when given."""
+    rows = [[[int(i == j), 1] for j in range(4)] for i in range(3)]
+    if entry is not None:
+        rows[1][2] = entry
+    return rows
+
+
+def _plane_file(tmp_path, plane, metadata=None):
+    data = {"ambient_dim": 3, "planes": [plane]}
+    if metadata is not None:
+        data["metadata"] = metadata
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestMalformedArrangementFiles:
+    """Every reading command exits 2 with a message, never a traceback."""
+
+    def _check_exit_2(self, path, capsys):
+        dot = str(path.parent / "g.dot")
+        for cmd in (["classify"], ["invariants", "--smooth"], ["graph", "--dot", dot]):
+            code, _out, err = run_cli([cmd[0], str(path), *cmd[1:]], capsys)
+            assert code == 2, cmd
+            assert err.startswith("error:"), cmd
+
+    def test_non_numeric_entry(self, tmp_path, capsys):
+        self._check_exit_2(_plane_file(tmp_path, _rows(["abc", 1])), capsys)
+
+    def test_digit_string_over_int_limit(self, tmp_path, capsys):
+        huge = "1" + "0" * 4400
+        self._check_exit_2(_plane_file(tmp_path, _rows([huge, 1])), capsys)
+
+    def test_plane_not_a_list_of_rows(self, tmp_path, capsys):
+        self._check_exit_2(_plane_file(tmp_path, 5), capsys)
+
+    def test_metadata_not_an_object(self, tmp_path, capsys):
+        self._check_exit_2(_plane_file(tmp_path, _rows(), metadata=5), capsys)
+
+    def test_valid_one_plane_file_still_reads(self, tmp_path):
+        arr, meta = serialize.read_arrangement(_plane_file(tmp_path, _rows()))
+        assert len(arr) == 1 and meta == {}
+
+
 class TestInvariantsCommand:
     def test_x_10_3(self, tmp_path, capsys):
         run_cli(

@@ -20,7 +20,7 @@ from zappatic.projective import (
     span_subspaces,
 )
 
-from oracles import frac_rank
+from oracles import frac_meet, frac_rank
 
 
 def e(i, n):
@@ -106,6 +106,77 @@ class TestMeet:
             b = span([random_point(rng, n + 1, 5) for _ in range(rng.randint(1, 3))], n)
             u = span_subspaces([a, b], n)
             assert a.dim + b.dim == meet(a, b).dim + u.dim
+
+
+def oracle_meet(a, b):
+    return Subspace(
+        a.ambient_dim, frac_meet(list(a.basis), list(b.basis), a.ambient_dim + 1)
+    )
+
+
+def assert_meet_exact(a, b):
+    got = meet(a, b)
+    assert got == oracle_meet(a, b)
+    assert meet(b, a) == got
+
+
+class TestMeetExact:
+    """meet returns exactly the canonical basis of the annihilator route."""
+
+    def test_random_pairs_p3_to_p22(self):
+        rng = random.Random(14)
+        for _ in range(80):
+            n = rng.randint(3, 22)
+            h = rng.choice([1, 5, 2**70])
+            a = span([random_point(rng, n + 1, h) for _ in range(rng.randint(1, 4))], n)
+            b = span([random_point(rng, n + 1, h) for _ in range(rng.randint(1, 4))], n)
+            assert_meet_exact(a, b)
+
+    def test_shared_rows(self):
+        rng = random.Random(15)
+        for _ in range(60):
+            n = rng.randint(3, 22)
+            common = [random_point(rng, n + 1) for _ in range(rng.randint(1, 2))]
+            a = span(common + [random_point(rng, n + 1) for _ in range(rng.randint(0, 2))], n)
+            b = span(common + [random_point(rng, n + 1) for _ in range(rng.randint(0, 2))], n)
+            assert meet(a, b).contains(span(common, n))
+            assert_meet_exact(a, b)
+
+    def test_nested_identical_and_empty(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            n = rng.randint(3, 22)
+            pts = [random_point(rng, n + 1) for _ in range(rng.randint(1, 4))]
+            big = span(pts, n)
+            small = span(pts[: rng.randint(1, len(pts))], n)
+            empty = Subspace(n)
+            assert meet(big, small) == small
+            assert meet(big, big) == big
+            assert meet(big, empty).is_empty() and meet(empty, big).is_empty()
+            for a, b in ((big, small), (big, big), (big, empty), (empty, empty)):
+                assert_meet_exact(a, b)
+
+    def test_coordinate_subspaces(self):
+        for n in (4, 9, 22):
+            a = span([e(i, n + 1) for i in range(0, 4)], n)
+            b = span([e(i, n + 1) for i in range(2, 5)], n)
+            assert meet(a, b) == span([e(2, n + 1), e(3, n + 1)], n)
+            assert_meet_exact(a, b)
+
+    @pytest.mark.parametrize(
+        "build, d, g, seed",
+        [("X", 12, 4, 0), ("Y", 9, 2, 1), ("Z", 11, 3, 2)],
+    )
+    def test_planes_and_double_lines_of_constructions(self, build, d, g, seed):
+        from zappatic.constructions import build_X, build_Y, build_Z
+
+        res = {"X": build_X, "Y": build_Y, "Z": build_Z}[build](d, g, seed)
+        planes = [p.subspace for p in res.arrangement.planes]
+        lines = [line for _, _, line in res.incidence.double_lines]
+        for group in (planes, lines):
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    assert_meet_exact(group[i], group[j])
 
 
 class TestQuadricRank:
