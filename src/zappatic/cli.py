@@ -133,7 +133,10 @@ def cmd_invariants(args) -> int:
             raise RangeError(f"unknown abstract complex {kind!r}")
         if len(args.abstract) != 3:
             raise RangeError("--abstract torus needs two grid sizes")
-        n, m = int(args.abstract[1]), int(args.abstract[2])
+        try:
+            n, m = int(args.abstract[1]), int(args.abstract[2])
+        except ValueError:
+            raise RangeError("--abstract torus grid sizes must be integers")
         graph = build_torus_complex(n, m)
         inv = invariants_of(None, graph)
         h = homology(graph)

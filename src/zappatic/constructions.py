@@ -1,21 +1,26 @@
-"""Explicit plane configurations: chains, cycles and handle attachments.
+"""Explicit plane configurations: chains, cycles and attachments.
 
 The base families are exact coordinate constructions (consecutive coordinate
-point triples).  Higher genus is reached inductively: pick two planes, draw a
-line in each (through a prescribed chain point, or freely on an end plane),
-and replace the smooth quadric through the two skew lines by its degenerate
-limit, a pair of planes through a common transversal.  "General" choices are
-sampled from a seeded generator and then verified: the span of the two lines
-must be a P^3 meeting the rest of the configuration in at most points, and
-the reclassified singular points must come out exactly as predicted.  A
-choice that fails any check is resampled (up to a fixed retry cap), so every
-returned configuration carries a full witness of its own genericity.
+point triples).  Higher genus is reached inductively by attaching pieces to
+two chosen planes: the degenerate quadric (two planes through the common
+transversal of a line in each chosen plane, for X, Y and the closed chain)
+or the degenerate cubic scroll (three planes in a general P^4, for Z).
+
+Both go through one engine, ``_attach``.  A proposal function samples the
+lines and the new planes from a seeded generator and may reject a choice
+early (skew lines, transversality of their span).  A declarative expectation
+says what the union must look like afterwards: the change in the R_3 and S_4
+counts, no cycle point, and the type ``(kind, n, central)`` of each anchor and
+each sampled point.  The engine reclassifies the grown arrangement, checks it
+is Zappatic and meets the expectation, and otherwise resamples (up to a fixed
+retry cap), so every returned configuration carries a full witness of its own
+genericity in its attachment records.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from zappatic.arrangement import (
     Arrangement,
@@ -215,76 +220,82 @@ class _Retry(Exception):
     pass
 
 
-def _attach_once(result, i, j, line1, line2, rng, allowed_extra, expect):
-    arr = result.arrangement
-    n = arr.ambient_dim
-    pi = span_subspaces([line1, line2], n)
-    if pi.dim != 3:
-        raise _Retry("the two lines are not skew")
-    anchor_line = expect["anchor_line"]
-    for k in range(len(arr)):
-        inter = meet(pi, arr.subspace(k))
-        if k == i:
-            if inter != line1:
-                raise _Retry(f"3-space meets plane {k} beyond the chosen line")
-        elif k == j:
-            if inter != line2:
-                raise _Retry(f"3-space meets plane {k} beyond the chosen line")
-        elif inter.dim >= 1:
-            if k in allowed_extra and inter.dim == 1:
-                continue
-            # A plane through both anchors always meets the 3-space in the
-            # line joining them; the attachment touches it at the anchors
-            # only, so tolerate exactly that line when the caller opts in.
-            if anchor_line is not None and inter == anchor_line:
-                continue
-            raise _Retry(f"3-space meets plane {k} in dimension {inter.dim}")
-
-    anchor1, anchor2 = expect["anchors"]
-    x1 = _sample_on_line(line1, anchor1, rng)
-    x2 = _sample_on_line(line2, anchor2, rng)
-    w_l2 = span_subspaces([line2, span([x1], n)], n)  # plane through l2 and the transversal
-    w_l1 = span_subspaces([line1, span([x2], n)], n)
-    if w_l2.dim != 2 or w_l1.dim != 2:
-        raise _Retry("degenerate new plane")
-    try:
-        new_arr = Arrangement(n, [p.subspace for p in arr.planes] + [w_l2, w_l1])
-    except RangeError as exc:
-        raise _Retry(str(exc))
-    idx_l2 = len(arr)
-    idx_l1 = len(arr) + 1
-
-    inc = compute_incidence(new_arr)
-    report = zappatic_report(new_arr, inc)
-    if not report.is_zappatic:
-        raise _Retry(f"not Zappatic after attachment: {report.violations[:2]}")
-    old = result.report
-    if report.r_counts.get(3, 0) != old.r_counts.get(3, 0) + expect["r3_delta"]:
-        raise _Retry("unexpected R_3 count")
-    if report.s_counts.get(4, 0) != old.s_counts.get(4, 0) + expect["s4_delta"]:
-        raise _Retry("unexpected S_4 count")
-    if report.f_counts != old.f_counts:
-        raise _Retry("unexpected cycle-point count")
-    point_types = {
-        inc.singular_points[k].point.coords: t for k, t in enumerate(report.types)
-    }
-    for anchor, central in ((anchor1, i), (anchor2, j)):
-        if anchor is not None:
-            t = point_types.get(anchor.coords)
-            if t is None or t.kind != "S" or t.n != 4 or t.central != central:
-                raise _Retry("anchor did not become an S_4 point")
-    for x, central in ((x1, idx_l1), (x2, idx_l2)):
-        t = point_types.get(x.coords)
-        if t is None or t.kind != "R" or t.n != 3 or t.central != central:
-            raise _Retry("new chain point misclassified")
-    return new_arr, (idx_l2, idx_l1), pi, inc, report
-
-
 def _sample_on_line(line: Subspace, anchor: ProjPoint | None, rng) -> ProjPoint:
     while True:
         p = _random_point_in(line, rng)
         if anchor is None or p != anchor:
             return p
+
+
+def _attach(prev, arr, planes, anchors, seed, propose, deltas) -> ConstructionResult:
+    """Grow ``arr`` (``prev``'s planes) by the first proposal that checks out.
+
+    ``propose(rng)`` returns the chosen lines, the span recorded as
+    ``span_pi``, the new planes and the ``(point, kind, n, central)`` types its
+    sampled points must take; it raises ``_Retry`` to reject a choice early.
+    The expectation on top of those points: every anchor becomes an S_4 point
+    centred on its chosen plane, the R_3 and S_4 counts change by ``deltas``
+    and no cycle point appears.
+    """
+    rng = random.Random(seed)
+    n = arr.ambient_dim
+    old = prev.report
+    r3_delta, s4_delta = deltas
+    anchor_types = tuple((a, "S", 4, k) for a, k in zip(anchors, planes) if a is not None)
+    last_reason = ""
+    for attempt in range(RETRY_CAP):
+        try:
+            lines, span_pi, new_planes, points = propose(rng)
+            if any(w.dim != 2 for w in new_planes):
+                raise _Retry("degenerate new plane")
+            try:
+                new_arr = Arrangement(n, [p.subspace for p in arr.planes] + list(new_planes))
+            except RangeError as exc:
+                raise _Retry(str(exc))
+            inc = compute_incidence(new_arr)
+            report = zappatic_report(new_arr, inc)
+            if not report.is_zappatic:
+                raise _Retry(f"not Zappatic after attachment: {report.violations[:2]}")
+            if report.r_counts.get(3, 0) != old.r_counts.get(3, 0) + r3_delta:
+                raise _Retry("unexpected R_3 count")
+            if report.s_counts.get(4, 0) != old.s_counts.get(4, 0) + s4_delta:
+                raise _Retry("unexpected S_4 count")
+            if report.f_counts != old.f_counts:
+                raise _Retry("unexpected cycle-point count")
+            point_types = {
+                inc.singular_points[k].point.coords: t for k, t in enumerate(report.types)
+            }
+            for point, kind, n_planes, central in anchor_types + points:
+                t = point_types.get(point.coords)
+                if t is None or (t.kind, t.n, t.central) != (kind, n_planes, central):
+                    raise _Retry(f"{point} did not become {kind}_{n_planes} on plane {central}")
+        except _Retry as exc:
+            last_reason = str(exc)
+            continue
+        rec = AttachmentRecord(
+            chosen_planes=planes,
+            anchor_points=anchors,
+            lines=lines,
+            span_pi=span_pi,
+            new_plane_indices=tuple(range(len(arr), len(new_arr))),
+            seed=seed,
+            retries=attempt,
+        )
+        return _finish(
+            new_arr,
+            prev.attachments + (rec,),
+            prev.discrepancies,
+            prev.family,
+            prev.d + len(new_planes),
+            prev.g + 1,
+            seed,
+            inc,
+            report,
+        )
+    raise GenericityError(
+        f"no generic attachment found for planes {planes} after {RETRY_CAP} tries;"
+        f" last failure: {last_reason}"
+    )
 
 
 def _attach_pair(
@@ -299,23 +310,16 @@ def _attach_pair(
     avoid2=(),
     allowed_extra=frozenset(),
     allow_anchor_line: bool = False,
-    family: str,
 ) -> ConstructionResult:
     """Attach the degenerate quadric through a line in plane i and one in j."""
-    rng = random.Random(seed)
+    arr = result.arrangement
+    n = arr.ambient_dim
+    plane_i, plane_j = arr.subspace(i), arr.subspace(j)
     anchor_line = None
     if allow_anchor_line and anchor1 is not None and anchor2 is not None:
-        anchor_line = span([anchor1, anchor2], result.arrangement.ambient_dim)
-    expect = {
-        "anchors": (anchor1, anchor2),
-        "anchor_line": anchor_line,
-        "r3_delta": 4 - 2 * sum(a is not None for a in (anchor1, anchor2)),
-        "s4_delta": sum(a is not None for a in (anchor1, anchor2)),
-    }
-    plane_i = result.arrangement.subspace(i)
-    plane_j = result.arrangement.subspace(j)
-    last_reason = ""
-    for attempt in range(RETRY_CAP):
+        anchor_line = span([anchor1, anchor2], n)
+
+    def propose(rng):
         line1 = (
             _line_through(plane_i, anchor1, rng)
             if anchor1 is not None
@@ -326,36 +330,50 @@ def _attach_pair(
             if anchor2 is not None
             else _free_line(plane_j, avoid2, rng)
         )
-        try:
-            new_arr, new_idx, pi, inc, report = _attach_once(
-                result, i, j, line1, line2, rng, allowed_extra, expect
-            )
-        except _Retry as exc:
-            last_reason = str(exc)
-            continue
-        rec = AttachmentRecord(
-            chosen_planes=(i, j),
-            anchor_points=(anchor1, anchor2),
-            lines=(line1, line2),
-            span_pi=pi,
-            new_plane_indices=new_idx,
-            seed=seed,
-            retries=attempt,
-        )
-        return _finish(
-            new_arr,
-            result.attachments + (rec,),
-            result.discrepancies,
-            family,
-            result.d + 2,
-            result.g + 1,
-            seed,
-            inc,
-            report,
-        )
-    raise GenericityError(
-        f"no generic attachment found for planes ({i},{j}) after {RETRY_CAP} tries;"
-        f" last failure: {last_reason}"
+        pi = span_subspaces([line1, line2], n)
+        if pi.dim != 3:
+            raise _Retry("the two lines are not skew")
+        for k in range(len(arr)):
+            inter = meet(pi, arr.subspace(k))
+            if k in (i, j):
+                if inter != (line1 if k == i else line2):
+                    raise _Retry(f"3-space meets plane {k} beyond the chosen line")
+            elif inter.dim >= 1:
+                if k in allowed_extra and inter.dim == 1:
+                    continue
+                # A plane through both anchors always meets the 3-space in the
+                # line joining them; the attachment touches it at the anchors
+                # only, so tolerate exactly that line when the caller opts in.
+                if anchor_line is not None and inter == anchor_line:
+                    continue
+                raise _Retry(f"3-space meets plane {k} in dimension {inter.dim}")
+        x1 = _sample_on_line(line1, anchor1, rng)
+        x2 = _sample_on_line(line2, anchor2, rng)
+        w_l2 = span_subspaces([line2, span([x1], n)], n)  # plane through l2 and the transversal
+        w_l1 = span_subspaces([line1, span([x2], n)], n)
+        points = ((x1, "R", 3, len(arr) + 1), (x2, "R", 3, len(arr)))
+        return (line1, line2), pi, (w_l2, w_l1), points
+
+    anchored = sum(a is not None for a in (anchor1, anchor2))
+    return _attach(
+        result, arr, (i, j), (anchor1, anchor2), seed, propose, (4 - 2 * anchored, anchored)
+    )
+
+
+def _close_chain(chain: ConstructionResult, seed: int) -> ConstructionResult:
+    """Join the two end planes of a chain by a quadric on free lines."""
+    k = len(chain.arrangement)
+    n = chain.arrangement.ambient_dim
+    return _attach_pair(
+        chain,
+        0,
+        k - 1,
+        seed,
+        anchor1=None,
+        anchor2=None,
+        avoid1=(_coord_point(2, n),),
+        avoid2=(_coord_point(k - 1, n),),
+        allowed_extra=frozenset({1}) if k == 3 else frozenset(),
     )
 
 
@@ -369,9 +387,7 @@ def attach_handle(result: ConstructionResult, i: int, j: int, seed: int) -> Cons
         raise RangeError(f"planes {i} and {j} are not disjoint")
     anchor1 = _r3_anchor(result, i)
     anchor2 = _r3_anchor(result, j)
-    return _attach_pair(
-        result, i, j, seed, anchor1=anchor1, anchor2=anchor2, family=result.family
-    )
+    return _attach_pair(result, i, j, seed, anchor1=anchor1, anchor2=anchor2)
 
 
 def cycle_from_chain(d: int, seed: int) -> ConstructionResult:
@@ -384,35 +400,7 @@ def cycle_from_chain(d: int, seed: int) -> ConstructionResult:
     """
     if d < 5:
         raise RangeError("cycle requires d >= 5")
-    base = chain_planes(d - 2)
-    k = d - 2
-    n = base.arrangement.ambient_dim
-    avoid_first = (_coord_point(2, n),)
-    avoid_last = (_coord_point(k - 1, n),)
-    res = _attach_pair(
-        base,
-        0,
-        k - 1,
-        seed,
-        anchor1=None,
-        anchor2=None,
-        avoid1=avoid_first,
-        avoid2=avoid_last,
-        allowed_extra=frozenset({1}) if d == 5 else frozenset(),
-        family="cycle_from_chain",
-    )
-    res = ConstructionResult(
-        arrangement=res.arrangement,
-        incidence=res.incidence,
-        report=res.report,
-        graph=res.graph,
-        attachments=res.attachments,
-        discrepancies=res.discrepancies,
-        family="cycle_from_chain",
-        d=d,
-        g=1,
-        seed=seed,
-    )
+    res = replace(_close_chain(chain_planes(d - 2), seed), family="cycle_from_chain")
     if res.report.r_counts.get(3, 0) != d or res.num_edges != d:
         raise InternalCheckError("closed chain counts are off")
     return res
@@ -446,17 +434,8 @@ def build_X(d: int, g: int, seed: int = 0) -> ConstructionResult:
         f"{d + g + 2}, inconsistent with g = e-v+1; derived value e = d+g-1 = "
         f"{d + g - 1} is used"
     )
-    result = ConstructionResult(
-        arrangement=result.arrangement,
-        incidence=result.incidence,
-        report=result.report,
-        graph=result.graph,
-        attachments=result.attachments,
-        discrepancies=result.discrepancies + (note,),
-        family="X",
-        d=d,
-        g=g,
-        seed=seed,
+    result = replace(
+        result, discrepancies=result.discrepancies + (note,), family="X", seed=seed
     )
     _check_family_profile(result, d, g)
     if first_disjoint_central_pair(result) is None:
@@ -490,44 +469,19 @@ def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
         raise RangeError("requires d > 4g")
     rng = random.Random(seed)
     k = d - 2 * g
-    result = chain_planes(k)
+    result = _close_chain(chain_planes(k), rng.randrange(2**63))
     n = result.arrangement.ambient_dim
-    for i in range(1, g + 1):
-        if i == 1:
-            result = _attach_pair(
-                result,
-                0,
-                k - 1,
-                rng.randrange(2**63),
-                anchor1=None,
-                anchor2=None,
-                avoid1=(_coord_point(2, n),),
-                avoid2=(_coord_point(k - 1, n),),
-                family="Y",
-            )
-        else:
-            result = _attach_pair(
-                result,
-                i - 1,
-                k - i,
-                rng.randrange(2**63),
-                anchor1=_coord_point(i, n),
-                anchor2=_coord_point(k - i + 1, n),
-                allow_anchor_line=True,
-                family="Y",
-            )
-    result = ConstructionResult(
-        arrangement=result.arrangement,
-        incidence=result.incidence,
-        report=result.report,
-        graph=result.graph,
-        attachments=result.attachments,
-        discrepancies=result.discrepancies,
-        family="Y",
-        d=d,
-        g=g,
-        seed=seed,
-    )
+    for i in range(2, g + 1):
+        result = _attach_pair(
+            result,
+            i - 1,
+            k - i,
+            rng.randrange(2**63),
+            anchor1=_coord_point(i, n),
+            anchor2=_coord_point(k - i + 1, n),
+            allow_anchor_line=True,
+        )
+    result = replace(result, family="Y", seed=seed)
     _check_family_profile(result, d, g)
     return result
 
@@ -544,114 +498,52 @@ def _embed_in_hyperplane(result: ConstructionResult) -> Arrangement:
 
 def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     """Attach a degenerate cubic scroll (three planes in a general P^4)."""
-    rng = random.Random(seed)
-    d = prev.d + 3
-    g = prev.g + 1
     arr = _embed_in_hyperplane(prev)
     n = arr.ambient_dim
     if prev.g == 1 and prev.d == 5:
         # the 5-cycle has no disjoint planes: take the first pair meeting in
         # a point only
-        pair = None
-        for a in range(len(arr)):
-            for b in range(a + 1, len(arr)):
-                if meet(arr.subspace(a), arr.subspace(b)).dim == 0:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
+        pair = next(
+            (
+                (a, b)
+                for a in range(len(arr))
+                for b in range(a + 1, len(arr))
+                if meet(arr.subspace(a), arr.subspace(b)).dim == 0
+            ),
+            None,
+        )
     else:
         pair = first_disjoint_central_pair(prev)
     if pair is None:
         raise InternalCheckError("no admissible plane pair for the cubic attachment")
     i, j = pair
-    anchor1 = _r3_anchor(prev, i)
-    anchor2 = _r3_anchor(prev, j)
-    anchor1 = ProjPoint(list(anchor1.coords) + [0])
-    anchor2 = ProjPoint(list(anchor2.coords) + [0])
+    anchor1 = ProjPoint(list(_r3_anchor(prev, i).coords) + [0])
+    anchor2 = ProjPoint(list(_r3_anchor(prev, j).coords) + [0])
     plane_i, plane_j = arr.subspace(i), arr.subspace(j)
-    old_rep = prev.report
 
-    last_reason = ""
-    for attempt in range(RETRY_CAP):
+    def propose(rng):
         line1 = _line_through(plane_i, anchor1, rng)
         line2 = _line_through(plane_j, anchor2, rng)
         pi3 = span_subspaces([line1, line2], n)
         if pi3.dim != 3:
-            last_reason = "the two lines are not skew"
-            continue
+            raise _Retry("the two lines are not skew")
         # a general point off the old hyperplane fixes the ambient P^4
         q3 = _random_point_with_last_coord(n, rng)
         q2 = _sample_on_line(line2, anchor2, rng)
         q4 = _sample_on_line(line1, anchor1, rng)
-        w1 = span_subspaces([line2, span([q3], n)], n)
+        p3 = span([q3], n)
+        w1 = span_subspaces([line2, p3], n)
         w2 = span([q2, q3, q4], n)
-        w3 = span_subspaces([line1, span([q3], n)], n)
-        if any(w.dim != 2 for w in (w1, w2, w3)):
-            last_reason = "degenerate new plane"
-            continue
-        try:
-            new_arr = Arrangement(n, [p.subspace for p in arr.planes] + [w1, w2, w3])
-        except RangeError as exc:
-            last_reason = str(exc)
-            continue
-        inc = compute_incidence(new_arr)
-        report = zappatic_report(new_arr, inc)
-        if not report.is_zappatic:
-            last_reason = f"not Zappatic: {report.violations[:2]}"
-            continue
-        if (
-            report.r_counts.get(3, 0) != old_rep.r_counts.get(3, 0) + 1
-            or report.s_counts.get(4, 0) != old_rep.s_counts.get(4, 0) + 2
-            or report.f_counts != old_rep.f_counts
-        ):
-            last_reason = "unexpected singular point counts"
-            continue
-        point_types = {
-            inc.singular_points[k].point.coords: t
-            for k, t in enumerate(report.types)
-        }
-        base_len = len(arr)
-        checks = (
-            (anchor1.coords, "S", i),
-            (anchor2.coords, "S", j),
-            (q2.coords, "R", base_len),      # chain V_j - W1 - W2
-            (q3.coords, "R", base_len + 1),  # chain W1 - W2 - W3
-            (q4.coords, "R", base_len + 2),  # chain V_i - W3 - W2
+        w3 = span_subspaces([line1, p3], n)
+        base = len(arr)
+        points = (
+            (q2, "R", 3, base),  # chain V_j - W1 - W2
+            (q3, "R", 3, base + 1),  # chain W1 - W2 - W3
+            (q4, "R", 3, base + 2),  # chain V_i - W3 - W2
         )
-        bad = False
-        for coords, kind, central in checks:
-            t = point_types.get(coords)
-            if t is None or t.kind != kind or t.central != central:
-                bad = True
-                last_reason = "attachment points misclassified"
-                break
-        if bad:
-            continue
-        rec = AttachmentRecord(
-            chosen_planes=(i, j),
-            anchor_points=(anchor1, anchor2),
-            lines=(line1, line2),
-            span_pi=span_subspaces([pi3, span([q3], n)], n),
-            new_plane_indices=(base_len, base_len + 1, base_len + 2),
-            seed=seed,
-            retries=attempt,
-        )
-        return _finish(
-            new_arr,
-            prev.attachments + (rec,),
-            prev.discrepancies,
-            "Z",
-            d,
-            g,
-            seed,
-            inc,
-            report,
-        )
-    raise GenericityError(
-        f"no generic cubic attachment for planes {pair} after {RETRY_CAP} tries;"
-        f" last failure: {last_reason}"
-    )
+        return (line1, line2), span_subspaces([pi3, p3], n), (w1, w2, w3), points
+
+    return _attach(prev, arr, pair, (anchor1, anchor2), seed, propose, (1, 2))
 
 
 def _random_point_with_last_coord(n: int, rng) -> ProjPoint:
@@ -672,36 +564,11 @@ def build_Z(d: int, g: int, seed: int = 0) -> ConstructionResult:
         f" inconsistent with g = e-v+1; derived value e = d+g-1 = {d + g - 1}"
         f" is used"
     )
-    if g == 1:
-        base = cycle_planes(d)
-        return ConstructionResult(
-            arrangement=base.arrangement,
-            incidence=base.incidence,
-            report=base.report,
-            graph=base.graph,
-            attachments=base.attachments,
-            discrepancies=(note,),
-            family="Z",
-            d=d,
-            g=1,
-            seed=seed,
-        )
     rng = random.Random(seed)
     seeds = [rng.randrange(2**63) for _ in range(g - 1)]
-    result = build_Z(d - 3 * (g - 1), 1, seed)
+    result = cycle_planes(d - 3 * (g - 1))
     for s in seeds:
         result = _z_step(result, s)
-    result = ConstructionResult(
-        arrangement=result.arrangement,
-        incidence=result.incidence,
-        report=result.report,
-        graph=result.graph,
-        attachments=result.attachments,
-        discrepancies=(note,),
-        family="Z",
-        d=d,
-        g=g,
-        seed=seed,
-    )
+    result = replace(result, discrepancies=(note,), family="Z", seed=seed)
     _check_family_profile(result, d, g)
     return result

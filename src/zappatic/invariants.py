@@ -222,6 +222,8 @@ def quadric_count(d: int, g: int):
     through_curve is the full count C(r+2,2) - (2d-g+1); forcing a general
     codimension-3 subspace leaves d - 2g - 1 of them.
     """
+    if g < 0:
+        raise RangeError("requires g >= 0")
     if d < 2 * g + 2:
         raise RangeError("requires d >= 2g+2")
     r = d - g

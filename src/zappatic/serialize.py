@@ -56,6 +56,8 @@ def arrangement_from_dict(data: dict) -> tuple[Arrangement, dict]:
     metadata = data.get("metadata", {})
     if not isinstance(raw_planes, list) or not isinstance(metadata, dict):
         raise RangeError("planes must be a list and metadata an object")
+    if not isinstance(metadata.get("family", ""), str):
+        raise RangeError("metadata family must be a string")
     subs = []
     for rows in raw_planes:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):

@@ -235,13 +235,17 @@ def test_criterion_11_discrepancy_surfacing():
     _ok(11, "edge-count discrepancy notes emitted; derived d+g-1 adopted")
 
 
-def test_criterion_12_determinism(tmp_path):
+def test_criterion_12_determinism(tmp_path, cli_env):
     cmd = [
         sys.executable, "-m", "zappatic.cli", "construct", "--family", "X",
         "--d", "12", "--g", "3", "--seed", "99",
     ]
-    r1 = subprocess.run(cmd + ["--out", str(tmp_path / "a.json")], capture_output=True)
-    r2 = subprocess.run(cmd + ["--out", str(tmp_path / "b.json")], capture_output=True)
+    r1 = subprocess.run(
+        cmd + ["--out", str(tmp_path / "a.json")], capture_output=True, env=cli_env
+    )
+    r2 = subprocess.run(
+        cmd + ["--out", str(tmp_path / "b.json")], capture_output=True, env=cli_env
+    )
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout.replace(b"a.json", b"x") == r2.stdout.replace(b"b.json", b"x")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

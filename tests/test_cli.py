@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from zappatic import serialize
+from zappatic import constructions, serialize
 from zappatic.arrangement import compute_incidence, zappatic_report
 from zappatic.cli import JSON_BEGIN, JSON_END, main
 from zappatic.constructions import build_X, chain_planes
@@ -119,6 +119,17 @@ class TestConstructCommand:
         assert code == 2
         assert "2g+4" in err
 
+    def test_genericity_exhaustion_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(constructions, "RETRY_CAP", 0)
+        code, _out, err = run_cli(
+            ["construct", "--family", "Z", "--d", "9", "--g", "2", "--out",
+             str(tmp_path / "z.json")],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("error: no generic") and "planes" in err
+        assert "Traceback" not in err
+
 
 class TestClassifyCommand:
     def test_counts_for_x82(self, tmp_path, capsys):
@@ -207,6 +218,9 @@ class TestMalformedArrangementFiles:
     def test_metadata_not_an_object(self, tmp_path, capsys):
         self._check_exit_2(_plane_file(tmp_path, _rows(), metadata=5), capsys)
 
+    def test_family_not_a_string(self, tmp_path, capsys):
+        self._check_exit_2(_plane_file(tmp_path, _rows(), metadata={"family": ["X"]}), capsys)
+
     def test_valid_one_plane_file_still_reads(self, tmp_path):
         arr, meta = serialize.read_arrangement(_plane_file(tmp_path, _rows()))
         assert len(arr) == 1 and meta == {}
@@ -241,6 +255,11 @@ class TestInvariantsCommand:
         assert code == 0
         assert "chi=0" in out and "h2=1" in out
         assert "homology=(1,2,1)" in out
+
+    def test_abstract_torus_non_integer_size_exit_2(self, capsys):
+        code, _out, err = run_cli(["invariants", "--abstract", "torus", "x", "3"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestGraphCommand:
@@ -284,6 +303,11 @@ class TestSmallCommands:
         assert lines[0] == "# total degree: 5"
         assert lines[-1] == "P(1) P(1) P(1) P(1) P(1)"
 
+    def test_quadrics_negative_genus_exit_2(self, capsys):
+        code, out, err = run_cli(["quadrics", "--d", "3", "--g", "-1"], capsys)
+        assert code == 2
+        assert out == "" and "g >= 0" in err
+
     def test_quadrics_oracle(self, capsys):
         code, out, _ = run_cli(["quadrics", "--d", "3", "--g", "0", "--oracle"], capsys)
         assert code == 0
@@ -307,16 +331,16 @@ class TestDeterminismAndSeeds:
         )
         assert json_block(out)["seed"] == 9
 
-    def test_byte_identical_across_processes(self, tmp_path):
+    def test_byte_identical_across_processes(self, tmp_path, cli_env):
         cmd = [
             sys.executable, "-m", "zappatic.cli", "construct", "--family", "X",
             "--d", "10", "--g", "3", "--seed", "42",
         ]
         r1 = subprocess.run(
-            cmd + ["--out", str(tmp_path / "r1.json")], capture_output=True
+            cmd + ["--out", str(tmp_path / "r1.json")], capture_output=True, env=cli_env
         )
         r2 = subprocess.run(
-            cmd + ["--out", str(tmp_path / "r2.json")], capture_output=True
+            cmd + ["--out", str(tmp_path / "r2.json")], capture_output=True, env=cli_env
         )
         assert r1.returncode == r2.returncode == 0
         out1 = r1.stdout.replace(b"r1.json", b"out.json")

@@ -1,5 +1,6 @@
 import pytest
 
+from zappatic import constructions
 from zappatic.constructions import (
     attach_handle,
     build_X,
@@ -11,7 +12,7 @@ from zappatic.constructions import (
     first_disjoint_central_pair,
     verify_transversality,
 )
-from zappatic.errors import RangeError
+from zappatic.errors import GenericityError, RangeError
 from zappatic.invariants import invariants_of
 from zappatic.projective import meet, span_subspaces
 
@@ -286,3 +287,32 @@ class TestCrossModuleConsistency:
                 for a, b in sp.local_edges:
                     assert (min(a, b), max(a, b)) in edges
                     assert a in sp.incident_planes and b in sp.incident_planes
+
+
+class TestGenericityExhaustion:
+    """With no retries allowed, every attachment path gives up with a
+    GenericityError that names the chosen planes."""
+
+    @pytest.fixture(autouse=True)
+    def no_retries(self, monkeypatch):
+        monkeypatch.setattr(constructions, "RETRY_CAP", 0)
+
+    def test_attach_handle(self):
+        base = cycle_planes(6)
+        i, j = first_disjoint_central_pair(base)
+        with pytest.raises(GenericityError, match=rf"planes \({i}, ?{j}\)"):
+            attach_handle(base, i, j, seed=0)
+
+    def test_build_Y(self):
+        # the outermost pair joins the end planes 0 and 4 of the 5-chain
+        with pytest.raises(GenericityError, match=r"planes \(0, ?4\)"):
+            build_Y(9, 2, seed=0)
+
+    def test_build_Z(self):
+        i, j = first_disjoint_central_pair(cycle_planes(6))
+        with pytest.raises(GenericityError, match=rf"planes \({i}, ?{j}\)"):
+            build_Z(9, 2, seed=0)
+
+    def test_cycle_from_chain(self):
+        with pytest.raises(GenericityError, match=r"planes \(0, ?3\)"):
+            cycle_from_chain(6, seed=0)
