@@ -11,8 +11,9 @@ R_n, S_n or E_n.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from zappatic.errors import RangeError
 from zappatic.projective import ProjPoint, Subspace, meet, span_subspaces
@@ -70,13 +71,20 @@ class IncidenceData:
 def compute_incidence(arr: Arrangement) -> IncidenceData:
     """Pairwise intersection structure plus the derived singular points.
 
-    Singular points are the pairwise intersection points of double lines
-    together with all point-meet points; for each we record every incident
-    plane and every double line through it.
+    Everything follows from the pairwise plane meets by one lemma: two
+    distinct planes through a point p meet in p alone or in a double line
+    through p.  Hence two double lines crossing at p give a point meet at p
+    or two double lines of one plane crossing at p, so the singular points
+    are the point meets and those crossings.  Likewise a plane through p
+    meets some plane producing p in p, or in a double line that crosses
+    another one at p on a common plane, so the planes through p are the
+    planes of the meets that produce p, and the local edges at p are the
+    double lines whose two planes both pass through p.
     """
     v = len(arr)
     double_lines = []
     point_meets = []
+    lines_of = [[] for _ in range(v)]
     for i in range(v):
         for j in range(i + 1, v):
             inter = meet(arr.subspace(i), arr.subspace(j))
@@ -84,29 +92,27 @@ def compute_incidence(arr: Arrangement) -> IncidenceData:
                 raise RangeError(f"planes {i} and {j} coincide")
             if inter.dim == 1:
                 double_lines.append((i, j, inter))
+                lines_of[i].append(double_lines[-1])
+                lines_of[j].append(double_lines[-1])
             elif inter.dim == 0:
                 point_meets.append((i, j, inter.point()))
 
-    candidates: dict[tuple[int, ...], ProjPoint] = {}
-    for a in range(len(double_lines)):
-        for b in range(a + 1, len(double_lines)):
-            inter = meet(double_lines[a][2], double_lines[b][2])
+    through: dict[tuple[int, ...], tuple[ProjPoint, set[int]]] = {}
+    for i, j, p in point_meets:
+        through.setdefault(p.coords, (p, set()))[1].update((i, j))
+    for lines in lines_of:
+        for (a, b, la), (c, d, lb) in combinations(lines, 2):
+            inter = meet(la, lb)
             if inter.dim == 0:
                 p = inter.point()
-                candidates[p.coords] = p
-    for _, _, p in point_meets:
-        candidates[p.coords] = p
+                through.setdefault(p.coords, (p, set()))[1].update((a, b, c, d))
 
     points = []
-    for key in sorted(candidates):
-        p = candidates[key]
-        incident = frozenset(
-            i for i in range(v) if arr.subspace(i).contains_point(p)
-        )
-        edges = tuple(
-            (i, j) for i, j, line in double_lines if line.contains_point(p)
-        )
-        points.append(SingularPoint(p, incident, edges))
+    for key in sorted(through):
+        p, planes = through[key]
+        edges = tuple((i, j) for i, j, _ in double_lines if i in planes and j in planes)
+        # sorted: the iteration order of a scan over the planes
+        points.append(SingularPoint(p, frozenset(sorted(planes)), edges))
     return IncidenceData(tuple(double_lines), tuple(point_meets), tuple(points))
 
 
@@ -134,11 +140,8 @@ def _graph_shape(vertices, edges):
     order: for a chain the path from one end, for a cycle a closed walk,
     for a fork the center followed by the sorted leaves.
     """
-    deg = Counter()
     adj = {v: [] for v in vertices}
     for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
         adj[a].append(b)
         adj[b].append(a)
     n = len(vertices)
@@ -157,24 +160,22 @@ def _graph_shape(vertices, edges):
                 stack.append(y)
     if len(seen) != n:
         return None
-    degs = sorted(deg[v] for v in vertices)
+
+    def walk(first):
+        order = [first]
+        prev = None
+        while len(order) < n:
+            nxt = next(y for y in adj[order[-1]] if y != prev)
+            prev = order[-1]
+            order.append(nxt)
+        return tuple(order)
+
+    deg = {v: len(adj[v]) for v in vertices}
+    degs = sorted(deg.values())
     if ne == n - 1 and degs == [1, 1] + [2] * (n - 2):
-        end = min(v for v in vertices if deg[v] == 1)
-        order = [end]
-        prev = None
-        while len(order) < n:
-            nxt = next(y for y in adj[order[-1]] if y != prev)
-            prev = order[-1]
-            order.append(nxt)
-        return "chain", tuple(order)
+        return "chain", walk(min(v for v in vertices if deg[v] == 1))
     if ne == n and degs == [2] * n:
-        order = [start]
-        prev = None
-        while len(order) < n:
-            nxt = next(y for y in adj[order[-1]] if y != prev)
-            prev = order[-1]
-            order.append(nxt)
-        return "cycle", tuple(order)
+        return "cycle", walk(start)
     if ne == n - 1 and n >= 4 and degs == [1] * (n - 1) + [n - 1]:
         center = next(v for v in vertices if deg[v] == n - 1)
         leaves = sorted(v for v in vertices if v != center)
@@ -237,9 +238,12 @@ def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> Zappa
     """Aggregate classification of every singular point.
 
     The arrangement is Zappatic iff every singular point classifies as
-    R_n/S_n/E_n, every point-meet pair is absorbed into such a point (the
-    two planes are non-adjacent members of its local graph), and every
-    double line lies on exactly two planes.
+    R_n/S_n/E_n and every double line lies on exactly two planes.  A point
+    meet needs no check of its own: its point is a singular point, both its
+    planes are among that point's planes, and a Zappatic type orders all of
+    them.  A third plane through a double line meets both of its planes in
+    that line, so the planes on a line are the planes of the double lines
+    with its basis.
     """
     if inc is None:
         inc = compute_incidence(arr)
@@ -248,18 +252,14 @@ def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> Zappa
     s_counts: Counter = Counter()
     f_counts: Counter = Counter()
     types = []
-    point_index = {sp.point.coords: k for k, sp in enumerate(inc.singular_points)}
 
+    planes_on = defaultdict(set)
     for i, j, line in inc.double_lines:
-        extra = [
-            k
-            for k in range(len(arr))
-            if k not in (i, j) and arr.subspace(k).contains(line)
-        ]
-        if extra:
-            violations.append(
-                f"double line of planes ({i},{j}) lies on {len(extra) + 2} planes"
-            )
+        planes_on[line.basis].update((i, j))
+    for i, j, line in inc.double_lines:
+        on = len(planes_on[line.basis])
+        if on > 2:
+            violations.append(f"double line of planes ({i},{j}) lies on {on} planes")
 
     for k, sp in enumerate(inc.singular_points):
         t = classify_point(arr, inc, k)
@@ -274,21 +274,6 @@ def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> Zappa
             coords = list(sp.point.coords)
             violations.append(f"point {coords}: {t.reason}")
 
-    for i, j, p in inc.point_meets:
-        k = point_index.get(p.coords)
-        if k is None:
-            violations.append(
-                f"planes ({i},{j}) meet at an unclassified point"
-            )
-            continue
-        if not types[k].is_zappatic():
-            continue  # already reported through the point itself
-        order = types[k].vertex_order
-        if i not in order or j not in order:
-            violations.append(
-                f"planes ({i},{j}) touch a singular point they are not part of"
-            )
-
     return ZappaticReport(
         is_zappatic=not violations,
         r_counts=dict(r_counts),
@@ -297,4 +282,3 @@ def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> Zappa
         violations=tuple(violations),
         types=tuple(types),
     )
-

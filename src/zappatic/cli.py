@@ -172,10 +172,15 @@ def cmd_invariants(args) -> int:
             f"smooth: g={sm.g} p_g={sm.p_g} chi={sm.chi} "
             f"K2=[{sm.K2_interval[0]},{sm.K2_interval[1]}]"
         )
-        if meta.get("family") in SCROLL_FAMILIES:
+        family = meta.get("family")
+        if family in SCROLL_FAMILIES:
             lo, hi = sm.K2_interval
             if not lo <= 8 * (1 - sm.g) <= hi:
-                raise InternalCheckError("scroll smoothing interval misses 8(1-g)")
+                raise RangeError(
+                    f"metadata family {family!r} does not fit the planes: "
+                    f"a scroll smoothing has K2 = 8(1-g) = {8 * (1 - sm.g)}, "
+                    f"outside [{lo},{hi}]"
+                )
     return 0
 
 

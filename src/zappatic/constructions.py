@@ -31,6 +31,7 @@ from zappatic.arrangement import (
 )
 from zappatic.complexes import DualGraph, build_dual_graph
 from zappatic.errors import GenericityError, InternalCheckError, RangeError
+from zappatic.invariants import check_dg_range
 from zappatic.projective import ProjPoint, Subspace, meet, span, span_subspaces
 
 RETRY_CAP = 64
@@ -410,18 +411,11 @@ def build_X(d: int, g: int, seed: int = 0) -> ConstructionResult:
     """The main family: chain (g=0), cycle (g=1), or a cycle of degree
     d-2(g-1) with g-1 quadric handles, giving d-2g+2 R_3 and 2g-2 S_4 points
     in P^(d-2g+1)."""
-    if g < 0:
-        raise RangeError("requires g >= 0")
+    check_dg_range(d, g)
     if g == 0:
-        if d < 2:
-            raise RangeError("requires d >= 2 when g = 0")
         return chain_planes(d)
     if g == 1:
-        if d < 5:
-            raise RangeError("requires d >= 5 when g = 1")
         return cycle_planes(d)
-    if d < 2 * g + 4:
-        raise RangeError("requires d >= 2g+4")
     rng = random.Random(seed)
     result = cycle_planes(d - 2 * (g - 1))
     for _ in range(g - 1):

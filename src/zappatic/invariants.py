@@ -108,7 +108,8 @@ def smoothing_of(inv: InvariantReport) -> SmoothingInvariants:
     )
 
 
-def _check_dg_range(d: int, g: int) -> None:
+def check_dg_range(d: int, g: int) -> None:
+    """Reject (d, g) outside the range where the scroll families exist."""
     if g < 0:
         raise RangeError("requires g >= 0")
     if g == 0 and d < 2:
@@ -121,13 +122,13 @@ def _check_dg_range(d: int, g: int) -> None:
 
 def hilbert_dim(d: int, g: int) -> int:
     """Dimension of the component of linearly normal scrolls: (r+1)^2 + 7(g-1)."""
-    _check_dg_range(d, g)
+    check_dg_range(d, g)
     return (d - 2 * g + 2) ** 2 + 7 * (g - 1)
 
 
 def chi_normal(d: int, g: int) -> int:
     """Euler characteristic route to the same number: d^2-4dg+4d+4g^2-g-3."""
-    _check_dg_range(d, g)
+    check_dg_range(d, g)
     return d * d - 4 * d * g + 4 * d + 4 * g * g - g - 3
 
 
@@ -137,7 +138,7 @@ def param_breakdown(d: int, g: int):
     Returns ([(label, signed count), ...], total); the total equals
     hilbert_dim(d, g) identically.
     """
-    _check_dg_range(d, g)
+    check_dg_range(d, g)
     r = d - 2 * g + 1
     items = [
         ("curve moduli", 3 * g - 3),

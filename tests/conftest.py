@@ -4,8 +4,14 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import zappatic
+
+# Every run draws the same examples, and no example fails on wall time
+# when the machine is busy.
+settings.register_profile("zappatic", derandomize=True, deadline=None)
+settings.load_profile("zappatic")
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
 """Independent reference implementations used only by the test suite.
 
-Deliberately written over Fractions with textbook Gaussian elimination so
-they share no code path with zappatic.linalg's integer Bareiss kernel.
+The linear algebra is deliberately written over Fractions with textbook
+Gaussian elimination so it shares no code path with zappatic.linalg's
+integer Bareiss kernel.  The incidence reference is the direct route that
+the arrangement module avoids: it meets every pair of double lines and
+finds the planes and double lines through each point, and the planes on
+each double line, by containment tests.
 """
 
 from __future__ import annotations
@@ -87,3 +91,70 @@ def frac_meet(a_rows, b_rows, ncols):
         return []
     ann = frac_nullspace(a_rows) + frac_nullspace(b_rows)
     return frac_nullspace(ann, ncols)
+
+
+def containment_incidence(arr):
+    """IncidenceData from all plane and line meets plus containment tests."""
+    from zappatic.arrangement import IncidenceData, SingularPoint
+    from zappatic.projective import meet
+
+    v = len(arr)
+    double_lines = []
+    point_meets = []
+    for i in range(v):
+        for j in range(i + 1, v):
+            inter = meet(arr.subspace(i), arr.subspace(j))
+            if inter.dim == 1:
+                double_lines.append((i, j, inter))
+            elif inter.dim == 0:
+                point_meets.append((i, j, inter.point()))
+    candidates = {p.coords: p for _, _, p in point_meets}
+    for a in range(len(double_lines)):
+        for b in range(a + 1, len(double_lines)):
+            inter = meet(double_lines[a][2], double_lines[b][2])
+            if inter.dim == 0:
+                candidates[inter.point().coords] = inter.point()
+    points = []
+    for key in sorted(candidates):
+        p = candidates[key]
+        incident = frozenset(i for i in range(v) if arr.subspace(i).contains_point(p))
+        edges = tuple((i, j) for i, j, line in double_lines if line.contains_point(p))
+        points.append(SingularPoint(p, incident, edges))
+    return IncidenceData(tuple(double_lines), tuple(point_meets), tuple(points))
+
+
+def containment_report(arr, inc):
+    """ZappaticReport with the plane count of each double line by containment
+    and an explicit check that each point meet is absorbed into a Zappatic
+    point whose vertex order holds both planes."""
+    from collections import Counter
+
+    from zappatic.arrangement import ZappaticReport, classify_point
+
+    violations = []
+    for i, j, line in inc.double_lines:
+        on = sum(1 for k in range(len(arr)) if arr.subspace(k).contains(line))
+        if on > 2:
+            violations.append(f"double line of planes ({i},{j}) lies on {on} planes")
+    types = [classify_point(arr, inc, k) for k in range(len(inc.singular_points))]
+    counts = {kind: Counter() for kind in "RSE"}
+    for sp, t in zip(inc.singular_points, types):
+        if t.is_zappatic():
+            counts[t.kind][t.n] += 1
+        else:
+            violations.append(f"point {list(sp.point.coords)}: {t.reason}")
+    index = {sp.point.coords: k for k, sp in enumerate(inc.singular_points)}
+    for i, j, p in inc.point_meets:
+        k = index.get(p.coords)
+        if k is None:
+            violations.append(f"planes ({i},{j}) meet at an unclassified point")
+        elif types[k].is_zappatic() and not {i, j} <= set(types[k].vertex_order):
+            violations.append(f"planes ({i},{j}) touch a singular point they are not part of")
+    return ZappaticReport(
+        is_zappatic=not violations,
+        r_counts=dict(counts["R"]),
+        s_counts=dict(counts["S"]),
+        f_counts=dict(counts["E"]),
+        violations=tuple(violations),
+        types=tuple(types),
+    )

@@ -116,6 +116,14 @@ class TestClassification:
         rep = zappatic_report(Arrangement(4, [a, b, c]))
         assert not rep.is_zappatic
         assert any("lies on 3 planes" in v for v in rep.violations)
+        # a fourth plane through the line: each of the six pairs is flagged
+        d = plane(l + [[0, 0, 1, 1, 1]], 4)
+        rep = zappatic_report(Arrangement(4, [a, b, c, d]))
+        flagged = [v for v in rep.violations if "lies on" in v]
+        assert flagged == [
+            f"double line of planes ({i},{j}) lies on 4 planes"
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        ]
 
 
 class TestProjectiveInvariance:

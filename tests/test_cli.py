@@ -240,6 +240,23 @@ class TestInvariantsCommand:
         assert "g=3 chi=-2 p_omega=0 K2=[-16,-12]" in out
         assert "smooth: g=3 p_g=0 chi=-2 K2=[-16,-12]" in out
 
+    def test_family_that_does_not_fit_the_planes(self, tmp_path, capsys):
+        # two disjoint planes of P^5 are no degenerate scroll of family X
+        def coordinate_plane(first):
+            return [[[int(i == j), 1] for i in range(6)] for j in range(first, first + 3)]
+
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 5,
+            "planes": [coordinate_plane(0), coordinate_plane(3)],
+            "metadata": {"family": "X"},
+        }))
+        code, _out, err = run_cli(["invariants", str(path), "--smooth"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "metadata family 'X' does not fit the planes" in err
+        assert "Traceback" not in err
+
     def test_chain5(self, tmp_path, capsys):
         run_cli(
             ["construct", "--family", "chain", "--d", "5",

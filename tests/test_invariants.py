@@ -191,7 +191,7 @@ class TestInvariantsOfTorus:
         assert (sm.p_g, sm.chi, sm.K2_interval) == (1, 0, (0, 0))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=40))
 def test_dimension_identity_property(g, extra):
     lo = {0: 2, 1: 5}.get(g, 2 * g + 4)

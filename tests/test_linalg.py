@@ -107,7 +107,7 @@ def test_backends_agree_on_big_entries():
     linalg.set_backend(BACKENDS[-1])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     st.lists(
         st.lists(st.integers(min_value=-50, max_value=50), min_size=4, max_size=4),
