@@ -59,6 +59,11 @@ def invariants_of(report: ZappaticReport | None, graph: DualGraph) -> InvariantR
 
     For abstract complexes (no arrangement behind them) pass report=None;
     the counts are then read off the complex itself.
+
+    g = e - v + 1 is the arithmetic genus of the hyperplane section, a union
+    of v lines meeting in e points, so a disconnected fibre can have g < 0:
+    two disjoint planes of P^5 cut two skew lines, with p_a = 1 - 2 = -1,
+    and have chi(O) = 2 and K^2 = 9 + 9 = 18.
     """
     v = graph.num_vertices
     e = graph.num_edges

@@ -5,7 +5,9 @@ Gaussian elimination so it shares no code path with zappatic.linalg's
 integer Bareiss kernel.  The incidence reference is the direct route that
 the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
-each double line, by containment tests.
+each double line, by containment tests.  The chain feasibility reference is
+the depth-first search over all placements that scrolls.chain_feasible
+replaced with a direct witness; it costs 2^a.
 """
 
 from __future__ import annotations
@@ -158,3 +160,27 @@ def containment_report(arr, inc):
         violations=tuple(violations),
         types=tuple(types),
     )
+
+
+def dfs_chain_feasible(a, b):
+    """chain_feasible by depth-first search: the first placement j_1 < ... < j_a
+    found with j_1 tried as 3, 2, 1 and each step as 1 before 2."""
+    limit = a + b
+
+    def extend(prefix):
+        if len(prefix) == a:
+            return tuple(prefix) if prefix[-1] >= a + b - 2 else None
+        for step in (1, 2):
+            nxt = prefix[-1] + step
+            if nxt <= limit:
+                got = extend(prefix + [nxt])
+                if got:
+                    return got
+        return None
+
+    for j1 in (3, 2, 1):
+        if j1 <= limit:
+            witness = extend([j1])
+            if witness:
+                return {"feasible": True, "witness": witness}
+    return {"feasible": False, "obstruction": "j_a range empty (a+b-2 > 2a+1)"}

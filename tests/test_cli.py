@@ -195,6 +195,19 @@ def _plane_file(tmp_path, plane, metadata=None):
     return path
 
 
+def _disjoint_planes_file(tmp_path, metadata=None):
+    """Two disjoint coordinate planes of P^5."""
+    def coordinate_plane(first):
+        return [[[int(i == j), 1] for i in range(6)] for j in range(first, first + 3)]
+
+    data = {"ambient_dim": 5, "planes": [coordinate_plane(0), coordinate_plane(3)]}
+    if metadata is not None:
+        data["metadata"] = metadata
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 class TestMalformedArrangementFiles:
     """Every reading command exits 2 with a message, never a traceback."""
 
@@ -242,20 +255,19 @@ class TestInvariantsCommand:
 
     def test_family_that_does_not_fit_the_planes(self, tmp_path, capsys):
         # two disjoint planes of P^5 are no degenerate scroll of family X
-        def coordinate_plane(first):
-            return [[[int(i == j), 1] for i in range(6)] for j in range(first, first + 3)]
-
-        path = tmp_path / "disjoint.json"
-        path.write_text(json.dumps({
-            "ambient_dim": 5,
-            "planes": [coordinate_plane(0), coordinate_plane(3)],
-            "metadata": {"family": "X"},
-        }))
+        path = _disjoint_planes_file(tmp_path, metadata={"family": "X"})
         code, _out, err = run_cli(["invariants", str(path), "--smooth"], capsys)
         assert code == 2
         assert err.startswith("error:")
         assert "metadata family 'X' does not fit the planes" in err
         assert "Traceback" not in err
+
+    def test_disjoint_planes_genus_minus_one(self, tmp_path, capsys):
+        # the hyperplane section is two skew lines: p_a = 1 - 2 = -1,
+        # chi(O) = 1 + 1 and K^2 = 9 + 9
+        code, out, _ = run_cli(["invariants", str(_disjoint_planes_file(tmp_path))], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "v=2 e=0 g=-1 chi=2 p_omega=0 K2=[18,18] k=[0,0]"
 
     def test_chain5(self, tmp_path, capsys):
         run_cli(
@@ -312,6 +324,17 @@ class TestSmallCommands:
         assert out.strip() == "infeasible: j_a range empty (a+b-2 > 2a+1)"
         code, out, _ = run_cli(["feasible", "--a", "2", "--b", "5"], capsys)
         assert code == 0 and out.startswith("feasible: j = (")
+
+    def test_feasible_large_type_answers_at_once(self, capsys):
+        # b - a = 3: the witness starts at 3 and takes a-1 = 39 steps of 2
+        code, out, _ = run_cli(["feasible", "--a", "40", "--b", "43"], capsys)
+        assert code == 0
+        witness = ", ".join(str(j) for j in range(3, 82, 2))
+        assert out.strip() == f"feasible: j = ({witness})"
+        # b - a = 4 is one step of 2 short; a search over placements costs 2^40
+        code, out, _ = run_cli(["feasible", "--a", "40", "--b", "44"], capsys)
+        assert code == 0
+        assert out.strip() == "infeasible: j_a range empty (a+b-2 > 2a+1)"
 
     def test_degenerate_ledger(self, capsys):
         code, out, _ = run_cli(["degenerate", "--d", "5"], capsys)

@@ -16,6 +16,8 @@ from zappatic.scrolls import (
     section_duality_check,
 )
 
+from oracles import dfs_chain_feasible
+
 HYPERBOLIC = QuadricForm(
     [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
 )  # x0 x3 - x1 x2
@@ -141,6 +143,11 @@ class TestChainFeasible:
     def test_range(self):
         with pytest.raises(RangeError):
             chain_feasible(3, 2)
+
+    def test_matches_depth_first_search(self):
+        for a in range(1, 13):
+            for b in range(a, a + 10):
+                assert chain_feasible(a, b) == dfs_chain_feasible(a, b), (a, b)
 
 
 class TestLedgerClass:
