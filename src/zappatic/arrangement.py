@@ -134,6 +134,25 @@ class SingularityType:
         return self.kind in ("R", "S", "E")
 
 
+def count_components(vertices, edges) -> int:
+    """Number of connected components of a graph, by union-find."""
+    parent = {v: v for v in vertices}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = len(parent)
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
+
+
 def _graph_shape(vertices, edges):
     """Classify the local graph: ('chain'|'cycle'|'fork', order) or None.
 
@@ -146,19 +165,7 @@ def _graph_shape(vertices, edges):
         adj[b].append(a)
     n = len(vertices)
     ne = len(edges)
-    if len(set(edges)) != ne:
-        return None
-    # connectivity
-    start = min(vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != n:
+    if len(set(edges)) != ne or count_components(vertices, edges) != 1:
         return None
 
     def walk(first):
@@ -175,7 +182,7 @@ def _graph_shape(vertices, edges):
     if ne == n - 1 and degs == [1, 1] + [2] * (n - 2):
         return "chain", walk(min(v for v in vertices if deg[v] == 1))
     if ne == n and degs == [2] * n:
-        return "cycle", walk(start)
+        return "cycle", walk(min(vertices))
     if ne == n - 1 and n >= 4 and degs == [1] * (n - 1) + [n - 1]:
         center = next(v for v in vertices if deg[v] == n - 1)
         leaves = sorted(v for v in vertices if v != center)

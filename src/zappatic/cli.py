@@ -15,7 +15,7 @@ import sys
 
 from zappatic import serialize
 from zappatic.arrangement import compute_incidence, zappatic_report
-from zappatic.complexes import build_dual_graph, build_torus_complex, homology, to_dot
+from zappatic.complexes import build_dual_graph, build_torus_complex, to_dot
 from zappatic.constructions import (
     build_X,
     build_Y,
@@ -137,9 +137,8 @@ def cmd_invariants(args) -> int:
             n, m = int(args.abstract[1]), int(args.abstract[2])
         except ValueError:
             raise RangeError("--abstract torus grid sizes must be integers")
-        graph = build_torus_complex(n, m)
-        inv = invariants_of(None, graph)
-        h = homology(graph)
+        inv = invariants_of(None, build_torus_complex(n, m))
+        h = inv.homology
         print(
             f"v={inv.v} e={inv.e} f={sum(inv.f_counts.values())} chi={inv.chi} "
             f"h2={h.h2} homology=({h.h0},{h.h1},{h.h2})"

@@ -3,18 +3,20 @@
 The dual complex has one vertex per plane and one edge per double line.
 Cycle points (E_n) attach honest 2-cells; chain points (R_n) only contribute
 an open face (recorded, drawn dashed, but never part of the boundary map);
-fork points (S_n) contribute an angle.  Homology is computed over Q from the
-ranks of the two integer boundary matrices.
+fork points (S_n) contribute an angle.  Homology is computed over Q: h_0 is
+the number of connected components of the graph, found by union-find, and
+h_1, h_2 follow from it and the rank of the integer boundary matrix d_2.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from zappatic import linalg
 from zappatic.errors import InternalCheckError, RangeError
 from zappatic.arrangement import Arrangement, IncidenceData, ZappaticReport
+from zappatic.arrangement import count_components
 
 
 @dataclass(frozen=True)
@@ -94,29 +96,19 @@ def _cycle_boundary(graph: DualGraph, cell):
 
 
 def homology(graph: DualGraph) -> HomologyReport:
-    """Ranks of H_0, H_1, H_2 over the rationals."""
+    """Ranks of H_0, H_1, H_2 over the rationals.
+
+    h0 is the number of connected components, so rank d1 = v - h0 with no
+    matrix built; h1 and h2 follow from the rank of the integer d2.
+    """
     v, e, f = graph.num_vertices, graph.num_edges, graph.num_faces
-    if e:
-        d1 = [[0] * e for _ in range(v)]
-        for k, (a, b) in enumerate(graph.edges):
-            if a != b:
-                d1[a][k] -= 1
-                d1[b][k] += 1
-        r1 = linalg.rank(d1)
-    else:
-        r1 = 0
-    if f:
-        d2 = [[0] * f for _ in range(e)]
-        for c, cell in enumerate(graph.two_cells):
-            for k, s in zip(cell, _cycle_boundary(graph, cell)):
-                d2[k][c] += s
-        r2 = linalg.rank(d2)
-    else:
-        r2 = 0
-    h0 = v - r1
-    h1 = e - r1 - r2
-    h2 = f - r2
-    return HomologyReport(h0, h1, h2, v - e + f)
+    h0 = count_components(range(v), graph.edges)
+    d2 = [[0] * f for _ in range(e)]
+    for c, cell in enumerate(graph.two_cells):
+        for k, s in zip(cell, _cycle_boundary(graph, cell)):
+            d2[k][c] += s
+    r2 = linalg.rank(d2) if f else 0
+    return HomologyReport(h0, e - (v - h0) - r2, f - r2, v - e + f)
 
 
 def build_dual_graph(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from zappatic.arrangement import (
     Arrangement,
@@ -206,15 +207,17 @@ def _r3_centrals(result: ConstructionResult) -> list[int]:
     return sorted(set(out))
 
 
+def _touching(inc: IncidenceData) -> set[tuple[int, int]]:
+    """Plane pairs (i, j), i < j, that meet: the incidence records every pair
+    whose meet is a line or a point."""
+    return {(i, j) for i, j, _ in inc.double_lines + inc.point_meets}
+
+
 def first_disjoint_central_pair(result: ConstructionResult) -> tuple[int, int] | None:
     """First pair (in index order) of disjoint R_3 central planes."""
-    centrals = _r3_centrals(result)
-    for a in range(len(centrals)):
-        for b in range(a + 1, len(centrals)):
-            i, j = centrals[a], centrals[b]
-            if meet(result.arrangement.subspace(i), result.arrangement.subspace(j)).is_empty():
-                return (i, j)
-    return None
+    touching = _touching(result.incidence)
+    pairs = combinations(_r3_centrals(result), 2)
+    return next((pair for pair in pairs if pair not in touching), None)
 
 
 class _Retry(Exception):
@@ -384,7 +387,7 @@ def attach_handle(result: ConstructionResult, i: int, j: int, seed: int) -> Cons
     The two anchors become S_4 points and two new R_3 points appear on the
     common transversal of the chosen lines.
     """
-    if not meet(result.arrangement.subspace(i), result.arrangement.subspace(j)).is_empty():
+    if i == j or (min(i, j), max(i, j)) in _touching(result.incidence):
         raise RangeError(f"planes {i} and {j} are not disjoint")
     anchor1 = _r3_anchor(result, i)
     anchor2 = _r3_anchor(result, j)
@@ -497,15 +500,7 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     if prev.g == 1 and prev.d == 5:
         # the 5-cycle has no disjoint planes: take the first pair meeting in
         # a point only
-        pair = next(
-            (
-                (a, b)
-                for a in range(len(arr))
-                for b in range(a + 1, len(arr))
-                if meet(arr.subspace(a), arr.subspace(b)).dim == 0
-            ),
-            None,
-        )
+        pair = next(((a, b) for a, b, _ in prev.incidence.point_meets), None)
     else:
         pair = first_disjoint_central_pair(prev)
     if pair is None:

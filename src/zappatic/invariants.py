@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from zappatic.complexes import DualGraph, homology
+from zappatic.complexes import DualGraph, HomologyReport, homology
 from zappatic.errors import InternalCheckError, RangeError
 from zappatic.arrangement import ZappaticReport
 
@@ -33,6 +33,7 @@ class InvariantReport:
     chi: int
     k_interval: tuple[int, int]
     K2_interval: tuple[int, int]
+    homology: HomologyReport  # of the dual complex; p_omega is its h2
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ def invariants_of(report: ZappaticReport | None, graph: DualGraph) -> InvariantR
         chi=chi_formula,
         k_interval=(k_min, k_max),
         K2_interval=(base + k_min, base + k_max),
+        homology=h,
     )
 
 

@@ -91,6 +91,7 @@ def read_arrangement(path) -> tuple[Arrangement, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError: bad JSON, non-UTF-8 bytes or an over-long int literal
+        except (ValueError, RecursionError) as exc:
             raise RangeError(f"malformed arrangement file: {exc}")
     return arrangement_from_dict(data)

@@ -7,7 +7,10 @@ the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
 each double line, by containment tests.  The chain feasibility reference is
 the depth-first search over all placements that scrolls.chain_feasible
-replaced with a direct witness; it costs 2^a.
+replaced with a direct witness; it costs 2^a.  The homology reference ranks
+both dense boundary matrices, where complexes.homology reads h_0 off the
+connected components, and the disjoint-pair reference meets every pair of
+central planes, where the constructions read contacts off the incidence.
 """
 
 from __future__ import annotations
@@ -184,3 +187,57 @@ def dfs_chain_feasible(a, b):
             if witness:
                 return {"feasible": True, "witness": witness}
     return {"feasible": False, "obstruction": "j_a range empty (a+b-2 > 2a+1)"}
+
+
+def dfs_components(num_vertices, edges):
+    """Number of connected components of a graph on 0..num_vertices-1."""
+    adj = [[] for _ in range(num_vertices)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = set()
+    count = 0
+    for start in range(num_vertices):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return count
+
+
+def dense_homology(graph):
+    """(h0, h1, h2) from the ranks of the dense boundary matrices d1 and d2."""
+    from zappatic.complexes import _cycle_boundary
+
+    v, e, f = graph.num_vertices, graph.num_edges, graph.num_faces
+    d1 = [[0] * e for _ in range(v)]
+    for k, (a, b) in enumerate(graph.edges):
+        if a != b:
+            d1[a][k] -= 1
+            d1[b][k] += 1
+    d2 = [[0] * f for _ in range(e)]
+    for c, cell in enumerate(graph.two_cells):
+        for k, s in zip(cell, _cycle_boundary(graph, cell)):
+            d2[k][c] += s
+    r1, r2 = frac_rank(d1), frac_rank(d2)
+    return (v - r1, e - r1 - r2, f - r2)
+
+
+def meet_first_disjoint_central_pair(result):
+    """First pair (in index order) of R_3 central planes whose meet is empty."""
+    from zappatic.constructions import _r3_centrals
+    from zappatic.projective import meet
+
+    centrals = _r3_centrals(result)
+    for a in range(len(centrals)):
+        for b in range(a + 1, len(centrals)):
+            i, j = centrals[a], centrals[b]
+            if meet(result.arrangement.subspace(i), result.arrangement.subspace(j)).is_empty():
+                return (i, j)
+    return None

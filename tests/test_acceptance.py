@@ -19,6 +19,7 @@ from zappatic.constructions import (
     chain_planes,
     cycle_from_chain,
     cycle_planes,
+    first_disjoint_central_pair,
     verify_transversality,
 )
 from zappatic.invariants import (
@@ -39,6 +40,8 @@ from zappatic.projective import (
     span,
 )
 from zappatic.scrolls import chain_feasible, degenerate_balanced, section_duality_check
+
+from oracles import meet_first_disjoint_central_pair
 
 GRID = [
     (d, g, seed)
@@ -66,6 +69,11 @@ def test_criterion_01_construction_counts(grid_results):
         inv = invariants_of(rep, res.graph)
         assert inv.g == g and inv.chi == 1 - g and inv.p_omega == 0, (d, g, s)
     _ok(1, f"{len(GRID)} builds match d-2g+2 / 2g-2 counts, genus, chi, p_omega")
+
+
+def test_disjoint_central_pair_matches_plane_meets(grid_results):
+    for res in grid_results.values():
+        assert first_disjoint_central_pair(res) == meet_first_disjoint_central_pair(res)
 
 
 def test_criterion_02_k2_reproduction(grid_results):

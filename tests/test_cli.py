@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zappatic import constructions, serialize
 from zappatic.arrangement import compute_incidence, zappatic_report
@@ -217,6 +221,7 @@ class TestMalformedArrangementFiles:
             code, _out, err = run_cli([cmd[0], str(path), *cmd[1:]], capsys)
             assert code == 2, cmd
             assert err.startswith("error:"), cmd
+            assert "Traceback" not in err, cmd
 
     def test_non_numeric_entry(self, tmp_path, capsys):
         self._check_exit_2(_plane_file(tmp_path, _rows(["abc", 1])), capsys)
@@ -234,9 +239,79 @@ class TestMalformedArrangementFiles:
     def test_family_not_a_string(self, tmp_path, capsys):
         self._check_exit_2(_plane_file(tmp_path, _rows(), metadata={"family": ["X"]}), capsys)
 
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"ambient_dim": 3}'.encode("utf-16-le"))
+        self._check_exit_2(path, capsys)
+
+    def test_integer_literal_over_int_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"ambient_dim": ' + "9" * 5000 + ', "planes": []}')
+        self._check_exit_2(path, capsys)
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self._check_exit_2(path, capsys)
+
     def test_valid_one_plane_file_still_reads(self, tmp_path):
         arr, meta = serialize.read_arrangement(_plane_file(tmp_path, _rows()))
         assert len(arr) == 1 and meta == {}
+
+
+FAMILIES = ["chain", "cycle", "X", "Y", "Z"]
+NUMERATORS = [0, 0, 1, 1, -1, 2, 3]
+DENOMINATORS = [1, 1, 1, 2]
+ODD_NUMERATORS = NUMERATORS + [True, False, 0.5, 1.0, "7", "-2", "", 2**70]
+ODD_DENOMINATORS = DENOMINATORS + [0, -1, -3, True, 2.0, "4", 2**70]
+
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def arrangement_json(draw):
+    """Arrangement-shaped JSON, well formed or with odd entries, denominators,
+    row lengths or ambient dimension, and metadata naming any family, or any
+    small JSON value; a file with no oddity reaches the classification."""
+    odd = draw(st.sampled_from(["", "", "entries", "rows", "ambient_dim", "file"]))
+    if odd == "file":
+        return draw(small_json)
+    n = draw(small_json if odd == "ambient_dim" else st.integers(3, 5))
+    width = n + 1 if type(n) is int and n >= 0 else 3
+    nums, dens = (ODD_NUMERATORS, ODD_DENOMINATORS) if odd == "entries" else (NUMERATORS, DENOMINATORS)
+    entry = st.tuples(st.sampled_from(nums), st.sampled_from(dens)).map(list)
+    if odd == "rows":
+        plane = st.lists(st.lists(entry | small_json, max_size=7), min_size=2, max_size=4)
+    else:
+        plane = st.lists(st.lists(entry, min_size=width, max_size=width), min_size=3, max_size=3)
+    data = {"ambient_dim": n, "planes": draw(st.lists(plane, max_size=5))}
+    family = st.sampled_from(FAMILIES) | st.integers() | st.lists(st.text(max_size=1), max_size=2)
+    metadata = draw(st.none() | st.fixed_dictionaries({"family": family}) | small_json)
+    if metadata is not None:
+        data["metadata"] = metadata
+    return data
+
+
+class TestFuzzedArrangementFiles:
+    """Reading commands on generated files end in a documented exit code."""
+
+    @settings(max_examples=150)
+    @given(arrangement_json())
+    def test_exit_codes(self, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / "a.json"
+        path.write_text(json.dumps(data))
+        for argv in (["classify", str(path)], ["invariants", str(path), "--smooth"],
+                     ["graph", str(path), "--dot", str(work / "g.dot")]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), argv
 
 
 class TestInvariantsCommand:
@@ -284,6 +359,14 @@ class TestInvariantsCommand:
         assert code == 0
         assert "chi=0" in out and "h2=1" in out
         assert "homology=(1,2,1)" in out
+
+    def test_abstract_torus_3_5_pinned(self, capsys):
+        code, out, _ = run_cli(["invariants", "--abstract", "torus", "3", "5"], capsys)
+        assert code == 0
+        assert out == (
+            "v=30 e=45 f=15 chi=0 h2=1 homology=(1,2,1)\n"
+            "g=16 p_omega=1 K2=[0,0]\n"
+        )
 
     def test_abstract_torus_non_integer_size_exit_2(self, capsys):
         code, _out, err = run_cli(["invariants", "--abstract", "torus", "x", "3"], capsys)

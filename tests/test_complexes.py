@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zappatic.arrangement import count_components
 from zappatic.complexes import (
     DualGraph,
     build_torus_complex,
@@ -8,7 +11,7 @@ from zappatic.complexes import (
 )
 from zappatic.errors import RangeError
 
-from oracles import frac_rank
+from oracles import dense_homology, dfs_components, frac_rank
 
 
 def path_graph(n):
@@ -66,6 +69,58 @@ class TestHomology:
         r1, r2 = frac_rank(d1), frac_rank(d2)
         assert (v - r1, e - r1 - r2, f - r2) == (1, 2, 1)
         assert homology(g).as_tuple() == (1, 2, 1)
+
+
+@st.composite
+def dual_graphs(draw):
+    """Graphs with loops, repeated edges, isolated vertices and several
+    components, plus 2-cells along closed walks (each on fresh edges, some
+    attached twice)."""
+    v = draw(st.integers(0, 7))
+    if v == 0:
+        return DualGraph(0, ())
+    vertex = st.integers(0, v - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    cells = []
+    for walk in draw(st.lists(st.lists(vertex, min_size=2, max_size=5), max_size=3)):
+        cell = tuple(range(len(edges), len(edges) + len(walk)))
+        edges += zip(walk, walk[1:] + walk[:1])
+        cells += [cell] * draw(st.integers(1, 2))
+    return DualGraph(v, tuple(edges), two_cells=tuple(cells))
+
+
+def _outcome(f, graph):
+    try:
+        return f(graph)
+    except RangeError:  # a closed walk _cycle_boundary cannot orient
+        return RangeError
+
+
+class TestHomologyAgainstDenseBoundaries:
+    """h0 from connected components against the dense rank of d1."""
+
+    @settings(max_examples=400)
+    @given(dual_graphs())
+    def test_random_graphs(self, graph):
+        got = _outcome(lambda g: homology(g).as_tuple(), graph)
+        assert got == _outcome(dense_homology, graph)
+
+    @settings(max_examples=400)
+    @given(dual_graphs())
+    def test_components_match_depth_first_search(self, graph):
+        n = graph.num_vertices
+        assert count_components(range(n), graph.edges) == dfs_components(n, graph.edges)
+
+    def test_labels_need_not_be_contiguous(self):
+        assert count_components([40, 7, 12, 3], [(40, 12), (7, 7)]) == 3
+        assert count_components([40, 7, 12, 3], [(40, 12), (7, 3), (3, 40)]) == 1
+        assert count_components([], []) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_torus(self, n, m):
+        g = build_torus_complex(n, m)
+        assert homology(g).as_tuple() == dense_homology(g) == (1, 2, 1)
 
 
 class TestTorusComplex:

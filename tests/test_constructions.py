@@ -16,6 +16,9 @@ from zappatic.errors import GenericityError, RangeError
 from zappatic.invariants import invariants_of
 from zappatic.projective import meet, span_subspaces
 
+from oracles import meet_first_disjoint_central_pair
+from test_golden import LEDGER_CASES
+
 
 class TestChain:
     def test_d2_two_planes_one_line(self):
@@ -96,6 +99,20 @@ class TestAttachHandle:
         with pytest.raises(RangeError, match="not disjoint"):
             attach_handle(res, 0, 1, seed=1)
 
+    def test_touching_planes_rejected_in_either_order(self):
+        res = build_X(10, 3, seed=1)
+        touching = res.incidence.double_lines + res.incidence.point_meets
+        assert res.incidence.point_meets
+        for i, j, _ in touching:
+            for a, b in ((i, j), (j, i)):
+                with pytest.raises(RangeError, match="not disjoint"):
+                    attach_handle(res, a, b, seed=1)
+
+    def test_same_plane_rejected(self):
+        res = cycle_planes(6)
+        with pytest.raises(RangeError, match="not disjoint"):
+            attach_handle(res, 0, 0, seed=1)
+
     def test_non_central_plane_rejected(self):
         res = cycle_planes(6)
         out = attach_handle(res, 0, 3, seed=3)
@@ -151,6 +168,24 @@ class TestBuildX:
     def test_disjoint_central_pair_exists_in_result(self):
         res = build_X(10, 3, seed=9)
         assert first_disjoint_central_pair(res) is not None
+
+
+class TestPlaneContacts:
+    def test_disjoint_pair_matches_plane_meets_on_ledger_builds(self, monkeypatch):
+        """Every pair the ledger builds ask for, and the pair of each result,
+        agrees with the pair found by meeting the planes."""
+        pairs = []
+
+        def checked(result):
+            pair = first_disjoint_central_pair(result)
+            assert pair == meet_first_disjoint_central_pair(result)
+            pairs.append(pair)
+            return pair
+
+        monkeypatch.setattr(constructions, "first_disjoint_central_pair", checked)
+        for build in LEDGER_CASES.values():
+            checked(build())
+        assert None in pairs and len(set(pairs)) > 2
 
 
 class TestCycleFromChain:

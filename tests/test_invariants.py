@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zappatic.complexes import build_torus_complex
+from zappatic.complexes import build_torus_complex, homology
 from zappatic.errors import RangeError
 from zappatic.invariants import (
     brill_noether,
@@ -189,6 +189,12 @@ class TestInvariantsOfTorus:
         assert inv.K2_interval == (0, 0)
         sm = smoothing_of(inv)
         assert (sm.p_g, sm.chi, sm.K2_interval) == (1, 0, (0, 0))
+
+    def test_carries_the_homology_it_computed(self):
+        g = build_torus_complex(3, 5)
+        inv = invariants_of(None, g)
+        assert inv.homology == homology(g)
+        assert inv.p_omega == inv.homology.h2
 
 
 @settings(max_examples=60)
