@@ -1,13 +1,15 @@
 """Exact linear algebra entry points with backend dispatch.
 
 Every rank/kernel/echelon computation in the package goes through here.  At
-import time the compiled int64 kernel (zappatic._bareiss_c, built from one
-hand-written C file) is selected when available.  It raises OverflowError
-for whatever it cannot hold: a product or difference outside int64, an
-entry that is -2**63, larger or not an int, or a ragged matrix.  Each call
-then falls back transparently to the pure-Python arbitrary-precision
-kernel, which decides, so both backends give the same answer for every
-input.  ZAPPATIC_PURE_PYTHON=1 forces the pure backend.
+import time the compiled int64 kernel (zappatic._bareiss_c, fraction-free
+Bareiss elimination in one hand-written C file) is selected when available.
+It raises OverflowError for whatever it cannot hold: a product or difference
+outside int64, an entry that is -2**63, larger or not an int, or a ragged
+matrix.  Each call then falls back transparently to the pure-Python
+arbitrary-precision kernel (zappatic._bareiss, content-reducing elimination
+that keeps every row primitive), which decides, so both backends give the
+same answer for every input.  ZAPPATIC_PURE_PYTHON=1 forces the pure
+backend.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def rref(rows) -> tuple[tuple[int, ...], ...]:
 
 def primitive(row) -> tuple[int, ...]:
     """Integer vector divided by its content, first nonzero entry positive."""
-    return _py._primitive(list(row))
+    return _py._primitive(row)
 
 
 def clear_denominators(row) -> tuple[int, ...]:

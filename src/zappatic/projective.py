@@ -154,15 +154,13 @@ class QuadricForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, matrix):
-        rows = [[Fraction(x) for x in r] for r in matrix]
+        rows = [list(r) for r in matrix]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise RangeError("quadric matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise RangeError("quadric matrix must be symmetric")
-        flat = linalg.clear_denominators([rows[i][j] for i in range(n) for j in range(n)])
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise RangeError("quadric matrix must be symmetric")
+        flat = _to_int_row([x for r in rows for x in r])
         if not any(flat):
             raise RangeError("quadric form must be nonzero")
         mat = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))

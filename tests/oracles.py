@@ -2,7 +2,10 @@
 
 The linear algebra is deliberately written over Fractions with textbook
 Gaussian elimination so it shares no code path with zappatic.linalg's
-integer Bareiss kernel.  The incidence reference is the direct route that
+integer kernels.  The fraction-free Bareiss elimination with integer
+back-substitution is kept as a second reference: it is the algorithm of the
+compiled int64 kernel, and the pure kernel's content-reducing elimination
+must agree with it.  The incidence reference is the direct route that
 the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
 each double line, by containment tests.  The chain feasibility reference is
@@ -67,6 +70,54 @@ def frac_nullspace(rows, ncols=None):
             v[c] = -r[f]
         basis.append(v)
     return basis
+
+
+def _bareiss_echelon(rows):
+    """Bareiss forward elimination: (matrix, pivot_cols); every division is exact."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        for i in range(r + 1, nrows):
+            q = m[i][c]
+            for j in range(c + 1, ncols):
+                m[i][j] = (p * m[i][j] - q * m[r][j]) // prev
+            m[i][c] = 0
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def bareiss_rank(rows) -> int:
+    return len(_bareiss_echelon(rows)[1])
+
+
+def bareiss_rref(rows):
+    """Canonical integer rref: Bareiss, then back-substitution in which each
+    upper row is multiplied by the pivot below it and made primitive again."""
+    m, pivots = _bareiss_echelon(rows)
+    k = len(pivots)
+    for i in range(k - 1, -1, -1):
+        c = pivots[i]
+        m[i] = list(frac_primitive(m[i]))
+        p = m[i][c]
+        for a in range(i):
+            q = m[a][c]
+            if q:
+                m[a] = [p * x - q * y for x, y in zip(m[a], m[i])]
+    return tuple(frac_primitive(m[i]) for i in range(k))
 
 
 def frac_primitive(vec):

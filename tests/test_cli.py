@@ -437,6 +437,16 @@ class TestSmallCommands:
         assert "formula 3 = oracle 3" in out
         assert "formula 2 = oracle 2" in out
 
+    def test_quadrics_oracle_d12_pinned(self, capsys):
+        # the 81 x 91 evaluation system of the analyze workload's largest oracle
+        code, out, _ = run_cli(["quadrics", "--d", "12", "--g", "0", "--oracle"], capsys)
+        assert code == 0
+        assert out == (
+            "through_curve=66 with_codim3=11\n"
+            "formula 66 = oracle 66\n"
+            "with codim-3 subspace: formula 11 = oracle 11\n"
+        )
+
 
 class TestDeterminismAndSeeds:
     def test_env_seed_used_and_flag_wins(self, tmp_path, capsys, monkeypatch):

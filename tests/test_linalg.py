@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -5,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zappatic import linalg
+from zappatic import _bareiss, cli, linalg
 
-from oracles import frac_nullspace, frac_primitive, frac_rank, frac_rref
+from oracles import (
+    bareiss_rank,
+    bareiss_rref,
+    frac_nullspace,
+    frac_primitive,
+    frac_rank,
+    frac_rref,
+)
 
 
 @pytest.fixture(params=("python", "compiled"))
@@ -122,3 +131,100 @@ def test_rank_rref_consistency_property(m):
 def test_clear_denominators():
     assert linalg.clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
     assert linalg.clear_denominators([Fraction(-2), Fraction(4)]) == (1, -2)
+
+
+def assert_pure_kernel_matches_references(m):
+    """The pure kernel's rank and rref equal the Bareiss oracle's, and each
+    rref row is the Fraction rref row scaled to a positive pivot."""
+    ours = _bareiss.rref(m)
+    assert ours == bareiss_rref(m)
+    assert _bareiss.rank(m) == bareiss_rank(m) == len(ours)
+    ref = frac_rref(m)
+    assert len(ours) == len(ref)
+    for a, b in zip(ours, ref):
+        piv = next(x for x in a if x)
+        assert piv > 0 and [Fraction(x, piv) for x in a] == b
+        assert all(type(x) is int for x in a)
+    # rows given as iterators, inside an iterator
+    assert _bareiss.rref(iter([iter(r) for r in m])) == ours
+    assert _bareiss.rank(iter([iter(r) for r in m])) == len(ours)
+
+
+@st.composite
+def hard_matrices(draw):
+    """Tall or wide matrices that are products L R of rank k (possibly short
+    of full), with entries up to 2**100, often half zero, with zero and
+    repeated rows inserted and the rows shuffled."""
+    nr, nc = draw(st.integers(1, 12)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(nr, nc)))
+    bound = draw(st.sampled_from((1, 9, 2**31, 2**100)))
+    sparse = draw(st.booleans())
+
+    def factor(rows, cols):
+        out = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                zero = sparse and draw(st.booleans())
+                row.append(0 if zero else draw(st.integers(-bound, bound)))
+            out.append(row)
+        return out
+
+    left, right = factor(nr, k), factor(k, nc)
+    m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] or [0] * nc
+         for row in left]
+    for _ in range(draw(st.integers(0, 2))):
+        m.append([0] * nc)
+    for _ in range(draw(st.integers(0, 2))):
+        m.append(list(m[draw(st.integers(0, len(m) - 1))]))
+    return draw(st.permutations(m))
+
+
+@settings(max_examples=300)
+@given(hard_matrices())
+def test_pure_kernel_matches_bareiss_and_fractions(m):
+    assert_pure_kernel_matches_references(m)
+
+
+def test_pure_kernel_on_tall_rank_deficient_big_products():
+    rng = random.Random(6)
+    for _ in range(20):
+        nr, k, nc = rng.randint(10, 16), rng.randint(1, 4), rng.randint(5, 8)
+        left = [[rng.randint(-(2**100), 2**100) for _ in range(k)] for _ in range(nr)]
+        right = [[rng.choice((0, 0, rng.randint(-(2**100), 2**100))) for _ in range(nc)]
+                 for _ in range(k)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        assert_pure_kernel_matches_references(m)
+        assert _bareiss.rank(m) == frac_rank(right)
+
+
+def kernel_inputs(monkeypatch, argv):
+    """Every matrix the command hands to linalg.rank and linalg.rref."""
+    seen = []
+    for name in ("rank", "rref"):
+        def record(rows, _op=getattr(linalg, name)):
+            rows = [list(r) for r in rows]
+            seen.append(rows)
+            return _op(rows)
+
+        monkeypatch.setattr(linalg, name, record)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    monkeypatch.undo()
+    return seen
+
+
+def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
+    mats = kernel_inputs(monkeypatch, ["quadrics", "--d", "7", "--g", "0", "--oracle"])
+    # the evaluation systems of the curve, the codim-3 subspace and both together
+    assert [(len(m), len(m[0])) for m in mats] == [(16, 36), (5, 8), (31, 36)]
+    for m in mats:
+        assert_pure_kernel_matches_references(m)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 5) for m in range(2, 5)])
+def test_pure_kernel_on_torus_boundaries(monkeypatch, n, m):
+    mats = kernel_inputs(monkeypatch, ["invariants", "--abstract", "torus", str(n), str(m)])
+    assert [(len(d2), len(d2[0])) for d2 in mats] == [(3 * n * m, n * m)]
+    for d2 in mats:
+        assert_pure_kernel_matches_references(d2)

@@ -45,6 +45,12 @@ class TestPoints:
         assert ProjPoint([Fraction(1, 2), Fraction(1, 3)]) == ProjPoint([3, 2])
         assert ProjPoint([-1, 2]) == ProjPoint([1, -2])
 
+    def test_coordinates_are_python_ints(self):
+        p = ProjPoint([True, 0])
+        assert repr(p) == "ProjPoint([1, 0])"
+        assert all(type(x) is int for x in p.coords)
+        assert repr(ProjPoint([False, True, True])) == "ProjPoint([0, 1, 1])"
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ProjPoint([0, 0, 0])
@@ -177,6 +183,25 @@ class TestMeetExact:
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     assert_meet_exact(group[i], group[j])
+
+
+class TestQuadricForm:
+    def test_matrix_is_primitive_and_integral(self):
+        assert QuadricForm([[2, 4], [4, 6]]).matrix == ((1, 2), (2, 3))
+        assert QuadricForm([[-2, 0], [0, 4]]).matrix == ((1, 0), (0, -2))
+        half = QuadricForm([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])
+        assert half.matrix == ((3, 2), (2, 6))
+        assert repr(QuadricForm([[True, False], [False, 0]])) == "QuadricForm(matrix=((1, 0), (0, 0)))"
+
+    def test_bad_matrices_rejected(self):
+        for m, message in (
+            ([[1, 2], [3, 1]], "symmetric"),
+            ([[1, Fraction(1, 2)], [Fraction(1, 3), 1]], "symmetric"),
+            ([[1, 0, 0], [0, 1, 0]], "square"),
+            ([[0, 0], [0, 0]], "nonzero"),
+        ):
+            with pytest.raises(RangeError, match=message):
+                QuadricForm(m)
 
 
 class TestQuadricRank:
