@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from zappatic.errors import RangeError
 from zappatic.projective import ProjPoint, Subspace, meet, span_subspaces
@@ -68,7 +69,7 @@ class IncidenceData:
     singular_points: tuple[SingularPoint, ...]
 
 
-def compute_incidence(arr: Arrangement) -> IncidenceData:
+def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> IncidenceData:
     """Pairwise intersection structure plus the derived singular points.
 
     Everything follows from the pairwise plane meets by one lemma: two
@@ -80,28 +81,48 @@ def compute_incidence(arr: Arrangement) -> IncidenceData:
     another one at p on a common plane, so the planes through p are the
     planes of the meets that produce p, and the local edges at p are the
     double lines whose two planes both pass through p.
+
+    ``base`` is the incidence of the first k planes of ``arr``, where k is
+    one more than the highest plane index in its meets; from scratch,
+    k = 0.  A meet of two of those old planes, and a crossing of two of
+    their double lines, depends on those planes alone, so ``base`` already
+    holds it: its double lines and point meets are taken over, and each of
+    its singular points lists exactly the planes that its meets and
+    crossings contribute there.  Only the pairs with a new plane are met,
+    and only the line pairs with a new line are crossed.  An old plane past
+    the highest index meets no old plane, so counting it as new only
+    re-meets pairs that are empty.
     """
+    old = IncidenceData((), (), ()) if base is None else base
+    k = max((j + 1 for _, j, _ in old.double_lines + old.point_meets), default=0)
     v = len(arr)
-    double_lines = []
-    point_meets = []
-    lines_of = [[] for _ in range(v)]
+    new_lines = []
+    new_points = []
     for i in range(v):
-        for j in range(i + 1, v):
+        for j in range(max(i + 1, k), v):
             inter = meet(arr.subspace(i), arr.subspace(j))
             if inter.dim == 2:
                 raise RangeError(f"planes {i} and {j} coincide")
             if inter.dim == 1:
-                double_lines.append((i, j, inter))
-                lines_of[i].append(double_lines[-1])
-                lines_of[j].append(double_lines[-1])
+                new_lines.append((i, j, inter))
             elif inter.dim == 0:
-                point_meets.append((i, j, inter.point()))
+                new_points.append((i, j, inter.point()))
+    double_lines = sorted(old.double_lines + tuple(new_lines), key=itemgetter(0, 1))
+    point_meets = sorted(old.point_meets + tuple(new_points), key=itemgetter(0, 1))
 
-    through: dict[tuple[int, ...], tuple[ProjPoint, set[int]]] = {}
-    for i, j, p in point_meets:
+    through: dict[tuple[int, ...], tuple[ProjPoint, set[int]]] = {
+        sp.point.coords: (sp.point, set(sp.incident_planes)) for sp in old.singular_points
+    }
+    for i, j, p in new_points:
         through.setdefault(p.coords, (p, set()))[1].update((i, j))
+    lines_of = [[] for _ in range(v)]
+    for line in double_lines:
+        lines_of[line[0]].append(line)
+        lines_of[line[1]].append(line)
     for lines in lines_of:
         for (a, b, la), (c, d, lb) in combinations(lines, 2):
+            if max(b, d) < k:
+                continue  # two old lines: their crossing is in base
             inter = meet(la, lb)
             if inter.dim == 0:
                 p = inter.point()

@@ -26,6 +26,7 @@ from itertools import combinations
 from zappatic.arrangement import (
     Arrangement,
     IncidenceData,
+    SingularPoint,
     ZappaticReport,
     compute_incidence,
     zappatic_report,
@@ -231,17 +232,19 @@ def _sample_on_line(line: Subspace, anchor: ProjPoint | None, rng) -> ProjPoint:
             return p
 
 
-def _attach(prev, arr, planes, anchors, seed, propose, deltas) -> ConstructionResult:
-    """Grow ``arr`` (``prev``'s planes) by the first proposal that checks out.
+def _attach(prev, planes, anchors, seed, propose, deltas) -> ConstructionResult:
+    """Grow ``prev``'s arrangement by the first proposal that checks out.
 
     ``propose(rng)`` returns the chosen lines, the span recorded as
     ``span_pi``, the new planes and the ``(point, kind, n, central)`` types its
     sampled points must take; it raises ``_Retry`` to reject a choice early.
     The expectation on top of those points: every anchor becomes an S_4 point
     centred on its chosen plane, the R_3 and S_4 counts change by ``deltas``
-    and no cycle point appears.
+    and no cycle point appears.  Each attempt meets only the pairs with a new
+    plane: the incidence of the old planes is ``prev.incidence``.
     """
     rng = random.Random(seed)
+    arr = prev.arrangement
     n = arr.ambient_dim
     old = prev.report
     r3_delta, s4_delta = deltas
@@ -256,7 +259,7 @@ def _attach(prev, arr, planes, anchors, seed, propose, deltas) -> ConstructionRe
                 new_arr = Arrangement(n, [p.subspace for p in arr.planes] + list(new_planes))
             except RangeError as exc:
                 raise _Retry(str(exc))
-            inc = compute_incidence(new_arr)
+            inc = compute_incidence(new_arr, prev.incidence)
             report = zappatic_report(new_arr, inc)
             if not report.is_zappatic:
                 raise _Retry(f"not Zappatic after attachment: {report.violations[:2]}")
@@ -360,7 +363,7 @@ def _attach_pair(
 
     anchored = sum(a is not None for a in (anchor1, anchor2))
     return _attach(
-        result, arr, (i, j), (anchor1, anchor2), seed, propose, (4 - 2 * anchored, anchored)
+        result, (i, j), (anchor1, anchor2), seed, propose, (4 - 2 * anchored, anchored)
     )
 
 
@@ -483,19 +486,39 @@ def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
     return result
 
 
-def _embed_in_hyperplane(result: ConstructionResult) -> Arrangement:
-    """Re-embed the arrangement in one more coordinate (last coordinate 0)."""
+def _embed_in_hyperplane(result: ConstructionResult) -> ConstructionResult:
+    """The same result in one more coordinate (last coordinate 0).
+
+    The rref of a basis with a 0 column appended is the old rref with a 0
+    appended, and appending a 0 keeps the order of the coordinate tuples, so
+    the lifted planes, double lines and points are canonical and the lifted
+    incidence is the incidence of the embedded planes, in the same order.
+    """
     n = result.arrangement.ambient_dim + 1
-    subs = [
-        Subspace(n, [list(row) + [0] for row in p.subspace.basis])
-        for p in result.arrangement.planes
-    ]
-    return Arrangement(n, subs)
+
+    def lift(sub: Subspace) -> Subspace:
+        return Subspace(n, [row + (0,) for row in sub.basis])
+
+    def lift_point(p: ProjPoint) -> ProjPoint:
+        return ProjPoint(p.coords + (0,))
+
+    inc = result.incidence
+    incidence = IncidenceData(
+        tuple((i, j, lift(line)) for i, j, line in inc.double_lines),
+        tuple((i, j, lift_point(p)) for i, j, p in inc.point_meets),
+        tuple(
+            SingularPoint(lift_point(sp.point), sp.incident_planes, sp.local_edges)
+            for sp in inc.singular_points
+        ),
+    )
+    arr = Arrangement(n, [lift(p.subspace) for p in result.arrangement.planes])
+    return replace(result, arrangement=arr, incidence=incidence)
 
 
 def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     """Attach a degenerate cubic scroll (three planes in a general P^4)."""
-    arr = _embed_in_hyperplane(prev)
+    prev = _embed_in_hyperplane(prev)
+    arr = prev.arrangement
     n = arr.ambient_dim
     if prev.g == 1 and prev.d == 5:
         # the 5-cycle has no disjoint planes: take the first pair meeting in
@@ -506,8 +529,8 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     if pair is None:
         raise InternalCheckError("no admissible plane pair for the cubic attachment")
     i, j = pair
-    anchor1 = ProjPoint(list(_r3_anchor(prev, i).coords) + [0])
-    anchor2 = ProjPoint(list(_r3_anchor(prev, j).coords) + [0])
+    anchor1 = _r3_anchor(prev, i)
+    anchor2 = _r3_anchor(prev, j)
     plane_i, plane_j = arr.subspace(i), arr.subspace(j)
 
     def propose(rng):
@@ -532,7 +555,7 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
         )
         return (line1, line2), span_subspaces([pi3, p3], n), (w1, w2, w3), points
 
-    return _attach(prev, arr, pair, (anchor1, anchor2), seed, propose, (1, 2))
+    return _attach(prev, pair, (anchor1, anchor2), seed, propose, (1, 2))
 
 
 def _random_point_with_last_coord(n: int, rng) -> ProjPoint:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from zappatic import linalg
@@ -71,6 +72,15 @@ class Subspace:
 
     def is_empty(self) -> bool:
         return not self.basis
+
+    @cached_property
+    def support(self) -> frozenset[int]:
+        """Coordinates that are nonzero somewhere on the subspace.
+
+        Computed once per subspace, and not a field, so equality, hashing
+        and repr see the basis alone.
+        """
+        return frozenset(c for c, col in enumerate(zip(*self.basis)) if any(col))
 
     def contains_point(self, p: ProjPoint) -> bool:
         if p.ambient_dim != self.ambient_dim:
@@ -131,12 +141,20 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     spans.  The rows of A and of B are each independent, so (x, y) -> x.A is
     injective and the images span the intersection; Subspace canonicalises
     them.  The kernel has at most k+l columns, e.g. 6 for two planes.
+
+    Only the rows of [A^T | B^T] at the coordinates in the union of the two
+    supports are kept: every other row is zero, and a zero row adds no
+    condition, so the kernel, and with it the result, is the same.  Disjoint
+    supports leave no shared nonzero vector at all, since x.A lives on the
+    support of a and y.B on that of b, so the meet is empty without a kernel;
+    the empty subspace has empty support, so this covers it too.
     """
     _check_same_ambient(a, b)
-    if a.is_empty() or b.is_empty():
+    if a.support.isdisjoint(b.support):
         return Subspace(a.ambient_dim)
     rows = a.basis
-    kernel = linalg.nullspace(list(zip(*(rows + b.basis))))
+    columns = list(zip(*(rows + b.basis)))
+    kernel = linalg.nullspace([columns[c] for c in sorted(a.support | b.support)])
     return Subspace(
         a.ambient_dim,
         [[sum(c * x for c, x in zip(v, col)) for col in zip(*rows)] for v in kernel],

@@ -76,6 +76,13 @@ def test_disjoint_central_pair_matches_plane_meets(grid_results):
         assert first_disjoint_central_pair(res) == meet_first_disjoint_central_pair(res)
 
 
+def test_grown_incidence_matches_from_scratch(grid_results):
+    """Each attachment grows the incidence of the old planes; the result is
+    the incidence of the whole arrangement."""
+    for key, res in grid_results.items():
+        assert res.incidence == compute_incidence(res.arrangement), key
+
+
 def test_criterion_02_k2_reproduction(grid_results):
     for (d, g, s), res in grid_results.items():
         inv = invariants_of(res.report, res.graph)

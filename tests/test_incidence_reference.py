@@ -6,10 +6,14 @@ alone.  ``oracles.containment_incidence`` and ``oracles.containment_report``
 find the same by meeting every pair of double lines and by containment
 tests, and check point-meet absorption explicitly.  Both must agree on
 every arrangement the constructions classify, accepted or rejected, and on
-random arrangements with many shared lines and points.
+random arrangements with many shared lines and points.  An attachment
+attempt computes its incidence from the incidence of the old planes; that
+must equal the from-scratch incidence too.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,12 +28,14 @@ from zappatic.projective import Subspace
 
 @pytest.fixture(scope="module")
 def ledger_passes():
-    """(arrangement, incidence) of every incidence pass of the ledger builds."""
+    """(arrangement, base, incidence) of every incidence pass of the ledger
+    builds; base is the incidence of the old planes that an attachment
+    attempt starts from (lifted into one more coordinate for Z), or None."""
     passes = []
 
-    def recording(arr):
-        inc = compute_incidence(arr)
-        passes.append((arr, inc))
+    def recording(arr, base=None):
+        inc = compute_incidence(arr, base)
+        passes.append((arr, base, inc))
         return inc
 
     with pytest.MonkeyPatch.context() as mp:
@@ -41,13 +47,29 @@ def ledger_passes():
 
 def test_ledger_passes_match_reference(ledger_passes):
     rejected = 0
-    for arr, inc in ledger_passes:
+    for arr, base, inc in ledger_passes:
+        assert inc == compute_incidence(arr)
         assert inc == containment_incidence(arr)
         report = zappatic_report(arr, inc)
         assert report == containment_report(arr, inc)
         rejected += not report.is_zappatic
     # the ledger builds retry, so some passes classify a rejected attempt
     assert rejected > 0
+
+
+def test_ledger_bases_are_the_incidence_of_the_old_planes(ledger_passes):
+    """Each attachment attempt starts from the from-scratch incidence of the
+    planes it grows, lifted into one more coordinate for the Z steps."""
+    added = Counter()
+    for arr, base, _ in ledger_passes:
+        if base is None:
+            continue
+        k = max(j + 1 for _, j, _ in base.double_lines + base.point_meets)
+        old = Arrangement(arr.ambient_dim, [p.subspace for p in arr.planes[:k]])
+        assert base == compute_incidence(old)
+        added[len(arr) - k] += 1
+    # quadric handles add two planes, cubic scrolls three
+    assert set(added) == {2, 3}
 
 
 @st.composite
@@ -72,8 +94,12 @@ def arrangements(draw):
 
 
 @settings(max_examples=300)
-@given(arrangements())
-def test_random_arrangements_match_reference(arr):
+@given(arrangements(), st.data())
+def test_random_arrangements_match_reference(arr, data):
     inc = compute_incidence(arr)
     assert inc == containment_incidence(arr)
     assert zappatic_report(arr, inc) == containment_report(arr, inc)
+    # grown from the incidence of its first k planes, it is the same
+    k = data.draw(st.integers(0, len(arr)))
+    old = Arrangement(arr.ambient_dim, [p.subspace for p in arr.planes[:k]])
+    assert compute_incidence(arr, compute_incidence(old)) == inc

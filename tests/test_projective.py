@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zappatic.errors import RangeError
 from zappatic.projective import (
@@ -126,6 +128,45 @@ def assert_meet_exact(a, b):
     assert meet(b, a) == got
 
 
+@st.composite
+def sparse_pairs(draw):
+    """(relation, a, b): two subspaces of P^6..P^22 on drawn supports.
+
+    The relation says how the supports lie: disjoint, sharing one
+    coordinate, b's nested in a's, or a dense and b's anywhere.  Half the
+    draws use the even coordinates only, so the odd coordinates between
+    support coordinates are zero on both sides.  The first spanning vector
+    of a side is nonzero on all of its support, so the support of the
+    subspace is exactly the one drawn.
+    """
+    n = draw(st.integers(6, 22))
+    pool = draw(st.sampled_from([range(n + 1), range(0, n + 1, 2)]))
+    relation = draw(st.sampled_from(["disjoint", "one shared", "nested", "dense"]))
+    if relation == "dense":
+        sa = set(pool)
+    else:
+        sa = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool) - 1))
+    if relation in ("nested", "dense"):
+        sb = draw(st.sets(st.sampled_from(sorted(sa)), min_size=1))
+    else:
+        rest = sorted(set(pool) - sa)
+        sb = draw(st.sets(st.sampled_from(rest), min_size=relation == "disjoint"))
+        if relation == "one shared":
+            sb.add(draw(st.sampled_from(sorted(sa))))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
+
+    def side(support):
+        rows = []
+        for k in range(draw(st.integers(1, min(4, len(support))))):
+            row = [0] * (n + 1)
+            for c in support:
+                row[c] = draw(entry.filter(bool) if k == 0 else entry)
+            rows.append(row)
+        return Subspace(n, rows)
+
+    return relation, side(sa), side(sb)
+
+
 class TestMeetExact:
     """meet returns exactly the canonical basis of the annihilator route."""
 
@@ -168,6 +209,16 @@ class TestMeetExact:
             b = span([e(i, n + 1) for i in range(2, 5)], n)
             assert meet(a, b) == span([e(2, n + 1), e(3, n + 1)], n)
             assert_meet_exact(a, b)
+
+    @settings(max_examples=120)
+    @given(sparse_pairs())
+    def test_sparse_pairs_p6_to_p22(self, pair):
+        relation, a, b = pair
+        if relation == "disjoint":
+            assert a.support.isdisjoint(b.support) and meet(a, b).is_empty()
+        elif relation == "one shared":
+            assert len(a.support & b.support) == 1
+        assert_meet_exact(a, b)
 
     @pytest.mark.parametrize(
         "build, d, g, seed",
