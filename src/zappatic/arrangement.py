@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 
+from zappatic import linalg
 from zappatic.errors import RangeError
-from zappatic.projective import ProjPoint, Subspace, meet, span_subspaces
+from zappatic.projective import ProjPoint, Subspace, meet
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,7 @@ def classify_point(
     if shape is None:
         return SingularityType("NonZappatic", n, "local graph not chain/fork/cycle")
     kind_name, order = shape
-    span_dim = span_subspaces(
-        [arr.subspace(i) for i in planes], arr.ambient_dim
-    ).dim
+    span_dim = linalg.rank([row for i in planes for row in arr.subspace(i).basis]) - 1
     if kind_name == "chain":
         if span_dim != n + 1:
             return SingularityType("NonZappatic", n, "span too small")

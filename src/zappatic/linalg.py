@@ -10,13 +10,17 @@ arbitrary-precision kernel (zappatic._bareiss, content-reducing elimination
 that keeps every row primitive), which decides, so both backends give the
 same answer for every input.  ZAPPATIC_PURE_PYTHON=1 forces the pure
 backend.
+
+clear_denominators is the one place where a rational row becomes a
+primitive integer row; nullspace is integer-only, and only solve returns
+Fractions.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from zappatic import _bareiss as _py
 
@@ -69,56 +73,56 @@ def primitive(row) -> tuple[int, ...]:
 
 
 def clear_denominators(row) -> tuple[int, ...]:
-    """Scale a row of ints/Fractions to a primitive integer row."""
-    fr = [Fraction(x) for x in row]
-    lcm = 1
-    for x in fr:
-        d = x.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    return primitive([int(x * lcm) for x in fr])
+    """Scale a row of ints (bools too) and Fractions to a primitive integer row.
+
+    Each entry is read through its numerator and denominator, so an int row
+    builds no Fraction.  Any other entry, such as a float, raises TypeError:
+    the package has no floating point, and 0.5 is not taken to mean 1/2.
+    """
+    try:
+        dens = [x.denominator for x in row]
+        m = lcm(*dens)
+        return primitive([x.numerator * (m // d) for x, d in zip(row, dens)])
+    except AttributeError:
+        bad = next(x for x in row
+                   if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
+        raise TypeError(f"entry {bad!r} is neither an int nor a Fraction") from None
 
 
 def nullspace(rows, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Canonical primitive integer basis of the right kernel.
 
+    Free column f of the rref gives 1 at f and -red[i][f] / red[i][c_i] at
+    each pivot column c_i, times the lcm m of the pivots it divides by.
     ncols is required when rows is empty (kernel of the zero map).
     """
     rows = list(rows)
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols needed for an empty matrix")
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)
-        )
-    n = len(rows[0])
+    if not rows and ncols is None:
+        raise ValueError("ncols needed for an empty matrix")
+    n = len(rows[0]) if rows else ncols
     red = rref(rows)
-    pivots = []
-    for r in red:
-        for j, x in enumerate(r):
-            if x:
-                pivots.append(j)
-                break
-    pivot_set = set(pivots)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
     basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -Fraction(red[i][f], red[i][c])
-        basis.append(clear_denominators(vec))
+    for f in sorted(set(range(n)).difference(pivots)):
+        m = lcm(*(r[c] for r, c in zip(red, pivots) if r[f]))
+        vec = [0] * n
+        vec[f] = m
+        for r, c in zip(red, pivots):
+            vec[c] = -r[f] * (m // r[c])
+        basis.append(primitive(vec))
     return tuple(basis)
 
 
 def solve(rows, rhs) -> list[Fraction] | None:
     """One exact solution of A x = rhs, or None when inconsistent.
 
-    Free variables are set to zero.
+    Free variables are set to zero.  rhs needs one entry per row.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return None
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     n = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red = rref(aug)

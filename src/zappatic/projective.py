@@ -1,9 +1,11 @@
 """Exact projective linear algebra over the rationals.
 
 Points, linear subspaces, quadratic forms and Pluecker coordinates are all
-stored as primitive integer data (denominators cleared, content divided out),
-so equality of the underlying projective objects is plain tuple equality and
-every computation reduces to integer row reduction in zappatic.linalg.
+stored as primitive integer data, so equality of the underlying projective
+objects is plain tuple equality and every computation reduces to integer row
+reduction in zappatic.linalg.  Each constructor takes ints or Fractions and
+clears denominators once, with linalg.clear_denominators (per basis row for
+a Subspace, over the whole matrix for a QuadricForm).
 
 Conventions pinned here:
   * a Subspace is the row span of its canonical rref basis; projective
@@ -24,12 +26,6 @@ from zappatic import linalg
 from zappatic.errors import RangeError
 
 
-def _to_int_row(coords) -> tuple[int, ...]:
-    if all(isinstance(x, int) for x in coords):
-        return linalg.primitive(list(coords))
-    return linalg.clear_denominators(list(coords))
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """Point of P^r as a primitive integer coordinate vector."""
@@ -37,7 +33,7 @@ class ProjPoint:
     coords: tuple[int, ...]
 
     def __init__(self, coords):
-        row = _to_int_row(coords)
+        row = linalg.clear_denominators(coords)
         if not any(row):
             raise ValueError("zero vector is not a projective point")
         object.__setattr__(self, "coords", row)
@@ -62,7 +58,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim + 1:
                 raise RangeError("basis row length does not match ambient dimension")
-        rows = [list(_to_int_row(r)) for r in rows]
+        rows = [linalg.clear_denominators(r) for r in rows]
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", linalg.rref(rows) if rows else ())
 
@@ -178,7 +174,7 @@ class QuadricForm:
             raise RangeError("quadric matrix must be square")
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise RangeError("quadric matrix must be symmetric")
-        flat = _to_int_row([x for r in rows for x in r])
+        flat = linalg.clear_denominators([x for r in rows for x in r])
         if not any(flat):
             raise RangeError("quadric form must be nonzero")
         mat = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
@@ -286,7 +282,7 @@ class PluckerPoint:
     coords: tuple[int, ...]
 
     def __init__(self, coords):
-        row = _to_int_row(coords)
+        row = linalg.clear_denominators(coords)
         if len(row) != 6 or not any(row):
             raise ValueError("need a nonzero 6-vector")
         object.__setattr__(self, "coords", row)

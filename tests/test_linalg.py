@@ -1,10 +1,11 @@
 import contextlib
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zappatic import _bareiss, cli, linalg
@@ -79,8 +80,11 @@ def test_rref_idempotent_and_canonical(backend):
 def test_nullspace_annihilates(backend):
     rng = random.Random(4)
     for _ in range(100):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
-        m = random_matrix(rng, nr, nc)
+        nr, nc = rng.randint(1, 10), rng.randint(1, 10)
+        bound = rng.choice((30, 10**6, 10**20))
+        m = random_matrix(rng, nr, nc, -bound, bound)
+        if rng.random() < 0.5:  # sparse, so rows share free columns unevenly
+            m = [[x if rng.random() < 0.3 else 0 for x in row] for row in m]
         ns = linalg.nullspace(m)
         assert len(ns) == nc - linalg.rank(m)
         for v in ns:
@@ -98,6 +102,12 @@ def test_solve_consistent_and_inconsistent(backend):
     x = linalg.solve(a, [5, 6])
     assert [x[0] + 2 * x[1], 3 * x[0] + 4 * x[1]] == [5, 6]
     assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(backend):
+    for rhs in ([5], [5, 6, 7]):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            linalg.solve([[1, 2], [3, 4]], rhs)
 
 
 def test_backends_agree_on_big_entries(bareiss_c, monkeypatch):
@@ -131,6 +141,34 @@ def test_rank_rref_consistency_property(m):
 def test_clear_denominators():
     assert linalg.clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
     assert linalg.clear_denominators([Fraction(-2), Fraction(4)]) == (1, -2)
+    assert linalg.clear_denominators([]) == ()
+    assert linalg.clear_denominators((0, Fraction(0), False)) == (0, 0, 0)
+    assert linalg.clear_denominators([True, -2]) == (1, -2)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
+def test_clear_denominators_rejects_entries_that_are_not_rationals(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        linalg.clear_denominators([1, Fraction(1, 3), bad])
+
+
+def rationals(bound):
+    nums = st.integers(-bound, bound)
+    return st.one_of(
+        nums,
+        st.booleans(),
+        st.builds(Fraction, nums),  # integral Fractions
+        st.builds(Fraction, nums, st.integers(1, bound)),
+    )
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from((1, 9, 2**100)).flatmap(
+    lambda bound: st.lists(st.one_of(st.just(0), rationals(bound)), max_size=9)))
+def test_clear_denominators_matches_fractions(backend, row):
+    ours = linalg.clear_denominators(row)
+    assert ours == frac_primitive(row)
+    assert all(type(x) is int for x in ours)
 
 
 def assert_pure_kernel_matches_references(m):
@@ -184,6 +222,17 @@ def hard_matrices(draw):
 @given(hard_matrices())
 def test_pure_kernel_matches_bareiss_and_fractions(m):
     assert_pure_kernel_matches_references(m)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=hard_matrices())
+def test_nullspace_matches_fractions_on_hard_matrices(backend, m):
+    """Tall, rank-deficient, sparse and 100-bit matrices: the integer kernel
+    basis is the primitive part of the Fraction one."""
+    ns = linalg.nullspace(m)
+    assert ns == tuple(frac_primitive(v) for v in frac_nullspace(m))
+    assert len(ns) == len(m[0]) - linalg.rank(m)
+    assert all(type(x) is int for v in ns for x in v)
 
 
 def test_pure_kernel_on_tall_rank_deficient_big_products():

@@ -58,6 +58,39 @@ class TestPoints:
             ProjPoint([0, 0, 0])
 
 
+class TestRationalInput:
+    """Every constructor takes ints and Fractions, and nothing else."""
+
+    def test_rational_rows_span_the_same_subspace_as_scaled_int_rows(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            n, k = rng.randint(1, 8), rng.randint(1, 4)
+            rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 2**70)))
+                     for _ in range(n + 1)] for _ in range(k)]
+            # each row times its own nonzero multiple of every denominator
+            mults = [rng.choice((-1, 1)) * rng.randint(1, 5) * 42 * 2**70 for _ in rows]
+            scaled = [[int(x * m) for x in row] for row, m in zip(rows, mults)]
+            assert Subspace(n, rows) == Subspace(n, scaled)
+            assert all(type(x) is int for r in Subspace(n, rows).basis for x in r)
+
+    def test_plucker_point_from_fractions(self):
+        line = Subspace(3, [[1, 2, 0, 3], [0, 1, 5, -1]])
+        coords = plucker(line).coords
+        assert PluckerPoint([Fraction(x, 6) for x in coords]) == plucker(line)
+        assert PluckerPoint([Fraction(-x, 4) for x in coords]).coords == coords
+
+    @pytest.mark.parametrize("build", [
+        lambda x: ProjPoint([1, x, 0]),
+        lambda x: Subspace(2, [[1, 0, 0], [0, x, 1]]),
+        lambda x: QuadricForm([[1, x], [x, 0]]),
+        lambda x: PluckerPoint([1, x, 0, 0, 0, 0]),
+    ], ids=["ProjPoint", "Subspace", "QuadricForm", "PluckerPoint"])
+    def test_float_entries_rejected(self, build):
+        with pytest.raises(TypeError, match="0.5"):
+            build(0.5)
+        build(Fraction(1, 2))  # the same value as a Fraction is fine
+
+
 class TestSpan:
     def test_three_coordinate_points_of_p4(self):
         s = span([e(0, 5), e(2, 5), e(4, 5)], 4)
