@@ -256,10 +256,6 @@ class ZappaticReport:
     violations: tuple[str, ...] = ()
     types: tuple[SingularityType, ...] = ()
 
-    def count(self, kind: str, n: int) -> int:
-        table = {"R": self.r_counts, "S": self.s_counts, "E": self.f_counts}[kind]
-        return table.get(n, 0)
-
 
 def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> ZappaticReport:
     """Aggregate classification of every singular point.

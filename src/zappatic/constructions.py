@@ -6,6 +6,13 @@ two chosen planes: the degenerate quadric (two planes through the common
 transversal of a line in each chosen plane, for X, Y and the closed chain)
 or the degenerate cubic scroll (three planes in a general P^4, for Z).
 
+The quadric takes the two planes and their anchors (an R_3 point the line
+must pass through, or none for a free line) and nothing else; what it
+tolerates is read off the arrangement.  A free line avoids the singular
+points of its plane.  The 3-space of the two lines meets any other plane in
+at most a point, except that it may meet one in a line when it is a
+hyperplane (ambient P^4), or in the line joining the two anchors.
+
 Both go through one engine, ``_attach``.  A proposal function samples the
 lines and the new planes from a seeded generator and may reject a choice
 early (skew lines, transversality of their span).  A declarative expectation
@@ -90,10 +97,6 @@ def verify_transversality(arr: Arrangement, pi: Subspace, expected) -> Transvers
             if inter not in expected:
                 offending.append(k)
     return TransversalityReport(not offending, tuple(positive), tuple(offending))
-
-
-def _coord_point(i: int, n: int) -> ProjPoint:
-    return ProjPoint([1 if j == i else 0 for j in range(n + 1)])
 
 
 def _finish(
@@ -310,20 +313,27 @@ def _attach_pair(
     i: int,
     j: int,
     seed: int,
-    *,
     anchor1: ProjPoint | None,
     anchor2: ProjPoint | None,
-    avoid1=(),
-    avoid2=(),
-    allowed_extra=frozenset(),
-    allow_anchor_line: bool = False,
 ) -> ConstructionResult:
-    """Attach the degenerate quadric through a line in plane i and one in j."""
+    """Attach the degenerate quadric through a line in plane i and one in j.
+
+    A line runs through its plane's anchor, or is free (anchor None) and then
+    avoids every singular point of its plane.  The 3-space pi of the two
+    lines must meet planes i and j in exactly those lines and every other
+    plane in at most a point, with two exceptions read off the arrangement:
+    in P^4 pi is a hyperplane and meets every plane in at least a line, so a
+    line is allowed there; and with both anchors given, a plane through both
+    meets pi in the line joining them, which is allowed too.
+    """
     arr = result.arrangement
     n = arr.ambient_dim
     plane_i, plane_j = arr.subspace(i), arr.subspace(j)
+    singular = result.incidence.singular_points
+    avoid1 = [sp.point for sp in singular if i in sp.incident_planes]
+    avoid2 = [sp.point for sp in singular if j in sp.incident_planes]
     anchor_line = None
-    if allow_anchor_line and anchor1 is not None and anchor2 is not None:
+    if anchor1 is not None and anchor2 is not None:
         anchor_line = span([anchor1, anchor2], n)
 
     def propose(rng):
@@ -346,12 +356,7 @@ def _attach_pair(
                 if inter != (line1 if k == i else line2):
                     raise _Retry(f"3-space meets plane {k} beyond the chosen line")
             elif inter.dim >= 1:
-                if k in allowed_extra and inter.dim == 1:
-                    continue
-                # A plane through both anchors always meets the 3-space in the
-                # line joining them; the attachment touches it at the anchors
-                # only, so tolerate exactly that line when the caller opts in.
-                if anchor_line is not None and inter == anchor_line:
+                if inter.dim == 1 and (pi.dim == n - 1 or inter == anchor_line):
                     continue
                 raise _Retry(f"3-space meets plane {k} in dimension {inter.dim}")
         x1 = _sample_on_line(line1, anchor1, rng)
@@ -367,23 +372,6 @@ def _attach_pair(
     )
 
 
-def _close_chain(chain: ConstructionResult, seed: int) -> ConstructionResult:
-    """Join the two end planes of a chain by a quadric on free lines."""
-    k = len(chain.arrangement)
-    n = chain.arrangement.ambient_dim
-    return _attach_pair(
-        chain,
-        0,
-        k - 1,
-        seed,
-        anchor1=None,
-        anchor2=None,
-        avoid1=(_coord_point(2, n),),
-        avoid2=(_coord_point(k - 1, n),),
-        allowed_extra=frozenset({1}) if k == 3 else frozenset(),
-    )
-
-
 def attach_handle(result: ConstructionResult, i: int, j: int, seed: int) -> ConstructionResult:
     """Attach a degenerate quadric joining two disjoint R_3 central planes.
 
@@ -394,20 +382,22 @@ def attach_handle(result: ConstructionResult, i: int, j: int, seed: int) -> Cons
         raise RangeError(f"planes {i} and {j} are not disjoint")
     anchor1 = _r3_anchor(result, i)
     anchor2 = _r3_anchor(result, j)
-    return _attach_pair(result, i, j, seed, anchor1=anchor1, anchor2=anchor2)
+    return _attach_pair(result, i, j, seed, anchor1, anchor2)
 
 
 def cycle_from_chain(d: int, seed: int) -> ConstructionResult:
     """Close a chain of d-2 planes into a degree-d cycle with two new planes.
 
-    For d = 5 the 3-space of the two chosen lines unavoidably meets the
-    central plane of the chain in an extra line, which is tolerated (and
-    recorded through the attachment's span); for d >= 6 it meets the rest of
-    the chain in at most points.
+    The two end planes are joined by a quadric on free lines.  For d = 5 the
+    chain spans only P^4, so the 3-space of the two lines is a hyperplane and
+    meets the central plane of the chain in an extra line, which is tolerated
+    (and recorded through the attachment's span); for d >= 6 it meets the
+    rest of the chain in at most points.
     """
     if d < 5:
         raise RangeError("cycle requires d >= 5")
-    res = replace(_close_chain(chain_planes(d - 2), seed), family="cycle_from_chain")
+    res = _attach_pair(chain_planes(d - 2), 0, d - 3, seed, None, None)
+    res = replace(res, family="cycle_from_chain")
     if res.report.r_counts.get(3, 0) != d or res.num_edges != d:
         raise InternalCheckError("closed chain counts are off")
     return res
@@ -462,25 +452,19 @@ def _check_family_profile(result: ConstructionResult, d: int, g: int) -> None:
 def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
     """Chain of d-2g planes with g quadric pairs attached: the outermost pair
     hangs on free lines of the two end planes, the inner pairs on lines
-    through the chain points p_i and p_(d-2g+1-i)."""
+    through the R_3 points p_i and p_(d-2g+1-i) centred on planes i-1 and
+    d-2g-i."""
     if g < 2:
         raise RangeError("requires g >= 2")
     if d <= 4 * g:
         raise RangeError("requires d > 4g")
     rng = random.Random(seed)
     k = d - 2 * g
-    result = _close_chain(chain_planes(k), rng.randrange(2**63))
-    n = result.arrangement.ambient_dim
+    result = _attach_pair(chain_planes(k), 0, k - 1, rng.randrange(2**63), None, None)
     for i in range(2, g + 1):
-        result = _attach_pair(
-            result,
-            i - 1,
-            k - i,
-            rng.randrange(2**63),
-            anchor1=_coord_point(i, n),
-            anchor2=_coord_point(k - i + 1, n),
-            allow_anchor_line=True,
-        )
+        anchor1 = _r3_anchor(result, i - 1)
+        anchor2 = _r3_anchor(result, k - i)
+        result = _attach_pair(result, i - 1, k - i, rng.randrange(2**63), anchor1, anchor2)
     result = replace(result, family="Y", seed=seed)
     _check_family_profile(result, d, g)
     return result
@@ -520,12 +504,11 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     prev = _embed_in_hyperplane(prev)
     arr = prev.arrangement
     n = arr.ambient_dim
-    if prev.g == 1 and prev.d == 5:
-        # the 5-cycle has no disjoint planes: take the first pair meeting in
-        # a point only
-        pair = next(((a, b) for a, b, _ in prev.incidence.point_meets), None)
-    else:
-        pair = first_disjoint_central_pair(prev)
+    # with no two disjoint R_3 central planes (the 5-cycle has none), take
+    # the first pair meeting in a point only
+    pair = first_disjoint_central_pair(prev) or next(
+        ((a, b) for a, b, _ in prev.incidence.point_meets), None
+    )
     if pair is None:
         raise InternalCheckError("no admissible plane pair for the cubic attachment")
     i, j = pair

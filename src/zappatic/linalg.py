@@ -8,8 +8,7 @@ outside int64, an entry that is -2**63, larger or not an int, or a ragged
 matrix.  Each call then falls back transparently to the pure-Python
 arbitrary-precision kernel (zappatic._bareiss, content-reducing elimination
 that keeps every row primitive), which decides, so both backends give the
-same answer for every input.  ZAPPATIC_PURE_PYTHON=1 forces the pure
-backend.
+same answer for every input.
 
 clear_denominators is the one place where a rational row becomes a
 primitive integer row; nullspace is integer-only, and only solve returns
@@ -18,7 +17,6 @@ Fractions.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 
@@ -29,8 +27,7 @@ try:
 except ImportError:  # extension not built
     _c = None
 
-_FORCE_PURE = os.environ.get("ZAPPATIC_PURE_PYTHON") == "1"
-_backend = "python" if (_c is None or _FORCE_PURE) else "compiled"
+_backend = "python" if _c is None else "compiled"
 
 
 def backend_name() -> str:
@@ -79,6 +76,7 @@ def clear_denominators(row) -> tuple[int, ...]:
     builds no Fraction.  Any other entry, such as a float, raises TypeError:
     the package has no floating point, and 0.5 is not taken to mean 1/2.
     """
+    row = list(row)
     try:
         dens = [x.denominator for x in row]
         m = lcm(*dens)
@@ -116,14 +114,13 @@ def nullspace(rows, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
 def solve(rows, rhs) -> list[Fraction] | None:
     """One exact solution of A x = rhs, or None when inconsistent.
 
-    Free variables are set to zero.  rhs needs one entry per row.
+    Free variables are set to zero.  rhs needs one entry per row; a system
+    with no rows is consistent, and its solution is [].
     """
     rows = [list(r) for r in rows]
-    if not rows:
-        return None
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
-    n = len(rows[0])
+    n = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red = rref(aug)
     x = [Fraction(0)] * n

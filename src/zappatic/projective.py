@@ -95,8 +95,8 @@ class Subspace:
 
     def coords_of(self, p: ProjPoint) -> tuple[Fraction, ...]:
         """Coordinates of p in this subspace's basis (p must lie on it)."""
-        cols = list(zip(*self.basis))
-        sol = linalg.solve(cols, list(p.coords))
+        eqs = [[row[c] for row in self.basis] for c in range(self.ambient_dim + 1)]
+        sol = linalg.solve(eqs, list(p.coords))
         if sol is None:
             raise RangeError("point does not lie on the subspace")
         return tuple(sol)

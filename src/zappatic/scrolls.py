@@ -174,35 +174,25 @@ def degenerate_balanced(d: int) -> DegenLedger:
     if d < 2:
         raise RangeError("requires d >= 2")
     a, rem = divmod(d, 2)
-    state = (FibreComponent.scroll(a, a + rem),)
-    states = [state]
+    states = [(FibreComponent.scroll(a, a + rem),)]
     groups = []
     while True:
-        scroll_idx, st = _find_scroll(state, lambda x, y: x + y >= 2)
-        if scroll_idx is None:
+        idx, st = _find_scroll(states[-1], lambda x, y: x + y >= 2)
+        if idx is None:
             break
         x, y = st
         if x < y:
             # F_1-type stage: ruling blow-up plus one twist of multiplicity x
-            group = (f"blowup_ruling({scroll_idx})", f"twist({scroll_idx + 1},-{x})")
-            new = (FibreComponent.scroll(x, y - 1), FibreComponent.plane(1))
+            group = (f"blowup_ruling({idx})", f"twist({idx + 1},-{x})")
         else:
             # F_0-type stage: point blow-up, twist, type-I, then the
             # multiplicity x-1 twist
-            group = [
-                f"blowup_point({scroll_idx})",
-                f"twist({scroll_idx + 1},-1)",
-                "type_I(vertical)",
-            ]
+            group = (f"blowup_point({idx})", f"twist({idx + 1},-1)", "type_I(vertical)")
             if x > 1:
-                group.append(f"twist({scroll_idx + 1},-{x - 1})")
-            group = tuple(group)
-            if x == 1:  # the quadric splits into two planes
-                new = (FibreComponent.plane(1), FibreComponent.plane(1))
-            else:
-                new = (FibreComponent.scroll(x - 1, y), FibreComponent.plane(1))
-        state = _state_replace(state, scroll_idx, new)
-        states.append(state)
+                group += (f"twist({idx + 1},-{x - 1})",)
+        # either way the scroll splits as in rat1_step: S_(x, y) becomes
+        # S_(x, y-1), reordered, and a plane; the quadric S_(1,1) two planes
+        states.append(rat1_step(states[-1])[0])
         groups.append(group)
     ledger = DegenLedger(tuple(states), tuple(groups), d)
     final = ledger.final_state()

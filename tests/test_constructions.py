@@ -17,6 +17,7 @@ from zappatic.invariants import invariants_of
 from zappatic.projective import meet, span_subspaces
 
 from oracles import meet_first_disjoint_central_pair
+from test_acceptance import GRID
 from test_golden import LEDGER_CASES
 
 
@@ -186,6 +187,55 @@ class TestPlaneContacts:
         for build in LEDGER_CASES.values():
             checked(build())
         assert None in pairs and len(set(pairs)) > 2
+
+
+class TestAttachmentRules:
+    """The facts behind what the quadric attachment tolerates."""
+
+    def test_no_third_plane_through_both_handle_anchors(self, monkeypatch):
+        """A plane meets the handle's 3-space in the anchor line only if it
+        holds both anchors.  The chosen planes are disjoint, so each holds
+        one; on the grid and the ledger builds no other plane holds both,
+        so the anchor-line rule never fires for X."""
+        calls = []
+        attach = constructions.attach_handle
+
+        def checked(result, i, j, seed):
+            arr = result.arrangement
+            anchors = [constructions._r3_anchor(result, k) for k in (i, j)]
+            through_both = {
+                k for k in range(len(arr))
+                if all(arr.subspace(k).contains_point(a) for a in anchors)
+            }
+            assert not through_both
+            calls.append((i, j))
+            return attach(result, i, j, seed)
+
+        monkeypatch.setattr(constructions, "attach_handle", checked)
+        for d, g, seed in GRID:
+            build_X(d, g, seed)
+        for build in LEDGER_CASES.values():
+            build()
+        # g - 1 handles per grid build, and 2 + 3 for X_10_3_1 and X_12_4_1
+        assert len(calls) == sum(g - 1 for _, g, _ in GRID) + 2 + 3
+
+    @pytest.mark.parametrize("build", [
+        *LEDGER_CASES.values(),
+        lambda: build_Y(13, 3, 1),
+        lambda: build_Y(11, 2, 5),
+        *(lambda d=d: cycle_from_chain(d, 3) for d in range(5, 10)),
+    ])
+    def test_free_lines_avoid_the_singular_points_of_their_plane(self, build):
+        res = build()
+        closures = [r for r in res.attachments if r.anchor_points == (None, None)]
+        assert len(closures) == (res.family in ("Y", "cycle_from_chain"))
+        for rec in closures:
+            chain = chain_planes(rec.chosen_planes[1] + 1)
+            for plane, line in zip(rec.chosen_planes, rec.lines):
+                avoid = [sp.point for sp in chain.incidence.singular_points
+                         if plane in sp.incident_planes]
+                assert avoid
+                assert not any(line.contains_point(p) for p in avoid)
 
 
 class TestCycleFromChain:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zappatic import _bareiss, cli, linalg
+from zappatic.projective import PluckerPoint, ProjPoint, Subspace, plucker
 
 from oracles import (
     bareiss_rank,
@@ -110,6 +111,13 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length(backend):
             linalg.solve([[1, 2], [3, 4]], rhs)
 
 
+def test_solve_with_no_equations(backend):
+    # a system with no equations is consistent, and has no unknowns to fix
+    assert linalg.solve([], []) == []
+    with pytest.raises(ValueError, match="right-hand sides"):
+        linalg.solve([], [1, 2])
+
+
 def test_backends_agree_on_big_entries(bareiss_c, monkeypatch):
     monkeypatch.setattr(linalg, "_c", bareiss_c)
     rng = random.Random(5)
@@ -150,6 +158,16 @@ def test_clear_denominators():
 def test_clear_denominators_rejects_entries_that_are_not_rationals(bad):
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
         linalg.clear_denominators([1, Fraction(1, 3), bad])
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        linalg.clear_denominators(iter([1, Fraction(1, 3), bad]))
+
+
+def test_clear_denominators_reads_an_iterator_once(backend):
+    assert linalg.clear_denominators(iter([Fraction(1, 2), 1])) == (1, 2)
+    assert ProjPoint(x for x in [1, 2]) == ProjPoint([1, 2])
+    line = Subspace(3, [[1, 2, 0, 3], [0, 1, 5, -1]])
+    coords = plucker(line).coords
+    assert PluckerPoint(iter(coords)) == plucker(line)
 
 
 def rationals(bound):

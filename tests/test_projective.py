@@ -58,6 +58,24 @@ class TestPoints:
             ProjPoint([0, 0, 0])
 
 
+class TestCoordsOf:
+    def test_coordinates_in_the_canonical_basis(self):
+        plane = Subspace(3, [[1, 0, 0, 2], [0, 1, 0, -1], [0, 0, 1, 1]])
+        p = ProjPoint([2, 3, 5, 6])
+        coords = plane.coords_of(p)
+        vec = [sum(c * row[k] for c, row in zip(coords, plane.basis)) for k in range(4)]
+        assert vec == list(p.coords)
+        assert Subspace(3, [[1, 1, 0, 0]]).coords_of(ProjPoint([3, 3, 0, 0])) == (1,)
+
+    def test_point_off_the_subspace_raises(self):
+        with pytest.raises(RangeError):
+            Subspace(2, [[1, 0, 0], [0, 1, 0]]).coords_of(ProjPoint([0, 0, 1]))
+
+    def test_empty_subspace_contains_no_point(self):
+        with pytest.raises(RangeError):
+            Subspace(2, []).coords_of(ProjPoint([1, 0, 0]))
+
+
 class TestRationalInput:
     """Every constructor takes ints and Fractions, and nothing else."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -110,6 +111,12 @@ class TestBalancedDegeneration:
         assert lines[1] == "F(1;1,2)"
         assert lines[2] == "# move: blowup_ruling(0)"
         assert lines[-1] == "P(1) P(1) P(1) P(1) P(1)"
+
+    def test_serialization_pinned_for_d_2_to_119(self):
+        text = "".join(degenerate_balanced(d).serialize() for d in range(2, 120))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "ddcb9e2d8e50bef14f3aaac042733f2091e4a03a5d4f4e9cd85e0d8a3a11f959"
+        )
 
     def test_rejects_d1(self):
         with pytest.raises(RangeError):
