@@ -5,6 +5,10 @@ point triples).  Higher genus is reached inductively by attaching pieces to
 two chosen planes: the degenerate quadric (two planes through the common
 transversal of a line in each chosen plane, for X, Y and the closed chain)
 or the degenerate cubic scroll (three planes in a general P^4, for Z).
+Every family is built in its final P^(d-2g+1) from its first plane, so the
+planes, the incidence and every attachment record share one ambient; a
+cubic scroll reaches out of the span of the old planes through a point q3
+on the first coordinate that no old plane uses.
 
 The quadric takes the two planes and their anchors (an R_3 point the line
 must pass through, or none for a free line) and nothing else; what it
@@ -33,7 +37,6 @@ from itertools import combinations
 from zappatic.arrangement import (
     Arrangement,
     IncidenceData,
-    SingularPoint,
     ZappaticReport,
     compute_incidence,
     zappatic_report,
@@ -143,22 +146,26 @@ def chain_planes(d: int) -> ConstructionResult:
     return res
 
 
-def cycle_planes(d: int) -> ConstructionResult:
-    """d planes on cyclically consecutive coordinate triples of P^(d-1); dual
-    graph a cycle with d R_3 points at the coordinate points."""
-    if d < 5:
-        raise RangeError("cycle requires d >= 5")
-    n = d - 1
+def _cycle(d: int, n: int) -> ConstructionResult:
+    """d planes on cyclically consecutive triples of the first d coordinate
+    points of P^n; dual graph a cycle with d R_3 points at those points."""
     subs = []
     for i in range(d):
         ks = ((i - 1) % d, i, (i + 1) % d)
         rows = [[1 if c == k else 0 for c in range(n + 1)] for k in ks]
         subs.append(Subspace(n, rows))
-    arr = Arrangement(n, subs)
-    res = _finish(arr, (), (), "cycle", d, 1, None)
+    res = _finish(Arrangement(n, subs), (), (), "cycle", d, 1, None)
     if res.report.r_counts.get(3, 0) != d or res.num_edges != d:
         raise InternalCheckError("cycle counts are off")
     return res
+
+
+def cycle_planes(d: int) -> ConstructionResult:
+    """d planes on cyclically consecutive coordinate triples of P^(d-1); dual
+    graph a cycle with d R_3 points at the coordinate points."""
+    if d < 5:
+        raise RangeError("cycle requires d >= 5")
+    return _cycle(d, d - 1)
 
 
 # -- seeded sampling helpers ------------------------------------------------
@@ -470,40 +477,16 @@ def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
     return result
 
 
-def _embed_in_hyperplane(result: ConstructionResult) -> ConstructionResult:
-    """The same result in one more coordinate (last coordinate 0).
-
-    The rref of a basis with a 0 column appended is the old rref with a 0
-    appended, and appending a 0 keeps the order of the coordinate tuples, so
-    the lifted planes, double lines and points are canonical and the lifted
-    incidence is the incidence of the embedded planes, in the same order.
-    """
-    n = result.arrangement.ambient_dim + 1
-
-    def lift(sub: Subspace) -> Subspace:
-        return Subspace(n, [row + (0,) for row in sub.basis])
-
-    def lift_point(p: ProjPoint) -> ProjPoint:
-        return ProjPoint(p.coords + (0,))
-
-    inc = result.incidence
-    incidence = IncidenceData(
-        tuple((i, j, lift(line)) for i, j, line in inc.double_lines),
-        tuple((i, j, lift_point(p)) for i, j, p in inc.point_meets),
-        tuple(
-            SingularPoint(lift_point(sp.point), sp.incident_planes, sp.local_edges)
-            for sp in inc.singular_points
-        ),
-    )
-    arr = Arrangement(n, [lift(p.subspace) for p in result.arrangement.planes])
-    return replace(result, arrangement=arr, incidence=incidence)
-
-
 def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
-    """Attach a degenerate cubic scroll (three planes in a general P^4)."""
-    prev = _embed_in_hyperplane(prev)
+    """Attach a degenerate cubic scroll (three planes in a general P^4).
+
+    The build already lives in its final P^(d-2g+1).  The sampled point q3
+    takes the first coordinate that no old plane uses, so the P^4 of the new
+    planes leaves the span of the old ones.
+    """
     arr = prev.arrangement
     n = arr.ambient_dim
+    free = 1 + max(max(p.subspace.support) for p in arr.planes)
     # with no two disjoint R_3 central planes (the 5-cycle has none), take
     # the first pair meeting in a point only
     pair = first_disjoint_central_pair(prev) or next(
@@ -522,8 +505,12 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
         pi3 = span_subspaces([line1, line2], n)
         if pi3.dim != 3:
             raise _Retry("the two lines are not skew")
-        # a general point off the old hyperplane fixes the ambient P^4
-        q3 = _random_point_with_last_coord(n, rng)
+        # a general point off the span of the old planes fixes the P^4
+        q3 = ProjPoint(
+            [rng.randint(-SAMPLE_HEIGHT, SAMPLE_HEIGHT) for _ in range(free)]
+            + [rng.randint(1, SAMPLE_HEIGHT)]
+            + [0] * (n - free)
+        )
         q2 = _sample_on_line(line2, anchor2, rng)
         q4 = _sample_on_line(line1, anchor1, rng)
         p3 = span([q3], n)
@@ -541,15 +528,13 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     return _attach(prev, pair, (anchor1, anchor2), seed, propose, (1, 2))
 
 
-def _random_point_with_last_coord(n: int, rng) -> ProjPoint:
-    vec = [rng.randint(-SAMPLE_HEIGHT, SAMPLE_HEIGHT) for _ in range(n)]
-    vec.append(rng.randint(1, SAMPLE_HEIGHT))
-    return ProjPoint(vec)
-
-
 def build_Z(d: int, g: int, seed: int = 0) -> ConstructionResult:
     """Cycle for g=1, then one degenerate cubic scroll (three planes in a
-    general P^4) per extra genus, adding 3 planes and 4 double lines each."""
+    general P^4) per extra genus, adding 3 planes and 4 double lines each.
+
+    The base cycle of d-3(g-1) planes sits on the first d-3g+3 coordinates of
+    the final P^(d-2g+1); each step's q3 takes the next unused coordinate.
+    """
     if g < 1:
         raise RangeError("requires g >= 1")
     if d < 3 * g + 2:
@@ -561,7 +546,7 @@ def build_Z(d: int, g: int, seed: int = 0) -> ConstructionResult:
     )
     rng = random.Random(seed)
     seeds = [rng.randrange(2**63) for _ in range(g - 1)]
-    result = cycle_planes(d - 3 * (g - 1))
+    result = _cycle(d - 3 * (g - 1), d - 2 * g + 1)
     for s in seeds:
         result = _z_step(result, s)
     result = replace(result, discrepancies=(note,), family="Z", seed=seed)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from math import isqrt
 
 from zappatic import linalg
@@ -228,12 +228,8 @@ def chain_feasible(a: int, b: int):
 
 
 def _tangent_plane(q: QuadricForm, p: ProjPoint) -> Subspace:
-    grad = [q.bilinear(p.coords, row) for row in _identity_rows(4)]
+    grad = [sum(a * x for a, x in zip(row, p.coords)) for row in q.matrix]
     return Subspace(3, linalg.nullspace([grad], ncols=4))
-
-
-def _identity_rows(n):
-    return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
 
 
 def _lines_through(q: QuadricForm, p: ProjPoint) -> tuple[Subspace, Subspace]:
@@ -250,18 +246,11 @@ def _lines_through(q: QuadricForm, p: ProjPoint) -> tuple[Subspace, Subspace]:
     if t.dim != 2:
         raise RangeError("quadric is singular at the point")
     # complete p to a basis of the tangent plane by two of its rref rows
-    rows = list(t.basis)
-    pr = list(p.coords)
-    f0 = f1 = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if linalg.rank([rows[i], rows[j], pr]) == 3:
-                f0, f1 = rows[i], rows[j]
-                break
-        if f0 is not None:
-            break
-    if f0 is None:
+    pairs = combinations(t.basis, 2)
+    pair = next((fs for fs in pairs if linalg.rank([*fs, p.coords]) == 3), None)
+    if pair is None:
         raise InternalCheckError("tangent plane basis degenerate")
+    f0, f1 = pair
     aa = q.bilinear(f0, f0)
     bb = 2 * q.bilinear(f0, f1)
     cc = q.bilinear(f1, f1)
@@ -299,27 +288,12 @@ def _find_rational_point(q: QuadricForm, hint: ProjPoint | None) -> ProjPoint:
             raise RangeError("hint point does not lie on the quadric")
         return hint
     for h in range(1, 8):
-        for vec in _small_vectors(4, h):
-            p = ProjPoint(vec)
-            if q.evaluate(p) == 0:
-                return p
+        for vec in product(range(-h, h + 1), repeat=4):
+            if max(map(abs, vec)) == h and q.bilinear(vec, vec) == 0:
+                return ProjPoint(vec)
     raise GenericityError(
         "no small rational point found on the quadric; pass base_point"
     )
-
-
-def _small_vectors(n, h):
-    def rec(i):
-        if i == n:
-            yield []
-            return
-        for x in range(-h, h + 1):
-            for rest in rec(i + 1):
-                yield [x] + rest
-
-    for vec in rec(0):
-        if any(vec) and max(abs(x) for x in vec) == h:
-            yield vec
 
 
 def section_duality_check(
@@ -381,7 +355,7 @@ def section_duality_check(
         return {"passed": False, "reason": "no unique projectivity on the fit set"}
     for x, w in samples[4:]:
         img = [sum(fitted[r][c] * x[c] for c in range(3)) for r in range(3)]
-        if _not_parallel(img, w):
+        if linalg.rank([img, w]) == 2:
             return {"passed": False, "reason": "sample off the fitted projection"}
     return {"passed": True, "samples": len(samples)}
 
@@ -402,11 +376,3 @@ def _fit_projectivity(pairs):
         return None
     flat = kern[0][:9]
     return [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-
-
-def _not_parallel(u, w):
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if u[i] * w[j] - u[j] * w[i] != 0:
-                return True
-    return False

@@ -374,6 +374,41 @@ class TestCrossModuleConsistency:
                     assert a in sp.incident_planes and b in sp.incident_planes
 
 
+def _assert_records_in_ambient(res):
+    n = res.arrangement.ambient_dim
+    for rec in res.attachments:
+        anchors = [a for a in rec.anchor_points if a is not None]
+        parts = [*rec.lines, rec.span_pi, *anchors]
+        assert [p.ambient_dim for p in parts] == [n] * len(parts), (res.family, rec)
+
+
+class TestOneAmbient:
+    """Every attachment record lives in the ambient of its result."""
+
+    def test_grid(self):
+        for d, g, seed in GRID:
+            _assert_records_in_ambient(build_X(d, g, seed))
+
+    def test_family_zoo(self):
+        for res in _family_zoo():
+            _assert_records_in_ambient(res)
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+    def test_ledger_builds(self, name):
+        _assert_records_in_ambient(LEDGER_CASES[name]())
+
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_build_Z(self, g):
+        for d in range(3 * g + 2, 3 * g + 6):
+            for seed in range(3):
+                _assert_records_in_ambient(build_Z(d, g, seed))
+
+    def test_cycle_from_chain(self):
+        for d in range(5, 10):
+            for seed in range(3):
+                _assert_records_in_ambient(cycle_from_chain(d, seed))
+
+
 class TestGenericityExhaustion:
     """With no retries allowed, every attachment path gives up with a
     GenericityError that names the chosen planes."""

@@ -5,7 +5,7 @@ import pytest
 
 from zappatic import linalg
 from zappatic.complexes import homology
-from zappatic.errors import RangeError
+from zappatic.errors import GenericityError, RangeError
 from zappatic.projective import ProjPoint, QuadricForm, Subspace, span
 from zappatic.scrolls import (
     DegenLedger,
@@ -14,6 +14,7 @@ from zappatic.scrolls import (
     degenerate_balanced,
     rat1_step,
     rat2_step,
+    _find_rational_point,
     section_duality_check,
 )
 
@@ -217,3 +218,35 @@ class TestSectionDuality:
                 continue  # tangent plane or plane through a ruling: resample
             assert out["passed"] is True
             done += 1
+
+
+class TestRationalPointSearch:
+    """The search that runs when section_duality_check gets no base point."""
+
+    # (substitution matrix, first point found on the congruent image)
+    CONGRUENT = [
+        ([[0, 1, 1, 3], [-3, -3, 2, -2], [-1, 3, -3, 3], [-3, 2, -3, -1]], [2, 0, 1, -1]),
+        ([[-2, 1, -3, 0], [-2, 3, 2, 2], [3, -3, 2, -3], [2, 0, -1, -3]], [2, 2, 2, 1]),
+        ([[0, 0, -3, 2], [-3, -1, 1, 1], [-1, 2, 1, 1], [0, 0, -1, 3]], [2, 1, 0, 0]),
+        ([[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 0], [1, 0, 0, 2]], [1, 0, 1, 1]),
+    ]
+
+    def test_first_point_on_the_hyperbolic_quadric(self):
+        assert _find_rational_point(HYPERBOLIC, None) == ProjPoint([1, 1, 1, 1])
+
+    @pytest.mark.parametrize("mat,point", CONGRUENT)
+    def test_first_point_on_congruent_images(self, mat, point):
+        q = HYPERBOLIC.congruent(mat)
+        found = _find_rational_point(q, None)
+        assert found == ProjPoint(point)
+        assert q.evaluate(found) == 0
+
+    def test_duality_check_without_base_point(self):
+        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
+        assert section_duality_check(HYPERBOLIC, pi, 8)["passed"] is True
+
+    def test_form_without_real_points_raises(self):
+        identity = QuadricForm([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
+        with pytest.raises(GenericityError, match="no small rational point"):
+            section_duality_check(identity, pi, 8)
