@@ -225,7 +225,9 @@ def cmd_quadrics(args) -> int:
     if args.oracle:
         if args.g != 0:
             raise RangeError("the sampling oracle requires g = 0")
-        formula, oracle, formula3, oracle3 = _run_quadric_oracle(args.d)
+        formula = counts["through_curve"]
+        formula3 = counts["through_curve_and_codim3"]
+        oracle, oracle3 = _run_quadric_oracle(args.d)
         print(f"formula {formula} = oracle {oracle}")
         print(f"with codim-3 subspace: formula {formula3} = oracle {oracle3}")
         if (formula, formula3) != (oracle, oracle3):
@@ -233,30 +235,26 @@ def cmd_quadrics(args) -> int:
     return 0
 
 
-def _run_quadric_oracle(d: int):
+def _run_quadric_oracle(d: int) -> tuple[int, int]:
+    """The oracle's two counts: independent quadrics through 2d+2 points of
+    the rational normal curve in P^d, and those that also contain a seeded
+    random codimension-3 subspace."""
     import random
 
     from zappatic.projective import ProjPoint, Subspace, quadrics_through
 
-    counts = quadric_count(d, 0)
     samples = [
         ProjPoint([t**k for k in range(d + 1)]) for t in range(-(d + 1), d + 1)
     ]
-    dim_all, basis_all = quadrics_through(samples, [], d)
+    _, basis_all = quadrics_through(samples, [], d)
     rng = random.Random(0)
-    r = d  # ambient dimension for g = 0
     while True:
-        rows = [[rng.randint(-9, 9) for _ in range(r + 1)] for _ in range(r - 2)]
-        sigma = Subspace(r, rows)
-        if sigma.dim == r - 3:
+        rows = [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(d - 2)]
+        sigma = Subspace(d, rows)
+        if sigma.dim == d - 3:
             break
-    dim_forced, basis_forced = quadrics_through(samples, [sigma], d)
-    return (
-        counts["through_curve"],
-        len(basis_all),
-        counts["through_curve_and_codim3"],
-        len(basis_forced),
-    )
+    _, basis_forced = quadrics_through(samples, [sigma], d)
+    return len(basis_all), len(basis_forced)
 
 
 def build_parser() -> argparse.ArgumentParser:

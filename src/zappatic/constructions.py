@@ -10,22 +10,24 @@ planes, the incidence and every attachment record share one ambient; a
 cubic scroll reaches out of the span of the old planes through a point q3
 on the first coordinate that no old plane uses.
 
-The quadric takes the two planes and their anchors (an R_3 point the line
-must pass through, or none for a free line) and nothing else; what it
-tolerates is read off the arrangement.  A free line avoids the singular
-points of its plane.  The 3-space of the two lines meets any other plane in
-at most a point, except that it may meet one in a line when it is a
-hyperplane (ambient P^4), or in the line joining the two anchors.
+Both go through one engine, ``_attach``, which draws the line pair: a line
+in each chosen plane, either through the R_3 point centred on that plane
+(so the anchors come from the chosen planes) or free, avoiding the singular
+points of its plane; the two lines must be skew.  A
+completion function then samples the new planes from the same seeded
+generator and may reject a choice early.  The quadric's completion checks the
+3-space of the two lines for transversality, with tolerances read off the
+arrangement: it meets any other plane in at most a point, except that it may
+meet one in a line when it is a hyperplane (ambient P^4), or in the line
+joining the two anchors.  The cubic scroll's completion adds its point q3.
 
-Both go through one engine, ``_attach``.  A proposal function samples the
-lines and the new planes from a seeded generator and may reject a choice
-early (skew lines, transversality of their span).  A declarative expectation
-says what the union must look like afterwards: the change in the R_3 and S_4
-counts, no cycle point, and the type ``(kind, n, central)`` of each anchor and
-each sampled point.  The engine reclassifies the grown arrangement, checks it
-is Zappatic and meets the expectation, and otherwise resamples (up to a fixed
-retry cap), so every returned configuration carries a full witness of its own
-genericity in its attachment records.
+A declarative expectation says what the union must look like afterwards: the
+change in the R_3 and S_4 counts, no cycle point, and the type
+``(kind, n, central)`` of each anchor and each sampled point.  The engine
+reclassifies the grown arrangement, checks it is Zappatic and meets the
+expectation, and otherwise resamples (up to a fixed retry cap), so every
+returned configuration carries a full witness of its own genericity in its
+attachment records.
 """
 
 from __future__ import annotations
@@ -129,6 +131,25 @@ def _finish(
     )
 
 
+def _check_family_profile(result: ConstructionResult, d: int, g: int) -> None:
+    """The counts of a degree-d genus-g family: d planes, d+g-1 double lines,
+    no cycle point, d-2 R_3 points on a chain (g = 0) and d-2g+2 otherwise,
+    and 2g-2 S_4 points from genus 2 on."""
+    rep = result.report
+    ok = (
+        len(result.arrangement) == d
+        and result.num_edges == d + g - 1
+        and rep.r_counts.get(3, 0) == (d - 2 * g + 2 if g else d - 2)
+        and rep.s_counts.get(4, 0) == max(0, 2 * g - 2)
+        and sum(rep.f_counts.values()) == 0
+    )
+    if not ok:
+        raise InternalCheckError(
+            f"family profile mismatch for (d,g)=({d},{g}): v={len(result.arrangement)}"
+            f" e={result.num_edges} r={rep.r_counts} s={rep.s_counts}"
+        )
+
+
 def chain_planes(d: int) -> ConstructionResult:
     """d planes on consecutive coordinate point triples of P^(d+1); dual
     graph a chain with d-2 R_3 points."""
@@ -139,10 +160,8 @@ def chain_planes(d: int) -> ConstructionResult:
     for i in range(d):
         rows = [[1 if c == k else 0 for c in range(n + 1)] for k in (i, i + 1, i + 2)]
         subs.append(Subspace(n, rows))
-    arr = Arrangement(n, subs)
-    res = _finish(arr, (), (), "chain", d, 0, None)
-    if res.report.r_counts.get(3, 0) != d - 2 or res.num_edges != d - 1:
-        raise InternalCheckError("chain counts are off")
+    res = _finish(Arrangement(n, subs), (), (), "chain", d, 0, None)
+    _check_family_profile(res, d, 0)
     return res
 
 
@@ -155,8 +174,7 @@ def _cycle(d: int, n: int) -> ConstructionResult:
         rows = [[1 if c == k else 0 for c in range(n + 1)] for k in ks]
         subs.append(Subspace(n, rows))
     res = _finish(Arrangement(n, subs), (), (), "cycle", d, 1, None)
-    if res.report.r_counts.get(3, 0) != d or res.num_edges != d:
-        raise InternalCheckError("cycle counts are off")
+    _check_family_profile(res, d, 1)
     return res
 
 
@@ -182,20 +200,12 @@ def _random_point_in(sub: Subspace, rng: random.Random) -> ProjPoint:
             return ProjPoint(vec)
 
 
-def _line_through(plane_sub: Subspace, anchor: ProjPoint, rng) -> Subspace:
+def _line_in(plane: Subspace, anchor: ProjPoint | None, avoid, rng) -> Subspace:
+    """A line in ``plane`` through the anchor (or a sampled point when there
+    is none) and a second sampled point, holding no point of ``avoid``."""
     while True:
-        q = _random_point_in(plane_sub, rng)
-        line = span([anchor, q], plane_sub.ambient_dim)
-        if line.dim == 1:
-            return line
-
-
-def _free_line(plane_sub: Subspace, avoid, rng) -> Subspace:
-    while True:
-        line = span(
-            [_random_point_in(plane_sub, rng), _random_point_in(plane_sub, rng)],
-            plane_sub.ambient_dim,
-        )
+        first = anchor if anchor is not None else _random_point_in(plane, rng)
+        line = span([first, _random_point_in(plane, rng)], plane.ambient_dim)
         if line.dim == 1 and not any(line.contains_point(p) for p in avoid):
             return line
 
@@ -242,27 +252,47 @@ def _sample_on_line(line: Subspace, anchor: ProjPoint | None, rng) -> ProjPoint:
             return p
 
 
-def _attach(prev, planes, anchors, seed, propose, deltas) -> ConstructionResult:
-    """Grow ``prev``'s arrangement by the first proposal that checks out.
+def _attach(prev, planes, anchored, seed, complete, deltas) -> ConstructionResult:
+    """Grow ``prev``'s arrangement by the first attachment that checks out.
 
-    ``propose(rng)`` returns the chosen lines, the span recorded as
-    ``span_pi``, the new planes and the ``(point, kind, n, central)`` types its
-    sampled points must take; it raises ``_Retry`` to reject a choice early.
-    The expectation on top of those points: every anchor becomes an S_4 point
-    centred on its chosen plane, the R_3 and S_4 counts change by ``deltas``
-    and no cycle point appears.  Each attempt meets only the pairs with a new
-    plane: the incidence of the old planes is ``prev.incidence``.
+    The engine draws the line pair: with ``anchored`` each line runs through
+    the R_3 point centred on its chosen plane, otherwise it is free and holds
+    no singular point of its plane.  The two lines must be skew.
+    ``complete(lines, pi, anchors, rng)``, with pi the 3-space of the lines,
+    returns the span recorded as ``span_pi``, the new planes and the
+    ``(point, kind, n, central)`` types its sampled points must take; it
+    raises ``_Retry`` to reject a choice early.  The expectation on top of
+    those points: every anchor becomes an S_4 point centred on its chosen
+    plane, the R_3 and S_4 counts change by ``deltas`` and no cycle point
+    appears.  Each attempt meets only the pairs with a new plane: the
+    incidence of the old planes is ``prev.incidence``.
     """
     rng = random.Random(seed)
     arr = prev.arrangement
     n = arr.ambient_dim
     old = prev.report
     r3_delta, s4_delta = deltas
+    if anchored:
+        anchors = tuple(_r3_anchor(prev, k) for k in planes)
+        avoids = ((), ())
+    else:
+        anchors = (None, None)
+        avoids = tuple(
+            [sp.point for sp in prev.incidence.singular_points if k in sp.incident_planes]
+            for k in planes
+        )
     anchor_types = tuple((a, "S", 4, k) for a, k in zip(anchors, planes) if a is not None)
     last_reason = ""
     for attempt in range(RETRY_CAP):
         try:
-            lines, span_pi, new_planes, points = propose(rng)
+            lines = tuple(
+                _line_in(arr.subspace(k), a, avoid, rng)
+                for k, a, avoid in zip(planes, anchors, avoids)
+            )
+            pi = span_subspaces(lines, n)
+            if pi.dim != 3:
+                raise _Retry("the two lines are not skew")
+            span_pi, new_planes, points = complete(lines, pi, anchors, rng)
             if any(w.dim != 2 for w in new_planes):
                 raise _Retry("degenerate new plane")
             try:
@@ -316,67 +346,42 @@ def _attach(prev, planes, anchors, seed, propose, deltas) -> ConstructionResult:
 
 
 def _attach_pair(
-    result: ConstructionResult,
-    i: int,
-    j: int,
-    seed: int,
-    anchor1: ProjPoint | None,
-    anchor2: ProjPoint | None,
+    result: ConstructionResult, i: int, j: int, seed: int, anchored: bool
 ) -> ConstructionResult:
     """Attach the degenerate quadric through a line in plane i and one in j.
 
-    A line runs through its plane's anchor, or is free (anchor None) and then
-    avoids every singular point of its plane.  The 3-space pi of the two
-    lines must meet planes i and j in exactly those lines and every other
-    plane in at most a point, with two exceptions read off the arrangement:
-    in P^4 pi is a hyperplane and meets every plane in at least a line, so a
-    line is allowed there; and with both anchors given, a plane through both
-    meets pi in the line joining them, which is allowed too.
+    The lines run through the R_3 points of planes i and j when ``anchored``,
+    and are free otherwise.  The 3-space pi of the two lines must meet planes
+    i and j in exactly those lines and every other plane in at most a point,
+    with two exceptions read off the arrangement: in P^4 pi is a hyperplane
+    and meets every plane in at least a line, so a line is allowed there; and
+    with anchors, a plane through both meets pi in the line joining them,
+    which is allowed too.
     """
     arr = result.arrangement
     n = arr.ambient_dim
-    plane_i, plane_j = arr.subspace(i), arr.subspace(j)
-    singular = result.incidence.singular_points
-    avoid1 = [sp.point for sp in singular if i in sp.incident_planes]
-    avoid2 = [sp.point for sp in singular if j in sp.incident_planes]
-    anchor_line = None
-    if anchor1 is not None and anchor2 is not None:
-        anchor_line = span([anchor1, anchor2], n)
 
-    def propose(rng):
-        line1 = (
-            _line_through(plane_i, anchor1, rng)
-            if anchor1 is not None
-            else _free_line(plane_i, avoid1, rng)
-        )
-        line2 = (
-            _line_through(plane_j, anchor2, rng)
-            if anchor2 is not None
-            else _free_line(plane_j, avoid2, rng)
-        )
-        pi = span_subspaces([line1, line2], n)
-        if pi.dim != 3:
-            raise _Retry("the two lines are not skew")
+    def complete(lines, pi, anchors, rng):
+        line1, line2 = lines
         for k in range(len(arr)):
             inter = meet(pi, arr.subspace(k))
             if k in (i, j):
                 if inter != (line1 if k == i else line2):
                     raise _Retry(f"3-space meets plane {k} beyond the chosen line")
             elif inter.dim >= 1:
-                if inter.dim == 1 and (pi.dim == n - 1 or inter == anchor_line):
+                if inter.dim == 1 and (
+                    pi.dim == n - 1 or (anchored and inter == span(anchors, n))
+                ):
                     continue
                 raise _Retry(f"3-space meets plane {k} in dimension {inter.dim}")
-        x1 = _sample_on_line(line1, anchor1, rng)
-        x2 = _sample_on_line(line2, anchor2, rng)
+        x1 = _sample_on_line(line1, anchors[0], rng)
+        x2 = _sample_on_line(line2, anchors[1], rng)
         w_l2 = span_subspaces([line2, span([x1], n)], n)  # plane through l2 and the transversal
         w_l1 = span_subspaces([line1, span([x2], n)], n)
         points = ((x1, "R", 3, len(arr) + 1), (x2, "R", 3, len(arr)))
-        return (line1, line2), pi, (w_l2, w_l1), points
+        return pi, (w_l2, w_l1), points
 
-    anchored = sum(a is not None for a in (anchor1, anchor2))
-    return _attach(
-        result, (i, j), (anchor1, anchor2), seed, propose, (4 - 2 * anchored, anchored)
-    )
+    return _attach(result, (i, j), anchored, seed, complete, (0, 2) if anchored else (4, 0))
 
 
 def attach_handle(result: ConstructionResult, i: int, j: int, seed: int) -> ConstructionResult:
@@ -387,9 +392,7 @@ def attach_handle(result: ConstructionResult, i: int, j: int, seed: int) -> Cons
     """
     if i == j or (min(i, j), max(i, j)) in _touching(result.incidence):
         raise RangeError(f"planes {i} and {j} are not disjoint")
-    anchor1 = _r3_anchor(result, i)
-    anchor2 = _r3_anchor(result, j)
-    return _attach_pair(result, i, j, seed, anchor1, anchor2)
+    return _attach_pair(result, i, j, seed, True)
 
 
 def cycle_from_chain(d: int, seed: int) -> ConstructionResult:
@@ -403,10 +406,9 @@ def cycle_from_chain(d: int, seed: int) -> ConstructionResult:
     """
     if d < 5:
         raise RangeError("cycle requires d >= 5")
-    res = _attach_pair(chain_planes(d - 2), 0, d - 3, seed, None, None)
+    res = _attach_pair(chain_planes(d - 2), 0, d - 3, seed, False)
     res = replace(res, family="cycle_from_chain")
-    if res.report.r_counts.get(3, 0) != d or res.num_edges != d:
-        raise InternalCheckError("closed chain counts are off")
+    _check_family_profile(res, d, 1)
     return res
 
 
@@ -440,22 +442,6 @@ def build_X(d: int, g: int, seed: int = 0) -> ConstructionResult:
     return result
 
 
-def _check_family_profile(result: ConstructionResult, d: int, g: int) -> None:
-    rep = result.report
-    ok = (
-        len(result.arrangement) == d
-        and result.num_edges == d + g - 1
-        and rep.r_counts.get(3, 0) == d - 2 * g + 2
-        and rep.s_counts.get(4, 0) == (2 * g - 2 if g >= 1 else 0)
-        and sum(rep.f_counts.values()) == 0
-    )
-    if not ok:
-        raise InternalCheckError(
-            f"family profile mismatch for (d,g)=({d},{g}): v={len(result.arrangement)}"
-            f" e={result.num_edges} r={rep.r_counts} s={rep.s_counts}"
-        )
-
-
 def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
     """Chain of d-2g planes with g quadric pairs attached: the outermost pair
     hangs on free lines of the two end planes, the inner pairs on lines
@@ -467,11 +453,9 @@ def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
         raise RangeError("requires d > 4g")
     rng = random.Random(seed)
     k = d - 2 * g
-    result = _attach_pair(chain_planes(k), 0, k - 1, rng.randrange(2**63), None, None)
+    result = _attach_pair(chain_planes(k), 0, k - 1, rng.randrange(2**63), False)
     for i in range(2, g + 1):
-        anchor1 = _r3_anchor(result, i - 1)
-        anchor2 = _r3_anchor(result, k - i)
-        result = _attach_pair(result, i - 1, k - i, rng.randrange(2**63), anchor1, anchor2)
+        result = _attach_pair(result, i - 1, k - i, rng.randrange(2**63), True)
     result = replace(result, family="Y", seed=seed)
     _check_family_profile(result, d, g)
     return result
@@ -494,25 +478,17 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     )
     if pair is None:
         raise InternalCheckError("no admissible plane pair for the cubic attachment")
-    i, j = pair
-    anchor1 = _r3_anchor(prev, i)
-    anchor2 = _r3_anchor(prev, j)
-    plane_i, plane_j = arr.subspace(i), arr.subspace(j)
 
-    def propose(rng):
-        line1 = _line_through(plane_i, anchor1, rng)
-        line2 = _line_through(plane_j, anchor2, rng)
-        pi3 = span_subspaces([line1, line2], n)
-        if pi3.dim != 3:
-            raise _Retry("the two lines are not skew")
+    def complete(lines, pi, anchors, rng):
+        line1, line2 = lines
         # a general point off the span of the old planes fixes the P^4
         q3 = ProjPoint(
             [rng.randint(-SAMPLE_HEIGHT, SAMPLE_HEIGHT) for _ in range(free)]
             + [rng.randint(1, SAMPLE_HEIGHT)]
             + [0] * (n - free)
         )
-        q2 = _sample_on_line(line2, anchor2, rng)
-        q4 = _sample_on_line(line1, anchor1, rng)
+        q2 = _sample_on_line(line2, anchors[1], rng)
+        q4 = _sample_on_line(line1, anchors[0], rng)
         p3 = span([q3], n)
         w1 = span_subspaces([line2, p3], n)
         w2 = span([q2, q3, q4], n)
@@ -523,9 +499,9 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
             (q3, "R", 3, base + 1),  # chain W1 - W2 - W3
             (q4, "R", 3, base + 2),  # chain V_i - W3 - W2
         )
-        return (line1, line2), span_subspaces([pi3, p3], n), (w1, w2, w3), points
+        return span_subspaces([pi, p3], n), (w1, w2, w3), points
 
-    return _attach(prev, pair, (anchor1, anchor2), seed, propose, (1, 2))
+    return _attach(prev, pair, True, seed, complete, (1, 2))
 
 
 def build_Z(d: int, g: int, seed: int = 0) -> ConstructionResult:

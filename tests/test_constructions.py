@@ -14,7 +14,7 @@ from zappatic.constructions import (
 )
 from zappatic.errors import GenericityError, RangeError
 from zappatic.invariants import invariants_of
-from zappatic.projective import meet, span_subspaces
+from zappatic.projective import ProjPoint, Subspace, meet, span, span_subspaces
 
 from oracles import meet_first_disjoint_central_pair
 from test_acceptance import GRID
@@ -236,6 +236,46 @@ class TestAttachmentRules:
                          if plane in sp.incident_planes]
                 assert avoid
                 assert not any(line.contains_point(p) for p in avoid)
+
+
+class TestLineSampler:
+    """``_line_in`` on scripted draws: no build samples a free line through a
+    singular point, so the avoid rule is exercised here."""
+
+    PLANE = Subspace(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+
+    def scripted(self, monkeypatch, coords):
+        draws = iter([ProjPoint(c) for c in coords])
+        used = []
+
+        def next_point(sub, rng):
+            assert sub == self.PLANE
+            used.append(next(draws))
+            return used[-1]
+
+        monkeypatch.setattr(constructions, "_random_point_in", next_point)
+        return used
+
+    def test_free_line_retries_past_an_avoid_point(self, monkeypatch):
+        used = self.scripted(monkeypatch, [
+            [1, 0, 0, 0], [0, 1, 0, 0],  # spans a line through [1, 1, 0, 0]
+            [1, 0, 0, 0], [0, 0, 1, 0],
+        ])
+        avoid = [ProjPoint([1, 1, 0, 0])]
+        line = constructions._line_in(self.PLANE, None, avoid, rng=None)
+        assert line == span(used[2:], 3)
+        assert len(used) == 4  # two draws per try
+        assert not line.contains_point(avoid[0])
+
+    def test_anchored_line_takes_one_draw_per_try(self, monkeypatch):
+        anchor = ProjPoint([1, 0, 0, 0])
+        used = self.scripted(monkeypatch, [
+            [2, 0, 0, 0],  # the anchor again: no line
+            [0, 1, 0, 0],
+        ])
+        line = constructions._line_in(self.PLANE, anchor, (), rng=None)
+        assert line == span([anchor, used[1]], 3)
+        assert len(used) == 2
 
 
 class TestCycleFromChain:
