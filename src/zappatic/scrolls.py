@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import isqrt
 
@@ -283,26 +282,11 @@ def _lines_through(q: QuadricForm, p: ProjPoint) -> tuple[Subspace, Subspace]:
     return out[0], out[1]
 
 
-def _is_definite(q: QuadricForm) -> bool:
-    """Whether elimination without row swaps meets only nonzero pivots, all of
-    one sign: then q is positive or negative definite and has no real point."""
-    m = [[Fraction(x) for x in row] for row in q.matrix]
-    for k, row in enumerate(m):
-        if row[k] == 0 or (row[k] > 0) != (m[0][0] > 0):
-            return False
-        for below in m[k + 1 :]:
-            f = below[k] / row[k]
-            below[k:] = [b - f * a for a, b in zip(row[k:], below[k:])]
-    return True
-
-
 def _find_rational_point(q: QuadricForm, hint: ProjPoint | None) -> ProjPoint:
     if hint is not None:
         if q.evaluate(hint) != 0:
             raise RangeError("hint point does not lie on the quadric")
         return hint
-    if _is_definite(q):
-        raise GenericityError("no small rational point: the quadric is definite")
     for h in range(1, 8):
         for vec in product(range(-h, h + 1), repeat=4):
             if max(map(abs, vec)) == h and q.bilinear(vec, vec) == 0:

@@ -245,36 +245,6 @@ class TestRationalPointSearch:
         pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
         assert section_duality_check(HYPERBOLIC, pi, 8)["passed"] is True
 
-    @staticmethod
-    def count_bilinear(monkeypatch):
-        calls = []
-        bilinear = QuadricForm.bilinear
-
-        def counted(q, u, v):
-            calls.append(u)
-            return bilinear(q, u, v)
-
-        monkeypatch.setattr(QuadricForm, "bilinear", counted)
-        return calls
-
-    @pytest.mark.parametrize("matrix", [
-        [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]],  # positive definite
-        [[-1, 1, 0, 0], [1, -3, 0, 0], [0, 0, -2, 1], [0, 0, 1, -5]],  # negative definite
-    ])
-    def test_definite_forms_raise_without_a_scan(self, matrix, monkeypatch):
-        calls = self.count_bilinear(monkeypatch)
-        with pytest.raises(GenericityError, match="no small rational point"):
-            _find_rational_point(QuadricForm(matrix), None)
-        assert calls == []
-
-    def test_indefinite_form_without_rational_points_is_scanned(self, monkeypatch):
-        # x^2 + y^2 - 3z^2 - 3w^2 has real points but no rational one
-        q = QuadricForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -3, 0], [0, 0, 0, -3]])
-        calls = self.count_bilinear(monkeypatch)
-        with pytest.raises(GenericityError, match="no small rational point"):
-            _find_rational_point(q, None)
-        assert len(calls) == 15**4 - 1  # every nonzero vector of height <= 7
-
     def test_form_without_real_points_raises(self):
         identity = QuadricForm([[1 if i == j else 0 for j in range(4)] for i in range(4)])
         pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
