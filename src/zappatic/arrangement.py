@@ -22,38 +22,26 @@ from zappatic.projective import ProjPoint, Subspace, meet
 
 
 @dataclass(frozen=True)
-class Plane:
-    subspace: Subspace
-    label: int
-
-    def __post_init__(self):
-        if self.subspace.dim != 2:
-            raise RangeError("a component plane must have dimension 2")
-
-
-@dataclass(frozen=True)
 class Arrangement:
     ambient_dim: int
-    planes: tuple[Plane, ...]
+    planes: tuple[Subspace, ...]
 
-    def __init__(self, ambient_dim: int, subspaces):
-        planes = []
+    def __init__(self, ambient_dim: int, planes):
+        planes = tuple(planes)
         seen = set()
-        for i, s in enumerate(subspaces):
+        for i, s in enumerate(planes):
             if s.ambient_dim != ambient_dim:
                 raise RangeError("plane ambient dimension mismatch")
             if s.basis in seen:
                 raise RangeError(f"duplicate plane at index {i}")
             seen.add(s.basis)
-            planes.append(Plane(s, i))
+            if s.dim != 2:
+                raise RangeError("a component plane must have dimension 2")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "planes", tuple(planes))
+        object.__setattr__(self, "planes", planes)
 
     def __len__(self):
         return len(self.planes)
-
-    def subspace(self, i: int) -> Subspace:
-        return self.planes[i].subspace
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     new_points = []
     for i in range(v):
         for j in range(max(i + 1, k), v):
-            inter = meet(arr.subspace(i), arr.subspace(j))
+            inter = meet(arr.planes[i], arr.planes[j])
             if inter.dim == 2:
                 raise RangeError(f"planes {i} and {j} coincide")
             if inter.dim == 1:
@@ -212,6 +200,10 @@ def _graph_shape(vertices, edges):
     return None
 
 
+# local graph shape -> (type, required span dimension minus n)
+_SHAPE_TYPES = {"chain": ("R", 1), "fork": ("S", 1), "cycle": ("E", 0)}
+
+
 def classify_point(
     arr: Arrangement, inc: IncidenceData, point_index: int
 ) -> SingularityType:
@@ -231,20 +223,17 @@ def classify_point(
     shape = _graph_shape(planes, sp.local_edges)
     if shape is None:
         return SingularityType("NonZappatic", n, "local graph not chain/fork/cycle")
-    kind_name, order = shape
-    span_dim = linalg.rank([row for i in planes for row in arr.subspace(i).basis]) - 1
-    if kind_name == "chain":
-        if span_dim != n + 1:
-            return SingularityType("NonZappatic", n, "span too small")
-        central = order[1] if n == 3 else None
-        return SingularityType("R", n, central=central, vertex_order=order)
-    if kind_name == "fork":
-        if span_dim != n + 1:
-            return SingularityType("NonZappatic", n, "span too small")
-        return SingularityType("S", n, central=order[0], vertex_order=order)
-    if span_dim != n:
+    shape_name, order = shape
+    kind, excess = _SHAPE_TYPES[shape_name]
+    span_dim = linalg.rank([row for i in planes for row in arr.planes[i].basis]) - 1
+    if span_dim != n + excess:
         return SingularityType("NonZappatic", n, "span too small")
-    return SingularityType("E", n, vertex_order=order)
+    central = None
+    if kind == "S":
+        central = order[0]
+    elif kind == "R" and n == 3:
+        central = order[1]
+    return SingularityType(kind, n, central=central, vertex_order=order)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ def verify_transversality(arr: Arrangement, pi: Subspace, expected) -> Transvers
     positive = []
     offending = []
     for k in range(len(arr)):
-        inter = meet(pi, arr.subspace(k))
+        inter = meet(pi, arr.planes[k])
         if inter.dim >= 1:
             positive.append((k, inter.dim))
             if inter not in expected:
@@ -286,17 +286,15 @@ def _attach(prev, planes, anchored, seed, complete, deltas) -> ConstructionResul
     for attempt in range(RETRY_CAP):
         try:
             lines = tuple(
-                _line_in(arr.subspace(k), a, avoid, rng)
+                _line_in(arr.planes[k], a, avoid, rng)
                 for k, a, avoid in zip(planes, anchors, avoids)
             )
             pi = span_subspaces(lines, n)
             if pi.dim != 3:
                 raise _Retry("the two lines are not skew")
             span_pi, new_planes, points = complete(lines, pi, anchors, rng)
-            if any(w.dim != 2 for w in new_planes):
-                raise _Retry("degenerate new plane")
             try:
-                new_arr = Arrangement(n, [p.subspace for p in arr.planes] + list(new_planes))
+                new_arr = Arrangement(n, arr.planes + new_planes)
             except RangeError as exc:
                 raise _Retry(str(exc))
             inc = compute_incidence(new_arr, prev.incidence)
@@ -364,7 +362,7 @@ def _attach_pair(
     def complete(lines, pi, anchors, rng):
         line1, line2 = lines
         for k in range(len(arr)):
-            inter = meet(pi, arr.subspace(k))
+            inter = meet(pi, arr.planes[k])
             if k in (i, j):
                 if inter != (line1 if k == i else line2):
                     raise _Retry(f"3-space meets plane {k} beyond the chosen line")
@@ -470,7 +468,7 @@ def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
     """
     arr = prev.arrangement
     n = arr.ambient_dim
-    free = 1 + max(max(p.subspace.support) for p in arr.planes)
+    free = 1 + max(max(p.support) for p in arr.planes)
     # with no two disjoint R_3 central planes (the 5-cycle has none), take
     # the first pair meeting in a point only
     pair = first_disjoint_central_pair(prev) or next(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from zappatic import linalg
 from zappatic.errors import RangeError
@@ -231,10 +231,10 @@ def _evaluation_row(coords, monomials):
     return [coords[i] * coords[j] for (i, j) in monomials]
 
 
-def _form_from_coeffs(coeffs, r: int) -> QuadricForm:
+def _form_from_coeffs(coeffs, monomials, r: int) -> QuadricForm:
     n = r + 1
     mat = [[0] * n for _ in range(n)]
-    for c, (i, j) in zip(coeffs, _quadric_monomials(r)):
+    for c, (i, j) in zip(coeffs, monomials):
         if i == j:
             mat[i][i] = 2 * c
         else:
@@ -247,7 +247,7 @@ def quadrics_through(samples, forced_subspaces, ambient_dim: int):
     """Linear system of quadrics through the samples and forced subspaces.
 
     Containing a subspace is imposed by vanishing on a spanning set of its
-    degree-2 Veronese image (basis points b_i and the midpoints b_i + b_j).
+    degree-2 Veronese image: the points b_i + b_j, i <= j, of its basis.
     Returns (projective dimension, basis of QuadricForms); dimension is -1
     for the empty system.
     """
@@ -260,13 +260,10 @@ def quadrics_through(samples, forced_subspaces, ambient_dim: int):
     for s in forced_subspaces:
         if s.ambient_dim != ambient_dim:
             raise RangeError("ambient dimension mismatch")
-        b = s.basis
-        for i in range(len(b)):
-            rows.append(_evaluation_row(b[i], monomials))
-        for i, j in combinations(range(len(b)), 2):
-            rows.append(_evaluation_row([x + y for x, y in zip(b[i], b[j])], monomials))
+        for u, v in combinations_with_replacement(s.basis, 2):
+            rows.append(_evaluation_row([x + y for x, y in zip(u, v)], monomials))
     kernel = linalg.nullspace(rows, ncols=len(monomials))
-    basis = [_form_from_coeffs(v, ambient_dim) for v in kernel]
+    basis = [_form_from_coeffs(v, monomials, ambient_dim) for v in kernel]
     return len(basis) - 1, basis
 
 

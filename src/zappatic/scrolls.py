@@ -65,8 +65,6 @@ class FibreComponent:
         """Scroll of type (a, b), b >= a >= 1, as |C + aF| on F_(b-a)."""
         if not 1 <= a <= b:
             raise RangeError("scroll type needs 1 <= a <= b")
-        if a + b == 1:
-            return FibreComponent.plane(1)
         return FibreComponent.hirzebruch(b - a, 1, a)
 
     @property

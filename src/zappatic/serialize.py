@@ -36,7 +36,7 @@ def arrangement_to_dict(arr: Arrangement, metadata: dict | None = None) -> dict:
     planes = []
     for p in arr.planes:
         rows = []
-        for row in p.subspace.basis:
+        for row in p.basis:
             rows.append([[_encode_int(x), 1] for x in row])
         planes.append(rows)
     out = {"ambient_dim": arr.ambient_dim, "planes": planes}

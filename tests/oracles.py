@@ -159,7 +159,7 @@ def containment_incidence(arr):
     point_meets = []
     for i in range(v):
         for j in range(i + 1, v):
-            inter = meet(arr.subspace(i), arr.subspace(j))
+            inter = meet(arr.planes[i], arr.planes[j])
             if inter.dim == 1:
                 double_lines.append((i, j, inter))
             elif inter.dim == 0:
@@ -173,7 +173,7 @@ def containment_incidence(arr):
     points = []
     for key in sorted(candidates):
         p = candidates[key]
-        incident = frozenset(i for i in range(v) if arr.subspace(i).contains_point(p))
+        incident = frozenset(i for i in range(v) if arr.planes[i].contains_point(p))
         edges = tuple((i, j) for i, j, line in double_lines if line.contains_point(p))
         points.append(SingularPoint(p, incident, edges))
     return IncidenceData(tuple(double_lines), tuple(point_meets), tuple(points))
@@ -189,7 +189,7 @@ def containment_report(arr, inc):
 
     violations = []
     for i, j, line in inc.double_lines:
-        on = sum(1 for k in range(len(arr)) if arr.subspace(k).contains(line))
+        on = sum(1 for k in range(len(arr)) if arr.planes[k].contains(line))
         if on > 2:
             violations.append(f"double line of planes ({i},{j}) lies on {on} planes")
     types = [classify_point(arr, inc, k) for k in range(len(inc.singular_points))]
@@ -289,6 +289,6 @@ def meet_first_disjoint_central_pair(result):
     for a in range(len(centrals)):
         for b in range(a + 1, len(centrals)):
             i, j = centrals[a], centrals[b]
-            if meet(result.arrangement.subspace(i), result.arrangement.subspace(j)).is_empty():
+            if meet(result.arrangement.planes[i], result.arrangement.planes[j]).is_empty():
                 return (i, j)
     return None

@@ -109,7 +109,7 @@ def test_criterion_04_cycle_chain_families():
         assert res.report.r_counts == {3: d}
         arr = res.arrangement
         has_disjoint = any(
-            meet(arr.subspace(i), arr.subspace(j)).is_empty()
+            meet(arr.planes[i], arr.planes[j]).is_empty()
             for i in range(d)
             for j in range(i + 1, d)
         )
@@ -122,7 +122,7 @@ def test_criterion_04_cycle_chain_families():
 def test_criterion_05_transversality(grid_results):
     checked = 0
     for (d, g, s), res in grid_results.items():
-        planes = [p.subspace for p in res.arrangement.planes]
+        planes = res.arrangement.planes
         base = len(planes) - 2 * len(res.attachments)
         for t, rec in enumerate(res.attachments):
             present = planes[: base + 2 * t]
@@ -140,7 +140,7 @@ def test_criterion_05_transversality(grid_results):
     res5 = cycle_from_chain(5, seed=0)
     rec = res5.attachments[0]
     base3 = chain_planes(3).arrangement
-    extra = meet(rec.span_pi, base3.subspace(1))
+    extra = meet(rec.span_pi, base3.planes[1])
     assert extra.dim == 1
     tr = verify_transversality(base3, rec.span_pi, list(rec.lines) + [extra])
     assert tr.passed and len(tr.positive_dims) == 3

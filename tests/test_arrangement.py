@@ -42,10 +42,27 @@ class TestIncidence:
         assert inc.point_meets == ()
         assert inc.singular_points == ()
 
-    def test_duplicate_planes_rejected(self):
-        a = plane([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 3)
-        with pytest.raises(RangeError):
-            Arrangement(3, [a, a])
+    @pytest.mark.parametrize(
+        "planes, message",
+        [
+            pytest.param(
+                [plane([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 4)],
+                "plane ambient dimension mismatch",
+                id="ambient",
+            ),
+            pytest.param(
+                [coord_plane(3, 3), coord_plane(3, 3)], "duplicate plane at index 1", id="duplicate"
+            ),
+            pytest.param(
+                [plane([[1, 0, 0, 0], [0, 1, 0, 0]], 3)],
+                "a component plane must have dimension 2",
+                id="line",
+            ),
+        ],
+    )
+    def test_invalid_planes_rejected(self, planes, message):
+        with pytest.raises(RangeError, match=message):
+            Arrangement(3, planes)
 
     def test_point_meet_recorded(self):
         a = plane([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 4)
@@ -151,7 +168,7 @@ class TestProjectiveInvariance:
                 ]
                 return Subspace(4, rows)
 
-            moved = Arrangement(4, [apply(p.subspace) for p in arr.planes])
+            moved = Arrangement(4, [apply(p) for p in arr.planes])
             rep = zappatic_report(moved)
             assert rep.is_zappatic == base.is_zappatic
             assert rep.r_counts == base.r_counts
@@ -178,7 +195,7 @@ class TestProjectiveInvariance:
                 ]
                 return Subspace(arr.ambient_dim, rows)
 
-            moved = Arrangement(arr.ambient_dim, [apply(p.subspace) for p in arr.planes])
+            moved = Arrangement(arr.ambient_dim, [apply(p) for p in arr.planes])
             rep = zappatic_report(moved)
             assert rep.is_zappatic and rep.r_counts == {3: 5}
             done += 1

@@ -59,7 +59,7 @@ class TestSerialize:
         arr, _ = serialize.read_arrangement(path)
         assert len(arr) == 2
         # row scaling is projectively irrelevant: same canonical planes
-        assert arr.subspace(0).basis[0][0] == 1
+        assert arr.planes[0].basis[0][0] == 1
 
     def test_big_integers_as_strings(self, tmp_path):
         from zappatic.arrangement import Arrangement
@@ -215,13 +215,14 @@ def _disjoint_planes_file(tmp_path, metadata=None):
 class TestMalformedArrangementFiles:
     """Every reading command exits 2 with a message, never a traceback."""
 
-    def _check_exit_2(self, path, capsys):
+    def _check_exit_2(self, path, capsys, message=None):
         dot = str(path.parent / "g.dot")
         for cmd in (["classify"], ["invariants", "--smooth"], ["graph", "--dot", dot]):
             code, _out, err = run_cli([cmd[0], str(path), *cmd[1:]], capsys)
             assert code == 2, cmd
             assert err.startswith("error:"), cmd
             assert "Traceback" not in err, cmd
+            assert message is None or err == f"error: {message}\n", cmd
 
     def test_non_numeric_entry(self, tmp_path, capsys):
         self._check_exit_2(_plane_file(tmp_path, _rows(["abc", 1])), capsys)
@@ -229,6 +230,12 @@ class TestMalformedArrangementFiles:
     def test_digit_string_over_int_limit(self, tmp_path, capsys):
         huge = "1" + "0" * 4400
         self._check_exit_2(_plane_file(tmp_path, _rows([huge, 1])), capsys)
+
+    def test_plane_with_proportional_rows(self, tmp_path, capsys):
+        rows = _rows()
+        rows[1] = [[2 * x, d] for x, d in rows[0]]
+        path = _plane_file(tmp_path, rows)
+        self._check_exit_2(path, capsys, "a component plane must have dimension 2")
 
     def test_plane_not_a_list_of_rows(self, tmp_path, capsys):
         self._check_exit_2(_plane_file(tmp_path, 5), capsys)

@@ -61,16 +61,16 @@ class TestCycle:
         res5 = cycle_planes(5)
         arr5 = res5.arrangement
         assert all(
-            not meet(arr5.subspace(i), arr5.subspace(j)).is_empty()
+            not meet(arr5.planes[i], arr5.planes[j]).is_empty()
             for i in range(5)
             for j in range(i + 1, 5)
         )
         res6 = cycle_planes(6)
-        assert meet(res6.arrangement.subspace(0), res6.arrangement.subspace(3)).is_empty()
+        assert meet(res6.arrangement.planes[0], res6.arrangement.planes[3]).is_empty()
 
     def test_chordless_meets_are_points(self):
         arr = cycle_planes(5).arrangement
-        assert meet(arr.subspace(0), arr.subspace(2)).dim == 0
+        assert meet(arr.planes[0], arr.planes[2]).dim == 0
 
     def test_range(self):
         with pytest.raises(RangeError):
@@ -205,7 +205,7 @@ class TestAttachmentRules:
             anchors = [constructions._r3_anchor(result, k) for k in (i, j)]
             through_both = {
                 k for k in range(len(arr))
-                if all(arr.subspace(k).contains_point(a) for a in anchors)
+                if all(arr.planes[k].contains_point(a) for a in anchors)
             }
             assert not through_both
             calls.append((i, j))
@@ -284,7 +284,7 @@ class TestCycleFromChain:
         assert res.report.r_counts == {3: 5}
         rec = res.attachments[0]
         base = chain_planes(3).arrangement
-        extra = meet(rec.span_pi, base.subspace(1))
+        extra = meet(rec.span_pi, base.planes[1])
         assert extra.dim == 1  # forced line in the central plane
         tr = verify_transversality(base, rec.span_pi, list(rec.lines) + [extra])
         assert tr.passed
@@ -312,7 +312,7 @@ class TestTransversalityReport:
         arr = res.arrangement
         # a 3-space containing plane 0 entirely
         pi = span_subspaces(
-            [arr.subspace(0), arr.subspace(1)], arr.ambient_dim
+            [arr.planes[0], arr.planes[1]], arr.ambient_dim
         )
         assert pi.dim == 3
         tr = verify_transversality(arr, pi, [])
@@ -322,7 +322,7 @@ class TestTransversalityReport:
     def test_requires_dim3(self):
         res = chain_planes(4)
         with pytest.raises(RangeError):
-            verify_transversality(res.arrangement, res.arrangement.subspace(0), [])
+            verify_transversality(res.arrangement, res.arrangement.planes[0], [])
 
 
 class TestBuildY:
@@ -402,7 +402,7 @@ class TestCrossModuleConsistency:
         for res in _family_zoo():
             arr = res.arrangement
             for i, j, line in res.incidence.double_lines:
-                on = [k for k in range(len(arr)) if arr.subspace(k).contains(line)]
+                on = [k for k in range(len(arr)) if arr.planes[k].contains(line)]
                 assert on == sorted((i, j))
 
     def test_local_graphs_are_subgraphs_of_dual_graph(self):

@@ -90,7 +90,7 @@ def ledger_digest(name: str) -> str:
     """Digest of the planes and attachment records of one ledger case."""
     result = LEDGER_CASES[name]()
     payload = {
-        "planes": [p.subspace.basis for p in result.arrangement.planes],
+        "planes": [p.basis for p in result.arrangement.planes],
         "attachments": [dataclasses.asdict(rec) for rec in result.attachments],
     }
     return _sha(json.dumps(payload, sort_keys=True).encode("utf-8"))

@@ -65,7 +65,7 @@ def test_ledger_bases_are_the_incidence_of_the_old_planes(ledger_passes):
         if base is None:
             continue
         k = max(j + 1 for _, j, _ in base.double_lines + base.point_meets)
-        old = Arrangement(arr.ambient_dim, [p.subspace for p in arr.planes[:k]])
+        old = Arrangement(arr.ambient_dim, arr.planes[:k])
         assert base == compute_incidence(old)
         added[len(arr) - k] += 1
     # quadric handles add two planes, cubic scrolls three
@@ -101,5 +101,5 @@ def test_random_arrangements_match_reference(arr, data):
     assert zappatic_report(arr, inc) == containment_report(arr, inc)
     # grown from the incidence of its first k planes, it is the same
     k = data.draw(st.integers(0, len(arr)))
-    old = Arrangement(arr.ambient_dim, [p.subspace for p in arr.planes[:k]])
+    old = Arrangement(arr.ambient_dim, arr.planes[:k])
     assert compute_incidence(arr, compute_incidence(old)) == inc

@@ -279,7 +279,7 @@ class TestMeetExact:
         from zappatic.constructions import build_X, build_Y, build_Z
 
         res = {"X": build_X, "Y": build_Y, "Z": build_Z}[build](d, g, seed)
-        planes = [p.subspace for p in res.arrangement.planes]
+        planes = res.arrangement.planes
         lines = [line for _, _, line in res.incidence.double_lines]
         for group in (planes, lines):
             for i in range(len(group)):
