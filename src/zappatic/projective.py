@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import lcm
 
 from zappatic import linalg
 from zappatic.errors import RangeError
@@ -129,31 +130,67 @@ def span_subspaces(subspaces, ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, rows)
 
 
+def _coordinate_subspace(ambient_dim: int, coords) -> Subspace:
+    """The subspace spanned by the unit vectors e_c, c in coords.
+
+    Its canonical basis is those unit rows in increasing order of c, so it
+    is set directly, without a reduction.
+    """
+    basis = []
+    for c in sorted(coords):
+        row = [0] * (ambient_dim + 1)
+        row[c] = 1
+        basis.append(tuple(row))
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", ambient_dim)
+    object.__setattr__(s, "basis", tuple(basis))
+    return s
+
+
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection, from the left kernel of the stacked bases.
+    """Exact intersection, from one basis reduced against the other's rref.
 
-    With A and B the basis rows of a and b, a kernel vector (x, y) of the
-    (r+1) x (k+l) matrix [A^T | B^T] says x.A = -y.B, a vector in both row
-    spans.  The rows of A and of B are each independent, so (x, y) -> x.A is
-    injective and the images span the intersection; Subspace canonicalises
-    them.  The kernel has at most k+l columns, e.g. 6 for two planes.
+    Two shortcuts need no kernel.  Disjoint supports leave no shared nonzero
+    vector, since every vector of a lives on the support of a and every
+    vector of b on that of b; the empty subspace has empty support, so this
+    covers it too.  A canonical basis has a pivot column per row and is zero
+    at the other rows' pivots, so a subspace with as many support columns as
+    rows is spanned by unit vectors: a coordinate subspace.  Two of those
+    meet in the coordinate subspace on the shared support.
 
-    Only the rows of [A^T | B^T] at the coordinates in the union of the two
-    supports are kept: every other row is zero, and a zero row adds no
-    condition, so the kernel, and with it the result, is the same.  Disjoint
-    supports leave no shared nonzero vector at all, since x.A lives on the
-    support of a and y.B on that of b, so the meet is empty without a kernel;
-    the empty subspace has empty support, so this covers it too.
+    Otherwise let a be the side with more rows, with canonical rows A_j,
+    pivot columns p_j, pivot values q_j and L = lcm(q_j).  Each row B_i of
+    b reduces to R_i = L.B_i - sum_j B_i[p_j].(L/q_j).A_j, which is zero at
+    every pivot column of a, so a combination x.B lies in the span of a
+    exactly when x.R = 0.  The rows of B are independent, so x -> x.B is
+    injective and maps the left kernel of R onto the intersection; Subspace
+    canonicalises the images.  The kernel is taken over the nonzero columns
+    of R only (a zero column adds no condition), and has as many columns as
+    b has rows: at most 3 for a plane.  When b lies in a, R is zero and the
+    kernel is all of b.
     """
     _check_same_ambient(a, b)
     if a.support.isdisjoint(b.support):
         return Subspace(a.ambient_dim)
-    rows = a.basis
-    columns = list(zip(*(rows + b.basis)))
-    kernel = linalg.nullspace([columns[c] for c in sorted(a.support | b.support)])
+    if len(a.support) == len(a.basis) and len(b.support) == len(b.basis):
+        return _coordinate_subspace(a.ambient_dim, a.support & b.support)
+    if len(a.basis) < len(b.basis):
+        a, b = b, a
+    pivots = [next(c for c, x in enumerate(row) if x) for row in a.basis]
+    m = lcm(*(row[p] for row, p in zip(a.basis, pivots)))
+    scaled = [(p, m // row[p], row) for row, p in zip(a.basis, pivots)]
+    reduced = []
+    for v in b.basis:
+        r = [m * x for x in v]
+        for p, s, row in scaled:
+            t = v[p] * s
+            if t:
+                r = [x - t * y for x, y in zip(r, row)]
+        reduced.append(r)
+    kernel = linalg.nullspace([col for col in zip(*reduced) if any(col)], ncols=len(reduced))
     return Subspace(
         a.ambient_dim,
-        [[sum(c * x for c, x in zip(v, col)) for col in zip(*rows)] for v in kernel],
+        [[sum(c * x for c, x in zip(v, col)) for col in zip(*b.basis)] for v in kernel],
     )
 
 

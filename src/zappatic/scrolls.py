@@ -280,15 +280,46 @@ def _lines_through(q: QuadricForm, p: ProjPoint) -> tuple[Subspace, Subspace]:
     return out[0], out[1]
 
 
+def _is_definite(q: QuadricForm) -> bool:
+    """Sylvester's criterion: the leading principal minors D_1, ..., D_n are
+    all positive, or alternate in sign from D_1 < 0.
+
+    Fraction-free elimination without row swaps has D_k as its k-th pivot,
+    and every division in it is exact.  A zero pivot is a zero minor, and a
+    form with one is not definite.
+    """
+    m = [list(r) for r in q.matrix]
+    n = len(m)
+    minors = []
+    prev = 1
+    for k in range(n):
+        p = m[k][k]
+        if not p:
+            return False
+        minors.append(p)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (p * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = p
+    return all(d > 0 for d in minors) or all(
+        (d < 0) == (k % 2 == 1) for k, d in enumerate(minors, 1)
+    )
+
+
 def _find_rational_point(q: QuadricForm, hint: ProjPoint | None) -> ProjPoint:
+    """The hint, or the first point of height <= 7 on the quadric.
+
+    A definite form has no real point at all, so it raises before the scan.
+    """
     if hint is not None:
         if q.evaluate(hint) != 0:
             raise RangeError("hint point does not lie on the quadric")
         return hint
-    for h in range(1, 8):
-        for vec in product(range(-h, h + 1), repeat=4):
-            if max(map(abs, vec)) == h and q.bilinear(vec, vec) == 0:
-                return ProjPoint(vec)
+    if not _is_definite(q):
+        for h in range(1, 8):
+            for vec in product(range(-h, h + 1), repeat=4):
+                if max(map(abs, vec)) == h and q.bilinear(vec, vec) == 0:
+                    return ProjPoint(vec)
     raise GenericityError(
         "no small rational point found on the quadric; pass base_point"
     )

@@ -4,6 +4,12 @@ Each plane is a 3 x (r+1) matrix of rationals stored as [numerator,
 denominator] pairs in lowest terms; integers that do not fit in a signed
 64-bit word are written as decimal strings.  Field order is fixed so equal
 inputs serialize to identical bytes.
+
+A file is the text of json.dumps(obj, sort_keys=True, indent=1) plus a
+newline, but dumps writes the plane list itself by string joins: with an
+indent, json.dumps always runs the pure-Python encoder, since CPython uses
+its C encoder only for indent=None, and on the long plane lists of large
+builds that costs about ten times the joins.  Reading goes through json.
 """
 
 from __future__ import annotations
@@ -19,10 +25,6 @@ _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
 
-def _encode_int(x: int):
-    return x if _I64_MIN <= x <= _I64_MAX else str(x)
-
-
 def _decode_int(x) -> int:
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
@@ -30,19 +32,6 @@ def _decode_int(x) -> int:
         except ValueError:  # not a decimal integer, or over the int-string limit
             pass
     raise RangeError(f"bad integer entry {x!r:.40}")
-
-
-def arrangement_to_dict(arr: Arrangement, metadata: dict | None = None) -> dict:
-    planes = []
-    for p in arr.planes:
-        rows = []
-        for row in p.basis:
-            rows.append([[_encode_int(x), 1] for x in row])
-        planes.append(rows)
-    out = {"ambient_dim": arr.ambient_dim, "planes": planes}
-    if metadata:
-        out["metadata"] = metadata
-    return out
 
 
 def arrangement_from_dict(data: dict) -> tuple[Arrangement, dict]:
@@ -78,8 +67,42 @@ def arrangement_from_dict(data: dict) -> tuple[Arrangement, dict]:
     return Arrangement(n, subs), metadata
 
 
+def _int_text(x: int) -> str:
+    return str(x) if _I64_MIN <= x <= _I64_MAX else f'"{x}"'
+
+
+def _list_text(items, depth: int) -> str:
+    """A JSON list of already-encoded items, laid out at the given depth."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
+
+
 def dumps(arr: Arrangement, metadata: dict | None = None) -> str:
-    return json.dumps(arrangement_to_dict(arr, metadata), sort_keys=True, indent=1) + "\n"
+    """The file text: json.dumps(obj, sort_keys=True, indent=1) plus a newline.
+
+    obj holds "ambient_dim", then "metadata" when it is nonempty, then
+    "planes" (the sorted key order); each entry is [x, 1], with x a string
+    outside int64.  The plane list is joined here; ambient_dim and metadata
+    go through json.dumps.  A JSON string holds no raw newline, so indenting
+    every line of the metadata text by one space nests it one level down.
+    """
+    # each entry is _list_text([_int_text(x), "1"], 4), spelled out: that
+    # call per entry would take most of the time saved
+    planes = _list_text([
+        _list_text([
+            _list_text([f"[\n     {_int_text(x)},\n     1\n    ]" for x in row], 3)
+            for row in p.basis
+        ], 2)
+        for p in arr.planes
+    ], 1)
+    fields = [f'"ambient_dim": {json.dumps(arr.ambient_dim)}']
+    if metadata:
+        meta = json.dumps(metadata, sort_keys=True, indent=1).replace("\n", "\n ")
+        fields.append(f'"metadata": {meta}')
+    fields.append(f'"planes": {planes}')
+    return "{\n " + ",\n ".join(fields) + "\n}\n"
 
 
 def write_arrangement(path, arr: Arrangement, metadata: dict | None = None) -> None:

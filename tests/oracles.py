@@ -14,6 +14,8 @@ replaced with a direct witness; it costs 2^a.  The homology reference ranks
 both dense boundary matrices, where complexes.homology reads h_0 off the
 connected components, and the disjoint-pair reference meets every pair of
 central planes, where the constructions read contacts off the incidence.
+The reference writer builds the file's object for json.dumps, which
+serialize.dumps replaces with its own string joins.
 """
 
 from __future__ import annotations
@@ -292,3 +294,20 @@ def meet_first_disjoint_central_pair(result):
             if meet(result.arrangement.planes[i], result.arrangement.planes[j]).is_empty():
                 return (i, j)
     return None
+
+
+def arrangement_to_dict(arr, metadata=None):
+    """The object that serialize.dumps writes, for json.dumps to encode.
+
+    Each entry becomes [x, 1], with x written as a decimal string when it
+    does not fit in a signed 64-bit word; "metadata" is present only when
+    nonempty.
+    """
+    def encode(x):
+        return x if -(2**63) <= x < 2**63 else str(x)
+
+    planes = [[[[encode(x), 1] for x in row] for row in p.basis] for p in arr.planes]
+    out = {"ambient_dim": arr.ambient_dim, "planes": planes}
+    if metadata:
+        out["metadata"] = metadata
+    return out

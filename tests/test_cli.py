@@ -84,6 +84,85 @@ class TestSerialize:
             serialize.read_arrangement(path)
 
 
+INT64_EDGES = (-(2**63), 2**63 - 1, 2**63, -(2**63) - 1)
+
+
+def _edge_plane(n, entries):
+    """The plane of P^n whose canonical rows are e_i plus the entries at
+    columns 3..n (a row of rref form with pivots 1 at columns 0, 1, 2)."""
+    from zappatic.projective import Subspace
+
+    rows = [[int(i == c) for c in range(3)] + list(entries[i]) for i in range(3)]
+    plane = Subspace(n, rows)
+    assert plane.basis == tuple(map(tuple, rows))
+    return plane
+
+
+@st.composite
+def arrangements(draw):
+    from zappatic.arrangement import Arrangement
+
+    n = draw(st.integers(3, 6))
+    entry = st.one_of(st.sampled_from(INT64_EDGES), st.integers(-(2**70), 2**70))
+    rows = st.lists(st.lists(entry, min_size=n - 2, max_size=n - 2), min_size=3, max_size=3)
+    planes = draw(st.lists(rows, max_size=4, unique_by=repr))
+    return Arrangement(n, [_edge_plane(n, p) for p in planes])
+
+
+METADATA = st.one_of(
+    st.none(),
+    st.just({}),
+    st.dictionaries(
+        st.text(),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(), inner, max_size=3),
+            max_leaves=8,
+        ),
+        max_size=4,
+    ),
+)
+
+
+def reference_dumps(arr, metadata):
+    from oracles import arrangement_to_dict
+
+    return json.dumps(arrangement_to_dict(arr, metadata), sort_keys=True, indent=1) + "\n"
+
+
+class TestWriter:
+    """serialize.dumps writes the bytes json.dumps writes for the reference object."""
+
+    @settings(max_examples=150)
+    @given(arrangements(), METADATA)
+    def test_matches_json_dumps(self, arr, metadata):
+        assert serialize.dumps(arr, metadata) == reference_dumps(arr, metadata)
+
+    @pytest.mark.parametrize("metadata", [
+        None,
+        {},
+        {"family": "X", "d": 8, "nested": {"b": [1, {"c": None}], "a": [], "e": {}}},
+        {"fam\u00edlia": "\u00e9\u4e2d\n\t\"\\", "\U0001d53d": [True, 1.5, -0.0]},
+    ])
+    def test_int64_edges_and_metadata(self, metadata):
+        from zappatic.arrangement import Arrangement
+
+        arr = Arrangement(4, [_edge_plane(4, [INT64_EDGES[:2], INT64_EDGES[2:], (0, 7)])])
+        text = serialize.dumps(arr, metadata)
+        assert text == reference_dumps(arr, metadata)
+        assert f"{2**63 - 1}," in text and f"{-(2**63)}," in text
+        assert f'"{2**63}",' in text and f'"{-(2**63) - 1}",' in text
+
+    def test_no_planes(self):
+        from zappatic.arrangement import Arrangement
+
+        for metadata in (None, {"family": "X"}):
+            text = serialize.dumps(Arrangement(3, []), metadata)
+            assert text == reference_dumps(Arrangement(3, []), metadata)
+        assert text.endswith('"planes": []\n}\n')
+
+
 class TestConstructCommand:
     def test_x82_summary_tokens(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -186,9 +186,10 @@ def sparse_pairs(draw):
     The relation says how the supports lie: disjoint, sharing one
     coordinate, b's nested in a's, or a dense and b's anywhere.  Half the
     draws use the even coordinates only, so the odd coordinates between
-    support coordinates are zero on both sides.  The first spanning vector
-    of a side is nonzero on all of its support, so the support of the
-    subspace is exactly the one drawn.
+    support coordinates are zero on both sides.  Each side is, at even
+    odds, the coordinate subspace on its support or the span of up to four
+    vectors; the first of those is nonzero on all of the support, so the
+    support of the subspace is exactly the one drawn.
     """
     n = draw(st.integers(6, 22))
     pool = draw(st.sampled_from([range(n + 1), range(0, n + 1, 2)]))
@@ -207,6 +208,8 @@ def sparse_pairs(draw):
     entry = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
 
     def side(support):
+        if draw(st.booleans()):  # the coordinate subspace on the support
+            return Subspace(n, [e(c, n + 1).coords for c in support])
         rows = []
         for k in range(draw(st.integers(1, min(4, len(support))))):
             row = [0] * (n + 1)
@@ -270,6 +273,49 @@ class TestMeetExact:
         elif relation == "one shared":
             assert len(a.support & b.support) == 1
         assert_meet_exact(a, b)
+
+    # (a, b, kernels): bases in P^5 for each path of meet, and the number of
+    # linalg.nullspace calls it takes (0 on the shortcuts)
+    PATHS = {
+        "coordinate nested": ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
+                              [[0, 0, 1, 0, 0, 0]], 0),
+        "coordinate equal": ([[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+                             [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0]], 0),
+        "coordinate one shared": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+                                  [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]], 0),
+        "coordinate x dense": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+                               [[1, 2, 0, 3, 0, 0], [0, 1, 1, 0, 0, 0], [5, 0, 0, 1, 1, 0]], 1),
+        "b in a": ([[1, 2, 0, 3, 0, 1], [0, 1, 1, 0, 0, 2], [5, 0, 0, 1, 1, 0]],
+                   [[1, 3, 1, 3, 0, 3], [6, 2, 0, 4, 1, 1]], 1),
+        "line then plane": ([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
+                            [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]], 1),
+        "plane then 3-space": ([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
+                               [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], 1),
+        "pivots not 1": ([[2, 1, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0], [0, 0, 0, 0, 5, 2]],
+                         [[2, 1, 3, 1, 5, 2], [0, 0, 0, 0, 0, 1]], 1),
+    }
+
+    @pytest.mark.parametrize("case", list(PATHS))
+    def test_each_path_against_the_oracle(self, case, monkeypatch):
+        from zappatic import linalg
+
+        rows_a, rows_b, kernels = self.PATHS[case]
+        a, b = Subspace(5, rows_a), Subspace(5, rows_b)
+        if case == "pivots not 1":
+            assert all(row[c] > 1 for row, c in zip(a.basis, (0, 2, 4)))
+        calls = []
+        nullspace = linalg.nullspace
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return nullspace(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "nullspace", counted)
+        assert_meet_exact(a, b)
+        assert len(calls) == 2 * kernels
+        if case == "b in a":
+            assert meet(a, b) == b
 
     @pytest.mark.parametrize(
         "build, d, g, seed",

@@ -15,6 +15,7 @@ from zappatic.scrolls import (
     rat1_step,
     rat2_step,
     _find_rational_point,
+    _is_definite,
     section_duality_check,
 )
 
@@ -245,8 +246,33 @@ class TestRationalPointSearch:
         pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
         assert section_duality_check(HYPERBOLIC, pi, 8)["passed"] is True
 
-    def test_form_without_real_points_raises(self):
-        identity = QuadricForm([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    # (form, definite): the identity, minus the A_4 Cartan matrix, a positive
+    # form with off-diagonal terms, and two indefinite forms
+    DEFINITE = [
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], True),
+        ([[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]], True),
+        ([[2, 1, 1, 0], [1, 3, 0, 1], [1, 0, 4, 1], [0, 1, 1, 5]], True),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -7]], False),
+        ([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]], False),
+        (HYPERBOLIC.matrix, False),
+    ]
+
+    @pytest.mark.parametrize("mat,definite", DEFINITE)
+    def test_sylvester_criterion(self, mat, definite):
+        assert _is_definite(QuadricForm(mat)) is definite
+
+    @pytest.mark.parametrize("mat", [m for m, definite in DEFINITE if definite])
+    def test_form_without_real_points_raises(self, mat, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a definite form was scanned")
+
+        monkeypatch.setattr("zappatic.scrolls.product", no_scan)
         pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
         with pytest.raises(GenericityError, match="no small rational point"):
-            section_duality_check(identity, pi, 8)
+            section_duality_check(QuadricForm(mat), pi, 8)
+
+    def test_indefinite_form_without_rational_points_is_scanned(self):
+        # 7 t^2 is never a sum of three rational squares
+        q = QuadricForm(self.DEFINITE[3][0])
+        with pytest.raises(GenericityError, match="no small rational point"):
+            _find_rational_point(q, None)
