@@ -9,11 +9,12 @@ exhaustion, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from zappatic import serialize
+from zappatic import linalg, serialize
 from zappatic.arrangement import compute_incidence, zappatic_report
 from zappatic.complexes import build_dual_graph, build_torus_complex, to_dot
 from zappatic.constructions import (
@@ -160,26 +161,26 @@ def cmd_invariants(args) -> int:
         return 2
     graph = build_dual_graph(arr, inc, report)
     inv = invariants_of(report, graph)
+    sm = smoothing_of(inv) if args.smooth else None
+    family = meta.get("family")
+    if sm is not None and family in SCROLL_FAMILIES:
+        lo, hi = sm.K2_interval
+        if not lo <= 8 * (1 - sm.g) <= hi:
+            raise RangeError(
+                f"metadata family {family!r} does not fit the planes: "
+                f"a scroll smoothing has K2 = 8(1-g) = {8 * (1 - sm.g)}, "
+                f"outside [{lo},{hi}]"
+            )
     print(
         f"v={inv.v} e={inv.e} g={inv.g} chi={inv.chi} p_omega={inv.p_omega} "
         f"K2=[{inv.K2_interval[0]},{inv.K2_interval[1]}] "
         f"k=[{inv.k_interval[0]},{inv.k_interval[1]}]"
     )
-    if args.smooth:
-        sm = smoothing_of(inv)
+    if sm is not None:
         print(
             f"smooth: g={sm.g} p_g={sm.p_g} chi={sm.chi} "
             f"K2=[{sm.K2_interval[0]},{sm.K2_interval[1]}]"
         )
-        family = meta.get("family")
-        if family in SCROLL_FAMILIES:
-            lo, hi = sm.K2_interval
-            if not lo <= 8 * (1 - sm.g) <= hi:
-                raise RangeError(
-                    f"metadata family {family!r} does not fit the planes: "
-                    f"a scroll smoothing has K2 = 8(1-g) = {8 * (1 - sm.g)}, "
-                    f"outside [{lo},{hi}]"
-                )
     return 0
 
 
@@ -238,26 +239,31 @@ def cmd_quadrics(args) -> int:
 def _run_quadric_oracle(d: int) -> tuple[int, int]:
     """The oracle's two counts: independent quadrics through 2d+2 points of
     the rational normal curve in P^d, and those that also contain a seeded
-    random codimension-3 subspace."""
+    random codimension-3 subspace.  Each count is the number of quadric
+    monomials minus the rank of the conditions; no kernel basis is built."""
     import random
 
-    from zappatic.projective import ProjPoint, Subspace, quadrics_through
+    from zappatic.projective import ProjPoint, Subspace, quadric_conditions
 
     samples = [
         ProjPoint([t**k for k in range(d + 1)]) for t in range(-(d + 1), d + 1)
     ]
-    _, basis_all = quadrics_through(samples, [], d)
+    monomials, rows = quadric_conditions(samples, [], d)
+    count_all = len(monomials) - linalg.rank(rows)
     rng = random.Random(0)
     while True:
         rows = [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(d - 2)]
         sigma = Subspace(d, rows)
         if sigma.dim == d - 3:
             break
-    _, basis_forced = quadrics_through(samples, [sigma], d)
-    return len(basis_all), len(basis_forced)
+    _, rows = quadric_conditions(samples, [sigma], d)
+    return count_all, len(monomials) - linalg.rank(rows)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args leaves it unchanged and
+    returns a fresh Namespace on every call."""
     p = argparse.ArgumentParser(
         prog="zappatic",
         description="exact constructions and invariants of planar Zappatic surfaces",

@@ -6,6 +6,8 @@ an open face (recorded, drawn dashed, but never part of the boundary map);
 fork points (S_n) contribute an angle.  Homology is computed over Q: h_0 is
 the number of connected components of the graph, found by union-find, and
 h_1, h_2 follow from it and the rank of the integer boundary matrix d_2.
+d_2 is never written out densely: each 2-cell is one sparse column, and
+linalg.sparse_rank eliminates on its +-1 entries.
 """
 
 from __future__ import annotations
@@ -99,15 +101,19 @@ def homology(graph: DualGraph) -> HomologyReport:
     """Ranks of H_0, H_1, H_2 over the rationals.
 
     h0 is the number of connected components, so rank d1 = v - h0 with no
-    matrix built; h1 and h2 follow from the rank of the integer d2.
+    matrix built; h1 and h2 follow from the rank of the integer d2, one
+    sparse column per 2-cell.  A cell that runs along an edge twice has
+    entry +-2 or 0 there, and sparse_rank ignores the zeros.
     """
     v, e, f = graph.num_vertices, graph.num_edges, graph.num_faces
     h0 = count_components(range(v), graph.edges)
-    d2 = [[0] * f for _ in range(e)]
-    for c, cell in enumerate(graph.two_cells):
+    d2 = []
+    for cell in graph.two_cells:
+        col = Counter()
         for k, s in zip(cell, _cycle_boundary(graph, cell)):
-            d2[k][c] += s
-    r2 = linalg.rank(d2) if f else 0
+            col[k] += s
+        d2.append(col)
+    r2 = linalg.sparse_rank(d2)
     return HomologyReport(h0, e - (v - h0) - r2, f - r2, v - e + f)
 
 

@@ -13,10 +13,15 @@ same answer for every input.
 clear_denominators is the one place where a rational row becomes a
 primitive integer row; nullspace is integer-only, and only solve returns
 Fractions.
+
+sparse_rank ranks a matrix given as sparse columns, such as a boundary
+matrix: it pivots on unit entries with integer column operations and hands
+only what has no unit pivot left to rank, as one dense block.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
@@ -62,6 +67,58 @@ def rref(rows) -> tuple[tuple[int, ...], ...]:
         except OverflowError:
             pass
     return _py.rref(rows)
+
+
+def sparse_rank(columns) -> int:
+    """Rank over the rationals of the matrix with these sparse columns.
+
+    Each column maps a row label to its integer entry; zero entries are
+    ignored.  A column with a +-1 entry at row p is a pivot: subtracting
+    multiples of it clears row p from every other column, which keeps all
+    entries integers, and the rank is one more than that of the others.
+    The columns left with no unit entry go to rank as one dense block over
+    the rows they touch.
+    """
+    cols = [{r: x for r, x in c.items() if x} for c in columns]
+    live = set(range(len(cols)))
+    where = defaultdict(set)  # row -> live columns with an entry in it
+    for j, col in enumerate(cols):
+        for r in col:
+            where[r].add(j)
+    found = 0
+    progress = True
+    while progress:
+        progress = False
+        for j in sorted(live):
+            col = cols[j]
+            units = [r for r, x in col.items() if x in (1, -1)]
+            if not units:
+                continue
+            # the row shared with the fewest other columns makes the least fill-in
+            p = min(units, key=lambda r: len(where[r]))
+            s = col[p]
+            live.discard(j)
+            for r in col:
+                where[r].discard(j)
+            for k in where.pop(p):
+                other = cols[k]
+                f = other[p] * s
+                for r, x in col.items():
+                    y = other.get(r, 0) - f * x
+                    if y:
+                        if r not in other:
+                            where[r].add(k)
+                        other[r] = y
+                    elif r in other:
+                        del other[r]
+                        where[r].discard(k)
+            found += 1
+            progress = True
+    rest = [cols[j] for j in sorted(live) if cols[j]]
+    if not rest:
+        return found
+    rows = sorted({r for c in rest for r in c})
+    return found + rank([[c.get(r, 0) for r in rows] for c in rest])
 
 
 def primitive(row) -> tuple[int, ...]:

@@ -280,13 +280,15 @@ def _form_from_coeffs(coeffs, monomials, r: int) -> QuadricForm:
     return QuadricForm(mat)
 
 
-def quadrics_through(samples, forced_subspaces, ambient_dim: int):
-    """Linear system of quadrics through the samples and forced subspaces.
+def quadric_conditions(samples, forced_subspaces, ambient_dim: int):
+    """(monomials, rows): one linear condition on the coefficients of a
+    quadric of P^ambient_dim per row, for passing through each sample and
+    containing each forced subspace.
 
     Containing a subspace is imposed by vanishing on a spanning set of its
     degree-2 Veronese image: the points b_i + b_j, i <= j, of its basis.
-    Returns (projective dimension, basis of QuadricForms); dimension is -1
-    for the empty system.
+    The quadrics that satisfy them are the kernel, so their number is
+    len(monomials) minus the rank of the rows.
     """
     monomials = _quadric_monomials(ambient_dim)
     rows = []
@@ -299,6 +301,16 @@ def quadrics_through(samples, forced_subspaces, ambient_dim: int):
             raise RangeError("ambient dimension mismatch")
         for u, v in combinations_with_replacement(s.basis, 2):
             rows.append(_evaluation_row([x + y for x, y in zip(u, v)], monomials))
+    return monomials, rows
+
+
+def quadrics_through(samples, forced_subspaces, ambient_dim: int):
+    """Linear system of quadrics through the samples and forced subspaces.
+
+    Returns (projective dimension, basis of QuadricForms); dimension is -1
+    for the empty system.
+    """
+    monomials, rows = quadric_conditions(samples, forced_subspaces, ambient_dim)
     kernel = linalg.nullspace(rows, ncols=len(monomials))
     basis = [_form_from_coeffs(v, monomials, ambient_dim) for v in kernel]
     return len(basis) - 1, basis

@@ -12,8 +12,9 @@ each double line, by containment tests.  The chain feasibility reference is
 the depth-first search over all placements that scrolls.chain_feasible
 replaced with a direct witness; it costs 2^a.  The homology reference ranks
 both dense boundary matrices, where complexes.homology reads h_0 off the
-connected components, and the disjoint-pair reference meets every pair of
-central planes, where the constructions read contacts off the incidence.
+connected components and ranks d_2 from sparse columns, and the
+disjoint-pair reference meets every pair of central planes, where the
+constructions read contacts off the incidence.
 The reference writer builds the file's object for json.dumps, which
 serialize.dumps replaces with its own string joins.
 """

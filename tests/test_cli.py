@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from zappatic import constructions, serialize
 from zappatic.arrangement import compute_incidence, zappatic_report
-from zappatic.cli import JSON_BEGIN, JSON_END, main
+from zappatic.cli import JSON_BEGIN, JSON_END, _run_quadric_oracle, build_parser, main
 from zappatic.constructions import build_X, chain_planes
 from zappatic.errors import RangeError
+from zappatic.projective import ProjPoint, Subspace, quadrics_through
 
 
 def run_cli(args, capsys):
@@ -417,8 +419,9 @@ class TestInvariantsCommand:
     def test_family_that_does_not_fit_the_planes(self, tmp_path, capsys):
         # two disjoint planes of P^5 are no degenerate scroll of family X
         path = _disjoint_planes_file(tmp_path, metadata={"family": "X"})
-        code, _out, err = run_cli(["invariants", str(path), "--smooth"], capsys)
+        code, out, err = run_cli(["invariants", str(path), "--smooth"], capsys)
         assert code == 2
+        assert out == ""  # checked before anything is printed
         assert err.startswith("error:")
         assert "metadata family 'X' does not fit the planes" in err
         assert "Traceback" not in err
@@ -532,6 +535,52 @@ class TestSmallCommands:
             "formula 66 = oracle 66\n"
             "with codim-3 subspace: formula 11 = oracle 11\n"
         )
+
+
+def _oracle_inputs(d):
+    """The samples and the codim-3 subspace that the quadric oracle draws."""
+    rng = random.Random(0)
+    samples = [ProjPoint([t**k for k in range(d + 1)]) for t in range(-(d + 1), d + 1)]
+    while True:
+        sigma = Subspace(d, [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(d - 2)])
+        if sigma.dim == d - 3:
+            return samples, sigma
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_quadric_oracle_rank_count_is_the_kernel_basis_size(d):
+    samples, sigma = _oracle_inputs(d)
+    assert _run_quadric_oracle(d) == (
+        len(quadrics_through(samples, [], d)[1]),
+        len(quadrics_through(samples, [sigma], d)[1]),
+    )
+
+
+class TestParserBuiltOnce:
+    ARGVS = (
+        ["hilbert", "--d", "6", "--g", "0"],
+        ["hilbert", "--d", "six", "--g", "0"],  # bad value
+        ["hilbert", "--d", "6", "--g", "0"],
+        ["feasible", "--a", "2"],  # missing option
+        ["invariants", "--abstract", "torus", "2", "3"],
+        ["invariants"],  # --abstract from the last call must not linger
+        ["nosuchcommand"],
+        ["quadrics", "--d", "3", "--g", "0", "--oracle"],
+        ["--help"],
+        ["degenerate", "--d", "4"],
+    )
+
+    def test_cached(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_a_row_match_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        reused = [run_cli(argv, capsys) for argv in self.ARGVS]
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 0, 2, 2, 0, 0, 0]
 
 
 class TestDeterminismAndSeeds:

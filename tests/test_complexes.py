@@ -89,6 +89,27 @@ def dual_graphs(draw):
     return DualGraph(v, tuple(edges), two_cells=tuple(cells))
 
 
+@st.composite
+def complexes_on_shared_edges(draw):
+    """2-cells along closed walks that reuse edges: cells share edges, and a
+    cell that runs along an edge twice has d2 entry +-2 or 0 there."""
+    v = draw(st.integers(1, 5))
+    vertex = st.integers(0, v - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    cells = []
+    for walk in draw(st.lists(st.lists(vertex, min_size=2, max_size=6), max_size=5)):
+        cell = []
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            old = [k for k, e in enumerate(edges) if sorted(e) == sorted((a, b))]
+            if old and draw(st.booleans()):
+                cell.append(draw(st.sampled_from(old)))
+            else:
+                cell.append(len(edges))
+                edges.append((a, b))
+        cells.append(tuple(cell))
+    return DualGraph(v, tuple(edges), two_cells=tuple(cells))
+
+
 def _outcome(f, graph):
     try:
         return f(graph)
@@ -97,11 +118,18 @@ def _outcome(f, graph):
 
 
 class TestHomologyAgainstDenseBoundaries:
-    """h0 from connected components against the dense rank of d1."""
+    """h0 from connected components against the dense rank of d1, and the
+    sparse rank of d2 against its dense rank."""
 
     @settings(max_examples=400)
     @given(dual_graphs())
     def test_random_graphs(self, graph):
+        got = _outcome(lambda g: homology(g).as_tuple(), graph)
+        assert got == _outcome(dense_homology, graph)
+
+    @settings(max_examples=400)
+    @given(complexes_on_shared_edges())
+    def test_cells_on_shared_edges(self, graph):
         got = _outcome(lambda g: homology(g).as_tuple(), graph)
         assert got == _outcome(dense_homology, graph)
 

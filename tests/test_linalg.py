@@ -289,9 +289,67 @@ def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
         assert_pure_kernel_matches_references(m)
 
 
+def densely(columns, nrows):
+    """The matrix with these {row: entry} columns, as a list of rows."""
+    return [[c.get(r, 0) for c in columns] for r in range(nrows)]
+
+
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 5) for m in range(2, 5)])
 def test_pure_kernel_on_torus_boundaries(monkeypatch, n, m):
+    """The command ranks the torus d2 sparsely and hands no dense block to
+    the kernel; written densely, the same d2 has the same rank."""
+    seen = []
+
+    def record(columns, _op=linalg.sparse_rank):
+        columns = [dict(c) for c in columns]
+        seen.append(columns)
+        return _op(columns)
+
+    monkeypatch.setattr(linalg, "sparse_rank", record)
     mats = kernel_inputs(monkeypatch, ["invariants", "--abstract", "torus", str(n), str(m)])
-    assert [(len(d2), len(d2[0])) for d2 in mats] == [(3 * n * m, n * m)]
-    for d2 in mats:
-        assert_pure_kernel_matches_references(d2)
+    assert mats == []
+    [d2] = seen
+    dense = densely(d2, 3 * n * m)
+    assert len(d2) == n * m
+    assert linalg.sparse_rank(d2) == frac_rank(dense) == bareiss_rank(dense) == n * m - 1
+    assert_pure_kernel_matches_references(dense)
+
+
+@st.composite
+def sparse_columns(draw):
+    """Columns over rows 0..nrows-1 with explicit zeros, +-2 entries, empty
+    and duplicate columns; with all entries even, no column has a unit."""
+    nrows = draw(st.integers(0, 7))
+    entry = st.sampled_from((0, 1, -1, 2, -2, 3, -5))
+    scale = draw(st.sampled_from((1, 2)))
+    cols = []
+    for _ in range(draw(st.integers(0, 7))):
+        rows = draw(st.lists(st.integers(0, nrows - 1), max_size=nrows)) if nrows else []
+        cols.append({r: scale * draw(entry) for r in rows})
+    for _ in range(draw(st.integers(0, 2))):
+        cols.append({})
+    for _ in range(draw(st.integers(0, 2))):
+        if cols:
+            cols.append(dict(cols[draw(st.integers(0, len(cols) - 1))]))
+    return nrows, draw(st.permutations(cols))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=sparse_columns())
+def test_sparse_rank_matches_fractions(backend, data):
+    nrows, cols = data
+    before = [dict(c) for c in cols]
+    dense = densely(cols, nrows)
+    assert linalg.sparse_rank(cols) == frac_rank(dense) == bareiss_rank(dense)
+    assert cols == before  # the columns are read, not reduced in place
+
+
+def test_sparse_rank_edge_cases(backend):
+    assert linalg.sparse_rank([]) == 0
+    assert linalg.sparse_rank([{}, {0: 0}, {3: 0, 5: 0}]) == 0
+    assert linalg.sparse_rank([{0: 2, 1: 4}, {0: 4, 1: 2}]) == 2  # no unit pivot
+    assert linalg.sparse_rank([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
+    # a unit appears only after the first pivot clears its row
+    assert linalg.sparse_rank([{0: 2, 1: 3}, {1: 1, 2: 1}]) == 2
+    # row labels need not be contiguous
+    assert linalg.sparse_rank([{40: 1, 7: -1}, {7: 1, 12: -1}, {12: 1, 40: -1}]) == 2
