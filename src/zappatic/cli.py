@@ -219,13 +219,13 @@ def cmd_feasible(args) -> int:
 
 def cmd_quadrics(args) -> int:
     counts = quadric_count(args.d, args.g)
+    if args.oracle and args.g != 0:
+        raise RangeError("the sampling oracle requires g = 0")
     print(
         f"through_curve={counts['through_curve']} "
         f"with_codim3={counts['through_curve_and_codim3']}"
     )
     if args.oracle:
-        if args.g != 0:
-            raise RangeError("the sampling oracle requires g = 0")
         formula = counts["through_curve"]
         formula3 = counts["through_curve_and_codim3"]
         oracle, oracle3 = _run_quadric_oracle(args.d)

@@ -5,9 +5,8 @@ Cycle points (E_n) attach honest 2-cells; chain points (R_n) only contribute
 an open face (recorded, drawn dashed, but never part of the boundary map);
 fork points (S_n) contribute an angle.  Homology is computed over Q: h_0 is
 the number of connected components of the graph, found by union-find, and
-h_1, h_2 follow from it and the rank of the integer boundary matrix d_2.
-d_2 is never written out densely: each 2-cell is one sparse column, and
-linalg.sparse_rank eliminates on its +-1 entries.
+h_1, h_2 follow from it and the rank of the integer boundary matrix d_2,
+one sparse column per 2-cell, taken by linalg.sparse_rank.
 """
 
 from __future__ import annotations

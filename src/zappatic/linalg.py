@@ -15,15 +15,13 @@ primitive integer row; nullspace is integer-only, and only solve returns
 Fractions.
 
 sparse_rank ranks a matrix given as sparse columns, such as a boundary
-matrix: it pivots on unit entries with integer column operations and hands
-only what has no unit pivot left to rank, as one dense block.
+matrix, by column reduction over the integers.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from zappatic import _bareiss as _py
 
@@ -73,52 +71,34 @@ def sparse_rank(columns) -> int:
     """Rank over the rationals of the matrix with these sparse columns.
 
     Each column maps a row label to its integer entry; zero entries are
-    ignored.  A column with a +-1 entry at row p is a pivot: subtracting
-    multiples of it clears row p from every other column, which keeps all
-    entries integers, and the rank is one more than that of the others.
-    The columns left with no unit entry go to rank as one dense block over
-    the rows they touch.
+    ignored and the columns are not modified.  Column reduction (Edelsbrunner
+    and Harer, Computational Topology, VII.1): while a kept column has the
+    same pivot (largest row label), a column becomes the integer combination
+    that clears it, over its content; the rank is the number of columns kept.
     """
-    cols = [{r: x for r, x in c.items() if x} for c in columns]
-    live = set(range(len(cols)))
-    where = defaultdict(set)  # row -> live columns with an entry in it
-    for j, col in enumerate(cols):
-        for r in col:
-            where[r].add(j)
-    found = 0
-    progress = True
-    while progress:
-        progress = False
-        for j in sorted(live):
-            col = cols[j]
-            units = [r for r, x in col.items() if x in (1, -1)]
-            if not units:
-                continue
-            # the row shared with the fewest other columns makes the least fill-in
-            p = min(units, key=lambda r: len(where[r]))
-            s = col[p]
-            live.discard(j)
-            for r in col:
-                where[r].discard(j)
-            for k in where.pop(p):
-                other = cols[k]
-                f = other[p] * s
-                for r, x in col.items():
-                    y = other.get(r, 0) - f * x
-                    if y:
-                        if r not in other:
-                            where[r].add(k)
-                        other[r] = y
-                    elif r in other:
-                        del other[r]
-                        where[r].discard(k)
-            found += 1
-            progress = True
-    rest = [cols[j] for j in sorted(live) if cols[j]]
-    if not rest:
-        return found
-    rows = sorted({r for c in rest for r in c})
-    return found + rank([[c.get(r, 0) for r in rows] for c in rest])
+    kept = {}  # pivot row -> reduced column
+    for c in columns:
+        col = {r: x for r, x in c.items() if x}
+        while col:
+            p = max(col)
+            other = kept.get(p)
+            if other is None:
+                kept[p] = col
+                break
+            g = gcd(other[p], col[p])
+            a, b = other[p] // g, col[p] // g
+            if a != 1:
+                col = {r: a * x for r, x in col.items()}
+            for r, x in other.items():
+                y = col.get(r, 0) - b * x
+                if y:
+                    col[r] = y
+                else:
+                    del col[r]
+            content = gcd(*col.values())
+            if content > 1:
+                col = {r: x // content for r, x in col.items()}
+    return len(kept)
 
 
 def primitive(row) -> tuple[int, ...]:

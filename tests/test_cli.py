@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zappatic import constructions, serialize
+from zappatic import cli, constructions, serialize
 from zappatic.arrangement import compute_incidence, zappatic_report
 from zappatic.cli import JSON_BEGIN, JSON_END, _run_quadric_oracle, build_parser, main
 from zappatic.constructions import build_X, chain_planes
-from zappatic.errors import RangeError
+from zappatic.errors import InternalCheckError, RangeError
 from zappatic.projective import ProjPoint, Subspace, quadrics_through
 
 
@@ -535,6 +535,49 @@ class TestSmallCommands:
             "formula 66 = oracle 66\n"
             "with codim-3 subspace: formula 11 = oracle 11\n"
         )
+
+
+def _broken_chain(monkeypatch):
+    def raise_internal(_d):
+        raise InternalCheckError("chain profile check failed")
+
+    monkeypatch.setattr(cli, "chain_planes", raise_internal)
+
+
+@pytest.mark.parametrize(
+    "argv,setup,code",
+    [
+        pytest.param(["classify", "{tmp}/missing.json"], None, 2, id="classify-missing-file"),
+        pytest.param(["graph", "{tmp}/missing.json", "--dot", "{tmp}/g.dot"], None, 2,
+                     id="graph-missing-file"),
+        pytest.param(["construct", "--family", "chain", "--d", "5",
+                      "--out", "{tmp}/missing/c.json"], None, 2, id="construct-out-missing-dir"),
+        pytest.param(["construct", "--family", "X", "--d", "8", "--g", "2",
+                      "--out", "{tmp}/x.json"],
+                     lambda mp: mp.setenv("ZAPPATIC_SEED", "abc"), 2, id="seed-env-not-int"),
+        pytest.param(["construct", "--family", "chain", "--d", "5", "--g", "1",
+                      "--out", "{tmp}/c.json"], None, 2, id="chain-with-g"),
+        pytest.param(["construct", "--family", "X", "--d", "8", "--out", "{tmp}/x.json"],
+                     None, 2, id="x-without-g"),
+        pytest.param(["invariants", "--abstract", "foo"], None, 2, id="abstract-unknown"),
+        pytest.param(["invariants", "--abstract", "torus", "3"], None, 2, id="torus-one-size"),
+        # checked before the counts are printed
+        pytest.param(["quadrics", "--d", "5", "--g", "1", "--oracle"], None, 2,
+                     id="oracle-with-positive-genus"),
+        pytest.param(["construct", "--family", "chain", "--d", "5", "--out", "{tmp}/c.json"],
+                     _broken_chain, 4, id="internal-check"),
+    ],
+)
+def test_error_exits(tmp_path, capsys, monkeypatch, argv, setup, code):
+    """Each error arm of main exits with its code, prints nothing to stdout
+    and one message, with no traceback, to stderr."""
+    if setup is not None:
+        setup(monkeypatch)
+    got, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert got == code
+    assert out == ""
+    assert err.startswith("internal error:" if code == 4 else "error:")
+    assert "Traceback" not in err
 
 
 def _oracle_inputs(d):

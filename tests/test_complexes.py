@@ -2,14 +2,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zappatic.arrangement import count_components
+from zappatic import cli, serialize
+from zappatic.arrangement import (
+    Arrangement,
+    compute_incidence,
+    count_components,
+    zappatic_report,
+)
 from zappatic.complexes import (
     DualGraph,
+    build_dual_graph,
     build_torus_complex,
     homology,
     to_dot,
 )
 from zappatic.errors import RangeError
+from zappatic.invariants import invariants_of
+from zappatic.projective import Subspace
 
 from oracles import dense_homology, dfs_components, frac_rank
 
@@ -167,6 +176,42 @@ class TestTorusComplex:
             build_torus_complex(1, 3)
         with pytest.raises(RangeError):
             build_torus_complex(2, 1)
+
+
+def cone_over_cycle(n):
+    """The planes <e_0, e_i, e_i+1>, i = 1..n cyclically, of P^n: the cone
+    over an n-cycle of lines, with one E_n point at e_0."""
+    def e(i):
+        return [int(k == i) for k in range(n + 1)]
+
+    return Arrangement(n, [Subspace(n, [e(0), e(i), e(i % n + 1)]) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+class TestConeOverCycle:
+    """The E_n point makes the dual graph's one 2-cell.  The cone smooths to
+    a degree-n del Pezzo surface: g = 1, chi = 1, p_omega = 0, K^2 = n."""
+
+    def test_dual_graph_and_invariants(self, n):
+        arr = cone_over_cycle(n)
+        inc = compute_incidence(arr)
+        report = zappatic_report(arr, inc)
+        assert [t.tag for t in report.types] == [f"E{n}"]
+        graph = build_dual_graph(arr, inc, report)
+        assert len(graph.two_cells) == 1 and graph.face_counts() == {n: 1}
+        assert homology(graph).as_tuple() == (1, 0, 0)
+        inv = invariants_of(report, graph)
+        assert (inv.g, inv.chi, inv.p_omega, inv.K2_interval) == (1, 1, 0, (n, n))
+        assert sum("/* face: " in line for line in to_dot(graph).splitlines()) == 1
+
+    def test_invariants_command(self, n, tmp_path, capsys):
+        path = tmp_path / "cone.json"
+        serialize.write_arrangement(path, cone_over_cycle(n))
+        assert cli.main(["invariants", str(path), "--smooth"]) == 0
+        assert capsys.readouterr().out == (
+            f"v={n} e={n} g=1 chi=1 p_omega=0 K2=[{n},{n}] k=[0,0]\n"
+            f"smooth: g=1 p_g=0 chi=1 K2=[{n},{n}]\n"
+        )
 
 
 class TestDot:

@@ -353,3 +353,53 @@ def test_sparse_rank_edge_cases(backend):
     assert linalg.sparse_rank([{0: 2, 1: 3}, {1: 1, 2: 1}]) == 2
     # row labels need not be contiguous
     assert linalg.sparse_rank([{40: 1, 7: -1}, {7: 1, 12: -1}, {12: 1, 40: -1}]) == 2
+
+
+def combine(coeffs, columns):
+    """The column sum of c * col over these coefficients and columns."""
+    out = {}
+    for c, col in zip(coeffs, columns):
+        for r, x in col.items():
+            out[r] = out.get(r, 0) + c * x
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_rank_on_100_bit_columns(seed):
+    """Dependent columns cancel exactly although every step multiplies by
+    100-bit pivots and divides by a content."""
+    rng = random.Random(seed)
+    nrows, k = rng.randint(6, 12), rng.randint(2, 5)
+    big = lambda: rng.choice((-1, 1)) * rng.randint(2**99, 2**100)
+    base = [{r: big() for r in rng.sample(range(nrows), rng.randint(1, nrows))}
+            for _ in range(k)]
+    mixed = [combine([rng.randint(-2**100, 2**100) for _ in range(k)], base)
+             for _ in range(rng.randint(1, 6))]
+    cols = base + mixed
+    rng.shuffle(cols)
+    dense = densely(cols, nrows)
+    assert linalg.sparse_rank(cols) == frac_rank(dense) == frac_rank(densely(base, nrows))
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 12])
+def test_sparse_rank_through_chains_of_non_unit_pivots(length):
+    """Column i is 2 at row i and 3 at row i+1, so every pivot entry is 3
+    and a column led by row `length` reduces through the whole chain; a
+    combination of the chain vanishes, one more entry at row 0 does not."""
+    chain = [{i: 2, i + 1: 3} for i in range(length)]
+    dependent = combine([(-2) ** i * 5 for i in range(length)], chain)
+    for extra, rank in ((0, length), (7, length + 1)):
+        last = {**dependent, 0: dependent[0] + extra}
+        for cols in (chain + [last], [last] + chain, chain[::-1] + [last]):
+            dense = densely(cols, length + 1)
+            assert linalg.sparse_rank(cols) == frac_rank(dense) == rank
+
+
+@pytest.mark.parametrize("k", [30, 29, 17, 1])
+def test_sparse_rank_on_a_dense_30x30_block(k):
+    """A dense 30 x 30 product of a 30 x k and a k x 30 matrix has rank k."""
+    rng = random.Random(k)
+    left, right = random_matrix(rng, 30, k), random_matrix(rng, k, 30)
+    dense = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    cols = [{r: dense[r][j] for r in range(30)} for j in range(30)]
+    assert linalg.sparse_rank(cols) == frac_rank(dense) == k
