@@ -7,7 +7,7 @@ It raises OverflowError for whatever it cannot hold: a product or difference
 outside int64, an entry that is -2**63, larger or not an int, or a ragged
 matrix.  Each call then falls back transparently to the pure-Python
 arbitrary-precision kernel (zappatic._bareiss, content-reducing elimination
-that keeps every row primitive), which decides, so both backends give the
+that keeps every row content-free), which decides, so both backends give the
 same answer for every input.
 
 clear_denominators is the one place where a rational row becomes a

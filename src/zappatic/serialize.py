@@ -61,7 +61,7 @@ def arrangement_from_dict(data: dict) -> tuple[Arrangement, dict]:
                 den = _decode_int(pair[1])
                 if den <= 0:
                     raise RangeError("denominators must be positive")
-                entries.append(Fraction(num, den))
+                entries.append(num if den == 1 else Fraction(num, den))
             basis.append(entries)
         subs.append(Subspace(n, basis))
     return Arrangement(n, subs), metadata

@@ -146,6 +146,48 @@ def test_rank_rref_consistency_property(m):
     assert linalg.rank(m) == len(linalg.rref(m)) == frac_rank(m)
 
 
+KERNEL_CASES = {
+    # every pivot and every combined row leads with a negative entry, and
+    # the first pivot is -2
+    "negative_leads": [[-2, 0, 0, 1], [-3, 3, 0, -4], [-4, 4, -4, 1]],
+    # pivot 2 against 3 and 5: the row is scaled before the pivot row is taken
+    "pivot_not_a_unit": [[2, 1, 0], [3, 0, 1], [5, 7, 11]],
+    # the second row vanishes at the first pivot, the last two at the second
+    "rows_vanish": [[1, 2, 3], [2, 4, 6], [1, 3, 5], [0, 1, 2], [3, 7, 11]],
+    "zero": [[0, 0, 0], [0, 0, 0]],
+    "content": [[4, 6, 8], [6, 9, 3], [-10, 0, 20]],
+    "bools": [[True, False, True], [False, True, True], [True, True, False]],
+}
+
+
+@pytest.mark.parametrize("m", KERNEL_CASES.values(), ids=KERNEL_CASES)
+def test_kernel_cases_match_fractions(backend, m):
+    ref = frac_rref(m)
+    for rows in (m, [tuple(r) for r in m]):
+        before = repr(rows)
+        ours = linalg.rref(rows)
+        assert linalg.rank(rows) == len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            piv = next(x for x in a if x)
+            assert piv > 0 and [Fraction(x, piv) for x in a] == b
+            assert all(type(x) is int for x in a)
+        assert repr(rows) == before  # the input rows are read, not reduced
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, 1.0])
+def test_kernel_rejects_entries_that_are_not_ints(backend, bad):
+    for op in (linalg.rank, linalg.rref):
+        with pytest.raises(TypeError):
+            op([[1, 2], [3, bad]])
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5]]])
+def test_kernel_rejects_ragged_rows(backend, m):
+    for op in (linalg.rank, linalg.rref):
+        with pytest.raises(ValueError, match="ragged"):
+            op(m)
+
+
 def test_clear_denominators():
     assert linalg.clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
     assert linalg.clear_denominators([Fraction(-2), Fraction(4)]) == (1, -2)
@@ -285,6 +327,19 @@ def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
     mats = kernel_inputs(monkeypatch, ["quadrics", "--d", "7", "--g", "0", "--oracle"])
     # the evaluation systems of the curve, the codim-3 subspace and both together
     assert [(len(m), len(m[0])) for m in mats] == [(16, 36), (5, 8), (31, 36)]
+    for m in mats:
+        assert_pure_kernel_matches_references(m)
+
+
+def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
+    argv = ["construct", "--family", "Z", "--d", "11", "--g", "3", "--seed", "2",
+            "--out", str(tmp_path / "z.json")]
+    mats = kernel_inputs(monkeypatch, argv)
+    shapes = {(len(m), len(m[0])) for m in mats}
+    # meet's tall three-column nullspace systems and classify_point's
+    # nine-row span stacks of three planes
+    assert any(nr > nc == 3 for nr, nc in shapes)
+    assert any(nr == 9 for nr, _ in shapes)
     for m in mats:
         assert_pure_kernel_matches_references(m)
 
