@@ -20,7 +20,6 @@ from zappatic.constructions import (
     chain_planes,
     cycle_from_chain,
     cycle_planes,
-    verify_transversality,
 )
 from zappatic.invariants import hilbert_dim, invariants_of, smoothing_of
 from zappatic.linalg import backend_name
@@ -68,7 +67,6 @@ __all__ = [
     "section_duality_check",
     "smoothing_of",
     "span",
-    "verify_transversality",
     "zappatic_report",
     "__version__",
 ]

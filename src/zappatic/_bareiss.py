@@ -20,23 +20,6 @@ from math import gcd
 from operator import index
 
 
-def _primitive(row):
-    """Divide by the content and make the first nonzero entry positive.
-
-    The entries come back as Python ints, also for int subclasses (bool)."""
-    return _divide_content([*map(index, row)])
-
-
-def _divide_content(row):
-    """_primitive of a list of Python ints."""
-    g = gcd(*row)
-    if not g:
-        return tuple(row)
-    if next(x for x in row if x) < 0:
-        g = -g
-    return tuple(row) if g == 1 else tuple([x // g for x in row])
-
-
 def _combine(row, pivot_row, c):
     """a*row - b*pivot_row over its content, where a and b are pivot_row[c]
     and row[c] over their gcd, so it is 0 in column c; a zero row comes back

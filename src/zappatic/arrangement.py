@@ -140,9 +140,6 @@ class SingularityType:
             return f"NonZappatic({self.reason})"
         return f"{self.kind}{self.n}"
 
-    def is_zappatic(self) -> bool:
-        return self.kind in ("R", "S", "E")
-
 
 def count_components(vertices, edges) -> int:
     """Number of connected components of a graph, by union-find."""

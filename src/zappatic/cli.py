@@ -154,11 +154,6 @@ def cmd_invariants(args) -> int:
     arr, meta = serialize.read_arrangement(args.path)
     inc = compute_incidence(arr)
     report = zappatic_report(arr, inc)
-    if not report.is_zappatic:
-        print("not a Zappatic arrangement; no invariants")
-        for v in report.violations:
-            print(f"violation: {v}")
-        return 2
     graph = build_dual_graph(arr, inc, report)
     inv = invariants_of(report, graph)
     sm = smoothing_of(inv) if args.smooth else None

@@ -68,9 +68,6 @@ class HomologyReport:
         if self.euler != self.h0 - self.h1 + self.h2:
             raise InternalCheckError("Euler characteristic mismatch")
 
-    def as_tuple(self):
-        return (self.h0, self.h1, self.h2)
-
 
 def _cycle_boundary(graph: DualGraph, cell):
     """Signed incidence of one 2-cell: walk the edge cycle and orient."""

@@ -81,29 +81,6 @@ class ConstructionResult:
         return self.graph.num_edges
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
-    passed: bool
-    positive_dims: tuple[tuple[int, int], ...]  # (plane index, intersection dim)
-    offending: tuple[int, ...]
-
-
-def verify_transversality(arr: Arrangement, pi: Subspace, expected) -> TransversalityReport:
-    """Check that a 3-space meets the arrangement only along expected lines."""
-    if pi.dim != 3:
-        raise RangeError("transversality check requires a 3-dimensional subspace")
-    expected = list(expected)
-    positive = []
-    offending = []
-    for k in range(len(arr)):
-        inter = meet(pi, arr.planes[k])
-        if inter.dim >= 1:
-            positive.append((k, inter.dim))
-            if inter not in expected:
-                offending.append(k)
-    return TransversalityReport(not offending, tuple(positive), tuple(offending))
-
-
 def _finish(
     arr, attachments, discrepancies, family, d, g, seed, inc=None, report=None
 ) -> ConstructionResult:

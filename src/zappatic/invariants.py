@@ -133,69 +133,6 @@ def hilbert_dim(d: int, g: int) -> int:
     return (d - 2 * g + 2) ** 2 + 7 * (g - 1)
 
 
-def chi_normal(d: int, g: int) -> int:
-    """Euler characteristic route to the same number: d^2-4dg+4d+4g^2-g-3."""
-    check_dg_range(d, g)
-    return d * d - 4 * d * g + 4 * d + 4 * g * g - g - 3
-
-
-def param_breakdown(d: int, g: int):
-    """Parameter count for the scroll component, summand by summand.
-
-    Returns ([(label, signed count), ...], total); the total equals
-    hilbert_dim(d, g) identically.
-    """
-    check_dg_range(d, g)
-    r = d - 2 * g + 1
-    items = [
-        ("curve moduli", 3 * g - 3),
-        ("points on the product surface", 2 * d),
-        ("projective transformations", (r + 1) ** 2 - 1),
-        ("codimension-two subspace", -(2 * d - 4 * g)),
-        ("pencil isomorphisms", -3),
-    ]
-    total = sum(c for _, c in items)
-    if total != hilbert_dim(d, g):
-        raise InternalCheckError("parameter breakdown disagrees with dimension")
-    return items, total
-
-
-def segre_bounds(d: int, g: int):
-    """Bounds for h^0/h^1 of the hyperplane bundle of a genus-g ruled surface.
-
-    h^0 lies in [d-2g+2, d-g+2] (upper bound attained exactly by cones),
-    h^1 in [0, g]; Riemann-Roch pins h^0 - h^1 = d - 2g + 2 pointwise.
-    """
-    if g < 1:
-        raise RangeError("requires g >= 1")
-    if d < 2 * g + 1:
-        raise RangeError("requires d >= 2g+1")
-    return {
-        "h0_min": d - 2 * g + 2,
-        "h0_max": d - g + 2,
-        "h1_min": 0,
-        "h1_max": g,
-        "chi": d - 2 * g + 2,
-    }
-
-
-def decomposable_h1(g: int, deg_L: int, i: int, d: int):
-    """h^1 and h^0 of the hyperplane bundle of P(L + O(D)) with h^1(L) = i.
-
-    The first summand is a special line bundle of degree deg_L with
-    speciality index i (an input, as in the construction); the second is a
-    general nonspecial divisor of degree d - deg_L.
-    """
-    if not 1 <= i <= g:
-        raise RangeError("requires 1 <= i <= g")
-    if deg_L > 2 * g - 2:
-        raise RangeError("requires deg_L <= 2g-2")
-    if d - deg_L < 2 * g + 1:
-        raise RangeError("requires d - deg_L >= 2g+1")
-    h0 = (deg_L - g + 1 + i) + (d - deg_L - g + 1)
-    return {"h1_total": i, "h0_total": h0}
-
-
 def brill_noether(g: int, r: int, d: int) -> int:
     """rho(g, r, d) = g - (r+1)(g - d + r)."""
     return g - (r + 1) * (g - d + r)

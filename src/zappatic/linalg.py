@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 from zappatic import _bareiss as _py
 
@@ -102,8 +103,16 @@ def sparse_rank(columns) -> int:
 
 
 def primitive(row) -> tuple[int, ...]:
-    """Integer vector divided by its content, first nonzero entry positive."""
-    return _py._primitive(row)
+    """Integer vector divided by its content, first nonzero entry positive.
+
+    The entries come back as Python ints, also for int subclasses (bool)."""
+    row = [*map(index, row)]
+    g = gcd(*row)
+    if not g:
+        return tuple(row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def clear_denominators(row) -> tuple[int, ...]:

@@ -67,9 +67,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis) - 1
 
-    def is_empty(self) -> bool:
-        return not self.basis
-
     @cached_property
     def support(self) -> frozenset[int]:
         """Coordinates that are nonzero somewhere on the subspace.
@@ -335,20 +332,9 @@ class PluckerPoint:
         if klein_value(row) != 0:
             raise ValueError("coordinates violate the Klein relation")
 
-    def as_point(self) -> ProjPoint:
-        return ProjPoint(self.coords)
-
 
 def klein_value(c) -> int:
     return c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
-
-
-def klein_form() -> QuadricForm:
-    m = [[0] * 6 for _ in range(6)]
-    m[0][5] = m[5][0] = 1
-    m[1][4] = m[4][1] = -1
-    m[2][3] = m[3][2] = 1
-    return QuadricForm(m)
 
 
 def plucker(line: Subspace) -> PluckerPoint:

@@ -21,7 +21,6 @@ the ruling conic in the Klein quadric from the dual plane of that plane.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from math import isqrt
@@ -109,13 +108,6 @@ class DegenLedger:
             lines.append(" ".join(c.label() for c in state))
         return "\n".join(lines) + "\n"
 
-    def final_dual_graph(self):
-        """Abstract dual graph of the final chain of components."""
-        from zappatic.complexes import DualGraph
-
-        k = len(self.final_state())
-        return DualGraph(k, tuple((i, i + 1) for i in range(k - 1)))
-
 
 def _state_replace(state, idx, replacement):
     return tuple(state[:idx]) + tuple(replacement) + tuple(state[idx + 1 :])
@@ -143,22 +135,7 @@ def rat1_step(state):
     # b-1 may drop below a; reorder, and a degree-1 leftover is a plane
     aa, bb = min(a, b - 1), max(a, b - 1)
     rest = FibreComponent.plane(1) if aa + bb == 1 else FibreComponent.scroll(aa, bb)
-    moves = (f"blowup_point({idx})", f"twist({idx},-1)", "type_I(vertical)")
-    return _state_replace(state, idx, (rest, FibreComponent.plane(1))), moves
-
-
-def rat2_step(state):
-    """Split a scroll of type (a, b), b >= a > 1, into a quadric and
-    S_(a-1, b-1) by blowing up a ruling and twisting once."""
-    state = tuple(state)
-    idx, st = _find_scroll(state, lambda a, b: b >= a > 1)
-    if idx is None:
-        raise RangeError("requires a scroll component with b >= a > 1")
-    a, b = st
-    quadric = FibreComponent.scroll(1, 1)
-    rest = FibreComponent.scroll(a - 1, b - 1)
-    moves = (f"blowup_ruling({idx})", f"twist({idx},-1)")
-    return _state_replace(state, idx, (quadric, rest)), moves
+    return _state_replace(state, idx, (rest, FibreComponent.plane(1)))
 
 
 def degenerate_balanced(d: int) -> DegenLedger:
@@ -190,7 +167,7 @@ def degenerate_balanced(d: int) -> DegenLedger:
                 group += (f"twist({idx + 1},-{x - 1})",)
         # either way the scroll splits as in rat1_step: S_(x, y) becomes
         # S_(x, y-1), reordered, and a plane; the quadric S_(1,1) two planes
-        states.append(rat1_step(states[-1])[0])
+        states.append(rat1_step(states[-1]))
         groups.append(group)
     ledger = DegenLedger(tuple(states), tuple(groups), d)
     final = ledger.final_state()

@@ -17,10 +17,16 @@ disjoint-pair reference meets every pair of central planes, where the
 constructions read contacts off the incidence.
 The reference writer builds the file's object for json.dumps, which
 serialize.dumps replaces with its own string joins.
+The Euler-characteristic formula and the parameter count are the second and
+third routes to invariants.hilbert_dim.  The Klein form is the quadric that
+projective.klein_value evaluates, as a matrix.  The transversality check
+meets a recorded attachment 3-space with every plane, the check that
+constructions._attach_pair runs while it samples, redone from the record.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -198,7 +204,7 @@ def containment_report(arr, inc):
     types = [classify_point(arr, inc, k) for k in range(len(inc.singular_points))]
     counts = {kind: Counter() for kind in "RSE"}
     for sp, t in zip(inc.singular_points, types):
-        if t.is_zappatic():
+        if t.kind in ("R", "S", "E"):
             counts[t.kind][t.n] += 1
         else:
             violations.append(f"point {list(sp.point.coords)}: {t.reason}")
@@ -207,7 +213,7 @@ def containment_report(arr, inc):
         k = index.get(p.coords)
         if k is None:
             violations.append(f"planes ({i},{j}) meet at an unclassified point")
-        elif types[k].is_zappatic() and not {i, j} <= set(types[k].vertex_order):
+        elif types[k].kind in ("R", "S", "E") and not {i, j} <= set(types[k].vertex_order):
             violations.append(f"planes ({i},{j}) touch a singular point they are not part of")
     return ZappaticReport(
         is_zappatic=not violations,
@@ -292,7 +298,7 @@ def meet_first_disjoint_central_pair(result):
     for a in range(len(centrals)):
         for b in range(a + 1, len(centrals)):
             i, j = centrals[a], centrals[b]
-            if meet(result.arrangement.planes[i], result.arrangement.planes[j]).is_empty():
+            if meet(result.arrangement.planes[i], result.arrangement.planes[j]).dim == -1:
                 return (i, j)
     return None
 
@@ -312,3 +318,63 @@ def arrangement_to_dict(arr, metadata=None):
     if metadata:
         out["metadata"] = metadata
     return out
+
+
+def chi_normal(d, g):
+    """Euler characteristic route to hilbert_dim: d^2-4dg+4d+4g^2-g-3."""
+    return d * d - 4 * d * g + 4 * d + 4 * g * g - g - 3
+
+
+def param_breakdown(d, g):
+    """Parameter count for the scroll component, summand by summand.
+
+    Returns ([(label, signed count), ...], total); the total is the third
+    route to hilbert_dim(d, g).
+    """
+    r = d - 2 * g + 1
+    items = [
+        ("curve moduli", 3 * g - 3),
+        ("points on the product surface", 2 * d),
+        ("projective transformations", (r + 1) ** 2 - 1),
+        ("codimension-two subspace", -(2 * d - 4 * g)),
+        ("pencil isomorphisms", -3),
+    ]
+    return items, sum(c for _, c in items)
+
+
+def klein_form():
+    """The Klein quadric x0 x5 - x1 x4 + x2 x3 of P^5 as a QuadricForm."""
+    from zappatic.projective import QuadricForm
+
+    m = [[0] * 6 for _ in range(6)]
+    m[0][5] = m[5][0] = 1
+    m[1][4] = m[4][1] = -1
+    m[2][3] = m[3][2] = 1
+    return QuadricForm(m)
+
+
+@dataclass(frozen=True)
+class TransversalityReport:
+    passed: bool
+    positive_dims: tuple[tuple[int, int], ...]  # (plane index, intersection dim)
+    offending: tuple[int, ...]
+
+
+def verify_transversality(arr, pi, expected):
+    """Check that a 3-space meets the arrangement only along expected lines:
+    the attachment check of constructions._attach_pair, from its record."""
+    from zappatic.errors import RangeError
+    from zappatic.projective import meet
+
+    if pi.dim != 3:
+        raise RangeError("transversality check requires a 3-dimensional subspace")
+    expected = list(expected)
+    positive = []
+    offending = []
+    for k in range(len(arr)):
+        inter = meet(pi, arr.planes[k])
+        if inter.dim >= 1:
+            positive.append((k, inter.dim))
+            if inter not in expected:
+                offending.append(k)
+    return TransversalityReport(not offending, tuple(positive), tuple(offending))

