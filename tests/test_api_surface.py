@@ -34,13 +34,13 @@ def _public_definitions(tree):
                     yield item.name, item.lineno, item.end_lineno
 
 
-def _uncalled_names():
+def _uncalled_names(package=PACKAGE, perfbench=ROOT / "perfbench"):
     sources = {
         path: path.read_text().splitlines()
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(package.glob("*.py"))
         if path.name != "__init__.py"
     }
-    perfbench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    perfbench = [p.read_text() for p in sorted(perfbench.glob("*.py"))]
     uncalled = []
     for path, lines in sources.items():
         others = ["\n".join(text) for other, text in sources.items() if other != path]
@@ -61,3 +61,39 @@ def test_allowlisted_names_still_wait_for_a_caller():
     # Once certify calls them, they leave the allowlist.
     waiting = {n.rsplit(".", 1)[1] for n in _uncalled_names()}
     assert WAITING_FOR_CALLER <= waiting
+
+
+def _sample_tree(root, modules, perfbench):
+    for directory, files in (("pkg", modules), ("bench", perfbench)):
+        (root / directory).mkdir()
+        for name, text in files.items():
+            (root / directory / name).write_text(text)
+    return _uncalled_names(root / "pkg", root / "bench")
+
+
+def test_own_definition_and_reexport_do_not_count(tmp_path):
+    modules = {
+        "__init__.py": "from .a import lonely, Box\n",
+        "a.py": (
+            "def lonely(n):\n"
+            "    return lonely(n - 1) if n else 0\n"
+            "\n"
+            "class Box:\n"
+            "    def unused(self):\n"
+            "        return 1\n"
+            "\n"
+            "def _private():\n"
+            "    return 2\n"
+        ),
+    }
+    assert _sample_tree(tmp_path, modules, {}) == ["a.lonely", "a.Box", "a.unused"]
+
+
+def test_callers_in_the_package_or_perfbench_count(tmp_path):
+    modules = {
+        "a.py": "def helper():\n    return 1\n\nclass Box:\n    def size(self):\n        return 2\n",
+        "b.py": "from .a import helper\n\ndef main():\n    return helper()\n",
+    }
+    bench = {"run.py": "from pkg.a import Box\nprint(Box().size())\n"}
+    # main is reached by nothing, so it is the one name reported
+    assert _sample_tree(tmp_path, modules, bench) == ["b.main"]

@@ -188,6 +188,37 @@ def test_kernel_rejects_ragged_rows(backend, m):
             op(m)
 
 
+@pytest.mark.parametrize(
+    "row,expected",
+    [
+        pytest.param((), (), id="empty"),
+        pytest.param((0, 0, 0), (0, 0, 0), id="zero-row"),
+        pytest.param((3, -5, 7), (3, -5, 7), id="already-primitive"),
+        pytest.param([4, 6, -8], (2, 3, -4), id="content-above-one"),
+        pytest.param((0, -6, 4, 10), (0, 3, -2, -5), id="negative-leading-entry"),
+        pytest.param((0, -1, 0), (0, 1, 0), id="negative-unit"),
+        pytest.param([True, False, True], (1, 0, 1), id="bools"),
+        pytest.param((-2**100, 2**101, 0), (1, -2, 0), id="big-integers"),
+    ],
+)
+def test_primitive_cases(row, expected):
+    ours = linalg.primitive(row)
+    assert ours == expected
+    assert all(type(x) is int for x in ours)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, 1.0])
+def test_primitive_rejects_entries_that_are_not_ints(bad):
+    with pytest.raises(TypeError):
+        linalg.primitive([2, bad])
+
+
+@given(st.lists(st.integers(-2**70, 2**70), max_size=9))
+def test_primitive_matches_fractions(row):
+    assert linalg.primitive(row) == frac_primitive(row)
+    assert linalg.primitive(iter(row)) == frac_primitive(row)
+
+
 def test_clear_denominators():
     assert linalg.clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
     assert linalg.clear_denominators([Fraction(-2), Fraction(4)]) == (1, -2)
