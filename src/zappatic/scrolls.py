@@ -1,11 +1,11 @@
 """Degeneration bookkeeping for ruled central fibres, and two exact checks.
 
-Central fibres are lists of components: F(n; aC, aF) is a Hirzebruch surface
-with the restricted hyperplane class aC*C + aF*F (degree aC^2*n + 2*aC*aF),
-P(deg) a plane-type component.  Moves (point or ruling blow-ups, twists of
-the hyperplane bundle, type-I transformations) are recorded at the resolution
-of their effect on these labels; the running total degree is conserved and
-re-checked at every state.
+Central fibres are lists of components, each stored as its type (a, b): the
+scroll S(a, b) = F(b-a; 1, a), that is F_(b-a) embedded by |C + aF| (degree
+a + b), or for a = 0 the plane P(b).  Moves (point or ruling blow-ups,
+twists of the hyperplane bundle, type-I transformations) are recorded at the
+resolution of their effect on these labels; the running total degree is
+conserved and re-checked at every state.
 
 chain_feasible decides whether a scroll of type (a, b) can degenerate to a
 chain of planes with only triple chain points, from the admissible
@@ -41,46 +41,33 @@ from zappatic.projective import (
 
 @dataclass(frozen=True)
 class FibreComponent:
-    kind: str  # "F" or "P"
-    n: int = 0  # F only: F_n
-    a_c: int = 0  # F only: coefficient of the section C
-    a_f: int = 0  # F only: coefficient of the ruling F
-    degree: int = 0  # P only
+    """A scroll S(a, b) = F(b-a; 1, a) of degree a + b, or with a = 0 the
+    plane P(b)."""
 
-    @staticmethod
-    def hirzebruch(n: int, a_c: int, a_f: int) -> "FibreComponent":
-        if n < 0 or a_c < 0 or a_f < 0:
-            raise RangeError("negative degree data in a terminal component")
-        return FibreComponent("F", n=n, a_c=a_c, a_f=a_f)
+    a: int
+    b: int
 
     @staticmethod
     def plane(degree: int = 1) -> "FibreComponent":
         if degree < 0:
             raise RangeError("negative plane degree")
-        return FibreComponent("P", degree=degree)
+        return FibreComponent(0, degree)
 
     @staticmethod
     def scroll(a: int, b: int) -> "FibreComponent":
         """Scroll of type (a, b), b >= a >= 1, as |C + aF| on F_(b-a)."""
         if not 1 <= a <= b:
             raise RangeError("scroll type needs 1 <= a <= b")
-        return FibreComponent.hirzebruch(b - a, 1, a)
+        return FibreComponent(a, b)
 
     @property
     def total_degree(self) -> int:
-        if self.kind == "P":
-            return self.degree
-        return self.a_c * self.a_c * self.n + 2 * self.a_c * self.a_f
-
-    def scroll_type(self) -> tuple[int, int] | None:
-        if self.kind == "F" and self.a_c == 1:
-            return (self.a_f, self.a_f + self.n)
-        return None
+        return self.a + self.b
 
     def label(self) -> str:
-        if self.kind == "P":
-            return f"P({self.degree})"
-        return f"F({self.n};{self.a_c},{self.a_f})"
+        if not self.a:
+            return f"P({self.b})"
+        return f"F({self.b - self.a};1,{self.a})"
 
 
 @dataclass(frozen=True)
@@ -109,69 +96,37 @@ class DegenLedger:
         return "\n".join(lines) + "\n"
 
 
-def _state_replace(state, idx, replacement):
-    return tuple(state[:idx]) + tuple(replacement) + tuple(state[idx + 1 :])
-
-
-def _find_scroll(state, pred):
-    for idx, comp in enumerate(state):
-        st = comp.scroll_type()
-        if st and pred(*st):
-            return idx, st
-    return None, None
-
-
-def rat1_step(state):
-    """Split a scroll of type (a, b), b >= a, into a plane and S_(a, b-1).
-
-    Point blow-up, a twist by the opposite of the exceptional component, and
-    a type-I transformation on the vertical (-1)-curve.
-    """
-    state = tuple(state)
-    idx, st = _find_scroll(state, lambda a, b: b >= a >= 1 and a + b >= 2)
-    if idx is None:
-        raise RangeError("no scroll component of type (a,b) with b >= a")
-    a, b = st
-    # b-1 may drop below a; reorder, and a degree-1 leftover is a plane
-    aa, bb = min(a, b - 1), max(a, b - 1)
-    rest = FibreComponent.plane(1) if aa + bb == 1 else FibreComponent.scroll(aa, bb)
-    return _state_replace(state, idx, (rest, FibreComponent.plane(1)))
-
-
 def degenerate_balanced(d: int) -> DegenLedger:
     """Degenerate the balanced degree-d scroll to a chain of d planes.
 
     Starts from S_(a, a+1) for odd d = 2a+1 and from S_(a, a) for even
     d = 2a; alternates ruling blow-ups (multiplicity-a twist) and point
     blow-ups (twist, type-I, twist with multiplicity a-1), pushing one plane
-    into the chain per move group.
+    into the chain per move group.  The scroll stays in front of the chain.
     """
     if d < 2:
         raise RangeError("requires d >= 2")
-    a, rem = divmod(d, 2)
-    states = [(FibreComponent.scroll(a, a + rem),)]
+    x, y = d // 2, (d + 1) // 2
+    unit = FibreComponent.plane(1)
+    states = [(FibreComponent.scroll(x, y),)]
     groups = []
-    while True:
-        idx, st = _find_scroll(states[-1], lambda x, y: x + y >= 2)
-        if idx is None:
-            break
-        x, y = st
+    while x:
         if x < y:
             # F_1-type stage: ruling blow-up plus one twist of multiplicity x
-            group = (f"blowup_ruling({idx})", f"twist({idx + 1},-{x})")
+            group = ("blowup_ruling(0)", f"twist(1,-{x})")
         else:
             # F_0-type stage: point blow-up, twist, type-I, then the
             # multiplicity x-1 twist
-            group = (f"blowup_point({idx})", f"twist({idx + 1},-1)", "type_I(vertical)")
+            group = ("blowup_point(0)", "twist(1,-1)", "type_I(vertical)")
             if x > 1:
-                group += (f"twist({idx + 1},-{x - 1})",)
-        # either way the scroll splits as in rat1_step: S_(x, y) becomes
-        # S_(x, y-1), reordered, and a plane; the quadric S_(1,1) two planes
-        states.append(rat1_step(states[-1]))
+                group += (f"twist(1,-{x - 1})",)
+        # either way S_(x, y) splits off a plane and becomes S_(x, y-1),
+        # reordered; the quadric S_(1,1) leaves type (0, 1), the plane P(1)
+        x, y = min(x, y - 1), max(x, y - 1)
+        states.append((FibreComponent(x, y), *states[-1][1:], unit))
         groups.append(group)
     ledger = DegenLedger(tuple(states), tuple(groups), d)
-    final = ledger.final_state()
-    if len(final) != d or any(c.kind != "P" or c.degree != 1 for c in final):
+    if ledger.final_state() != (unit,) * d:
         raise InternalCheckError("balanced degeneration did not end in unit planes")
     return ledger
 
@@ -333,12 +288,7 @@ def section_duality_check(
     # parametrize the opposite ruling family through the points of seed_line
     u, v = seed_line.basis
     samples = []
-    params = [0]
-    k = 1
-    while len(params) < n_samples:
-        params.extend((k, -k))
-        k += 1
-    params = params[:n_samples]
+    params = [(i + 1) // 2 * (-1) ** (i + 1) for i in range(n_samples)]
     dual = dual_plane_in_klein(pi)
     proj_forms = linalg.nullspace(dual.basis, ncols=6)  # three forms cutting it
     for t in params:

@@ -11,8 +11,8 @@ import sys
 import pytest
 
 from zappatic import linalg
-from zappatic.arrangement import compute_incidence, zappatic_report
-from zappatic.complexes import DualGraph, build_torus_complex, homology
+from zappatic.arrangement import compute_incidence
+from zappatic.complexes import build_torus_complex, homology
 from zappatic.constructions import (
     build_X,
     build_Z,
@@ -153,7 +153,10 @@ def test_criterion_06_balanced_degeneration():
         assert all(c.label() == "P(1)" for c in final)
         for state in led.states:
             assert sum(c.total_degree for c in state) == d
-        h = homology(DualGraph(d, tuple((i, i + 1) for i in range(d - 1))))
+        chain = chain_planes(d)
+        assert len(final) == len(chain.arrangement)
+        assert chain.graph.edges == tuple((i, i + 1) for i in range(d - 1))
+        h = homology(chain.graph)
         assert (h.h0, h.h1, h.h2) == (1, 0, 0)
     _ok(6, "degenerations end in d unit planes on a path; degree conserved stepwise")
 

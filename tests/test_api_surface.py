@@ -1,10 +1,14 @@
-"""Every public name in zappatic has a caller.
+"""Every public name in zappatic has a caller, and every import is used.
 
 A public top-level function or class, or a public method, of a module in
 ``src/zappatic`` counts as called if its name appears as a word in
 ``src/zappatic`` outside its own definition and outside ``__init__.py``
 (which only re-exports), or in ``perfbench/*.py``.  Tests do not count:
 what only tests reach belongs in ``tests/oracles.py`` or nowhere.
+
+Every name that a module of ``src/zappatic`` (except ``__init__.py``) or of
+``tests`` imports, at top level or inside a function, must appear in that
+module as an ``ast.Name``, which is also the root of every attribute chain.
 """
 
 from __future__ import annotations
@@ -61,6 +65,43 @@ def test_allowlisted_names_still_wait_for_a_caller():
     # Once certify calls them, they leave the allowlist.
     waiting = {n.rsplit(".", 1)[1] for n in _uncalled_names()}
     assert WAITING_FOR_CALLER <= waiting
+
+
+def _unused_imports(paths):
+    """'file:line name' for each imported name its module never reads."""
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    return unused
+
+
+def test_every_import_is_used():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert _unused_imports(modules + sorted((ROOT / "tests").glob("*.py"))) == []
+
+
+def test_unused_import_rule_on_a_sample_module(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from re import compile, escape as esc\n"
+        "\n"
+        "def f():\n"
+        "    from math import gcd, lcm\n"
+        "    return os.path.join(esc('x'), str(gcd(2, 4)))\n"
+    )
+    assert _unused_imports([path]) == ["m.py:3 js", "m.py:4 compile", "m.py:7 lcm"]
 
 
 def _sample_tree(root, modules, perfbench):

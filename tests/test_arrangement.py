@@ -146,7 +146,6 @@ class TestClassification:
 class TestProjectiveInvariance:
     def test_classification_stable_under_coordinate_change(self):
         from zappatic import linalg
-        from zappatic.projective import ProjPoint, span
 
         def pl(i):
             rows = [[1 if j == k else 0 for j in range(5)] for k in (i, i + 1, i + 2)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from zappatic import cli, constructions, serialize
 from zappatic.arrangement import compute_incidence, zappatic_report
 from zappatic.cli import JSON_BEGIN, JSON_END, _run_quadric_oracle, build_parser, main
-from zappatic.constructions import build_X, chain_planes
+from zappatic.constructions import build_X
 from zappatic.errors import InternalCheckError, RangeError
 from zappatic.projective import ProjPoint, Subspace, quadrics_through
 

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from zappatic import linalg
-from zappatic.complexes import DualGraph, homology
+from zappatic.complexes import homology
+from zappatic.constructions import chain_planes
 from zappatic.errors import GenericityError, RangeError
 from zappatic.projective import ProjPoint, QuadricForm, Subspace, span
 from zappatic.scrolls import (
@@ -12,7 +13,6 @@ from zappatic.scrolls import (
     FibreComponent,
     chain_feasible,
     degenerate_balanced,
-    rat1_step,
     _find_rational_point,
     _is_definite,
     section_duality_check,
@@ -25,46 +25,25 @@ HYPERBOLIC = QuadricForm(
 )  # x0 x3 - x1 x2
 
 
-def labels(state):
-    return [c.label() for c in state]
-
-
 class TestComponents:
     def test_scroll_degrees(self):
         assert FibreComponent.scroll(2, 3).total_degree == 5
         assert FibreComponent.scroll(1, 1).total_degree == 2
         assert FibreComponent.plane(1).total_degree == 1
 
-    def test_scroll_type_roundtrip(self):
-        assert FibreComponent.scroll(2, 5).scroll_type() == (2, 5)
+    def test_labels(self):
+        assert FibreComponent.scroll(2, 5).label() == "F(3;1,2)"
+        assert FibreComponent.scroll(1, 1).label() == "F(0;1,1)"
+        assert FibreComponent.plane(1).label() == "P(1)"
+        assert FibreComponent.plane(2).label() == "P(2)"
 
-
-class TestRat1:
-    def test_quadric_splits_into_two_planes(self):
-        state = rat1_step([FibreComponent.scroll(1, 1)])
-        assert labels(state) == ["P(1)", "P(1)"]
-
-    def test_s12_gives_plane_plus_quadric(self):
-        state = rat1_step([FibreComponent.scroll(1, 2)])
-        assert labels(state) == ["F(0;1,1)", "P(1)"]
-        assert sum(c.total_degree for c in state) == 3
-
-    def test_degree_conserved(self):
-        for a, b in [(1, 1), (1, 3), (2, 2), (3, 4)]:
-            state = rat1_step([FibreComponent.scroll(a, b)])
-            assert sum(c.total_degree for c in state) == a + b
-
-    def test_collapse_audit(self):
-        # merging the emitted plane back restores the original degree split
-        state = rat1_step([FibreComponent.scroll(2, 4)])
-        scroll, plane = state
-        assert plane.degree == 1
-        assert scroll.total_degree + plane.degree == 6
-        assert scroll.scroll_type() == (2, 3)
-
-    def test_no_eligible_component(self):
+    @pytest.mark.parametrize(
+        "make,args",
+        [(FibreComponent.scroll, (0, 1)), (FibreComponent.scroll, (3, 2)), (FibreComponent.plane, (-1,))],
+    )
+    def test_range_checks(self, make, args):
         with pytest.raises(RangeError):
-            rat1_step([FibreComponent.plane(1)])
+            make(*args)
 
 
 class TestBalancedDegeneration:
@@ -74,8 +53,30 @@ class TestBalancedDegeneration:
         final = led.final_state()
         assert len(final) == d
         assert all(c.label() == "P(1)" for c in final)
-        h = homology(DualGraph(d, tuple((i, i + 1) for i in range(d - 1))))
+        chain = chain_planes(d)
+        assert len(final) == len(chain.arrangement)
+        assert chain.graph.edges == tuple((i, i + 1) for i in range(d - 1))
+        h = homology(chain.graph)
         assert (h.h0, h.h1, h.h2) == (1, 0, 0)
+
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_each_group_splits_one_plane_off_the_front_scroll(self, d):
+        # S(x, y) in front becomes S(min(x, y-1), max(x, y-1)), or P(1) from
+        # S(1, 1), and one more P(1) joins the planes behind it
+        led = degenerate_balanced(d)
+        unit = FibreComponent.plane(1)
+        x, y = d // 2, (d + 1) // 2
+        assert len(led.moves) == d - 1
+        for prev, group, state in zip(led.states, led.moves, led.states[1:]):
+            assert prev[0] == FibreComponent.scroll(x, y)
+            if x < y:
+                assert group == ("blowup_ruling(0)", f"twist(1,-{x})")
+            else:
+                extra = (f"twist(1,-{x - 1})",) if x > 1 else ()
+                assert group == ("blowup_point(0)", "twist(1,-1)", "type_I(vertical)", *extra)
+            x, y = min(x, y - 1), max(x, y - 1)
+            front = unit if (x, y) == (0, 1) else FibreComponent.scroll(x, y)
+            assert state == (front, *prev[1:], unit)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_degree_constant_at_every_state(self, d):
@@ -87,8 +88,8 @@ class TestBalancedDegeneration:
         assert len(degenerate_balanced(2).moves) == 1
 
     def test_starts_balanced(self):
-        assert degenerate_balanced(7).states[0][0].scroll_type() == (3, 4)
-        assert degenerate_balanced(8).states[0][0].scroll_type() == (4, 4)
+        assert degenerate_balanced(7).states[0] == (FibreComponent.scroll(3, 4),)
+        assert degenerate_balanced(8).states[0] == (FibreComponent.scroll(4, 4),)
 
     def test_serialization_pinned_format(self):
         text = degenerate_balanced(5).serialize()
