@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from zappatic import linalg, serialize
@@ -45,20 +44,8 @@ def _print_json_block(payload: dict) -> None:
     print(JSON_END)
 
 
-def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ZAPPATIC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise RangeError(f"ZAPPATIC_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def cmd_construct(args) -> int:
-    seed = _default_seed(args)
+    seed = args.seed
     family = args.family
     d, g = args.d, args.g
     if family in ("chain", "cycle"):
@@ -269,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True, choices=["chain", "cycle", "X", "Y", "Z"])
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--g", type=int, default=None)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_construct)
 

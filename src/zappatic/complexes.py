@@ -168,32 +168,26 @@ def build_torus_complex(n: int, m: int) -> DualGraph:
     def B(i, j):
         return A(i, j) + 1
 
+    def eid(i, j, k):
+        # edge k of cell (i, j): 0 its diagonal, 1 its bottom, 2 its left edge
+        return 3 * ((i % n) * m + j % m) + k
+
     edges = []
-    eid = {}
-
-    def add_edge(u, v, key):
-        eid[key] = len(edges)
-        edges.append((min(u, v), max(u, v)))
-
     for i in range(n):
         for j in range(m):
-            add_edge(A(i, j), B(i, j), ("d", i, j))  # diagonal of cell (i,j)
-            add_edge(A(i, j), B(i, (j - 1) % m), ("b", i, j))  # bottom edge
-            add_edge(B(i, j), A((i - 1) % n, j), ("l", i, j))  # left edge
+            # the diagonal, bottom and left edge of cell (i, j), at eid(i, j, 0..2)
+            for u, v in ((A(i, j), B(i, j)), (A(i, j), B(i, j - 1)), (B(i, j), A(i - 1, j))):
+                edges.append((min(u, v), max(u, v)))
 
-    two_cells = []
-    for i in range(n):
-        for j in range(m):
-            # hexagon around grid vertex (i, j)
-            cyc = (
-                eid[("d", i, j)],
-                eid[("l", i, j)],
-                eid[("b", (i - 1) % n, j)],
-                eid[("d", (i - 1) % n, (j - 1) % m)],
-                eid[("l", i, (j - 1) % m)],
-                eid[("b", i, j)],
-            )
-            two_cells.append(cyc)
+    # one hexagon around each grid vertex (i, j)
+    two_cells = [
+        (
+            eid(i, j, 0), eid(i, j, 2), eid(i - 1, j, 1),
+            eid(i - 1, j - 1, 0), eid(i, j - 1, 2), eid(i, j, 1),
+        )
+        for i in range(n)
+        for j in range(m)
+    ]
 
     g = DualGraph(
         num_vertices=2 * n * m, edges=tuple(edges), two_cells=tuple(two_cells)

@@ -22,7 +22,7 @@ the ruling conic in the Klein quadric from the dual plane of that plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import isqrt
 
 from zappatic import linalg
@@ -141,6 +141,11 @@ def chain_feasible(a: int, b: int):
     (j_1 descending, steps of 1 before 2).  It needs at most a-1 steps, so
     the type is infeasible iff b - a > 3.  Returns {"feasible", "witness"}
     or {"feasible", "obstruction"}.
+
+    These rules constrain only the degree-a side: they bound the triangles
+    at each vertex of the degree-a directrix, not of the degree-b one.  The
+    witness can put a degree-b vertex in more than three triangles; for
+    (3, 3) it is (3, 4, 5), which puts one in five.
     """
     if not 1 <= a <= b:
         raise RangeError("requires 1 <= a <= b")
@@ -212,56 +217,12 @@ def _lines_through(q: QuadricForm, p: ProjPoint) -> tuple[Subspace, Subspace]:
     return out[0], out[1]
 
 
-def _is_definite(q: QuadricForm) -> bool:
-    """Sylvester's criterion: the leading principal minors D_1, ..., D_n are
-    all positive, or alternate in sign from D_1 < 0.
-
-    Fraction-free elimination without row swaps has D_k as its k-th pivot,
-    and every division in it is exact.  A zero pivot is a zero minor, and a
-    form with one is not definite.
-    """
-    m = [list(r) for r in q.matrix]
-    n = len(m)
-    minors = []
-    prev = 1
-    for k in range(n):
-        p = m[k][k]
-        if not p:
-            return False
-        minors.append(p)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (p * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = p
-    return all(d > 0 for d in minors) or all(
-        (d < 0) == (k % 2 == 1) for k, d in enumerate(minors, 1)
-    )
-
-
-def _find_rational_point(q: QuadricForm, hint: ProjPoint | None) -> ProjPoint:
-    """The hint, or the first point of height <= 7 on the quadric.
-
-    A definite form has no real point at all, so it raises before the scan.
-    """
-    if hint is not None:
-        if q.evaluate(hint) != 0:
-            raise RangeError("hint point does not lie on the quadric")
-        return hint
-    if not _is_definite(q):
-        for h in range(1, 8):
-            for vec in product(range(-h, h + 1), repeat=4):
-                if max(map(abs, vec)) == h and q.bilinear(vec, vec) == 0:
-                    return ProjPoint(vec)
-    raise GenericityError(
-        "no small rational point found on the quadric; pass base_point"
-    )
-
-
 def section_duality_check(
     quadric: QuadricForm,
     pi: Subspace,
     n_samples: int = 8,
-    base_point: ProjPoint | None = None,
+    *,
+    base_point: ProjPoint,
 ):
     """Sample-level check that cutting rulings with a plane is a projection.
 
@@ -269,7 +230,9 @@ def section_duality_check(
     with the plane, and verifies that the resulting points match the images
     of the Pluecker points of L_t under linear projection from the dual
     plane, through one fixed projectivity (fitted on four samples, verified
-    exactly on the rest).
+    exactly on the rest).  The sampled rulings all meet one ruling through
+    base_point, a rational point of the quadric; a point off the quadric
+    raises RangeError.
     """
     if quadric.ambient_dim != 3:
         raise RangeError("quadric must live on P^3")
@@ -282,8 +245,7 @@ def section_duality_check(
     if quadric_rank(quadric.restrict(pi)) != 3:
         raise RangeError("plane is tangent to the quadric or contains a ruling")
 
-    p0 = _find_rational_point(quadric, base_point)
-    seed_line, _other = _lines_through(quadric, p0)
+    seed_line, _other = _lines_through(quadric, base_point)
 
     # parametrize the opposite ruling family through the points of seed_line
     u, v = seed_line.basis

@@ -10,11 +10,13 @@ the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
 each double line, by containment tests.  The chain feasibility reference is
 the depth-first search over all placements that scrolls.chain_feasible
-replaced with a direct witness; it costs 2^a.  The homology reference ranks
-both dense boundary matrices, where complexes.homology reads h_0 off the
-connected components and ranks d_2 from sparse columns, and the
-disjoint-pair reference meets every pair of central planes, where the
-constructions read contacts off the incidence.
+replaced with a direct witness; it costs 2^a.  The strip walk counts the
+triangles at every vertex of both directrices of a placement's triangulated
+strip, a count that chain_feasible bounds on the degree-a side only.  The
+homology reference ranks both dense boundary matrices, where
+complexes.homology reads h_0 off the connected components and ranks d_2
+from sparse columns, and the disjoint-pair reference meets every pair of
+central planes, where the constructions read contacts off the incidence.
 The reference writer builds the file's object for json.dumps, which
 serialize.dumps replaces with its own string joins.
 The Euler-characteristic formula and the parameter count are the second and
@@ -247,6 +249,31 @@ def dfs_chain_feasible(a, b):
             if witness:
                 return {"feasible": True, "witness": witness}
     return {"feasible": False, "obstruction": "j_a range empty (a+b-2 > 2a+1)"}
+
+
+def strip_vertex_counts(a, b, j):
+    """Triangles at each vertex of the strip that placement j triangulates.
+
+    The strip of S(a, b) has a + 1 vertices on the degree-a directrix and
+    b + 1 on the degree-b one.  Its a + b triangles are walked in order:
+    the one at position p has its base on the degree-a directrix when p is
+    in j, and on the degree-b directrix otherwise.  Returns the counts on
+    the two directrices, in vertex order.
+    """
+    low, high = [0] * (a + 1), [0] * (b + 1)
+    x = y = 0
+    for p in range(1, a + b + 1):
+        # each triangle has the current vertex of either side, and the next
+        # vertex of its base's side
+        low[x] += 1
+        high[y] += 1
+        if p in j:
+            x += 1
+            low[x] += 1
+        else:
+            y += 1
+            high[y] += 1
+    return low, high
 
 
 def dfs_components(num_vertices, edges):

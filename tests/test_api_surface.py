@@ -4,7 +4,9 @@ A public top-level function or class, or a public method, of a module in
 ``src/zappatic`` counts as called if its name appears as a word in
 ``src/zappatic`` outside its own definition and outside ``__init__.py``
 (which only re-exports), or in ``perfbench/*.py``.  Tests do not count:
-what only tests reach belongs in ``tests/oracles.py`` or nowhere.
+what only tests reach belongs in ``tests/oracles.py`` or nowhere.  Names
+are matched as words, so a method with no caller passes when another
+definition shares its name and that one is called.
 
 Every name that a module of ``src/zappatic`` (except ``__init__.py``) or of
 ``tests`` imports, at top level or inside a function, must appear in that
@@ -20,8 +22,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zappatic"
 
-# Paper formulas kept for `zappatic certify`, their planned caller (ROADMAP
-# open item 2).
+# Paper formulas kept for `zappatic certify` (ROADMAP open item 4); item 6
+# plans to give them a caller in `zappatic hilbert` instead.
 WAITING_FOR_CALLER = {"ciro_bound", "brill_noether"}
 
 

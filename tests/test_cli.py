@@ -563,9 +563,6 @@ def _broken_chain(monkeypatch, _tmp_path):
                      id="graph-missing-file"),
         pytest.param(["construct", "--family", "chain", "--d", "5",
                       "--out", "{tmp}/missing/c.json"], None, 2, id="construct-out-missing-dir"),
-        pytest.param(["construct", "--family", "X", "--d", "8", "--g", "2",
-                      "--out", "{tmp}/x.json"],
-                     lambda mp, _: mp.setenv("ZAPPATIC_SEED", "abc"), 2, id="seed-env-not-int"),
         pytest.param(["construct", "--family", "chain", "--d", "5", "--g", "1",
                       "--out", "{tmp}/c.json"], None, 2, id="chain-with-g"),
         pytest.param(["construct", "--family", "X", "--d", "8", "--out", "{tmp}/x.json"],
@@ -644,19 +641,16 @@ class TestParserBuiltOnce:
 
 
 class TestDeterminismAndSeeds:
-    def test_env_seed_used_and_flag_wins(self, tmp_path, capsys, monkeypatch):
+    def test_seed_comes_from_argv_alone(self, tmp_path, capsys, monkeypatch):
+        out_path = tmp_path / "x.json"
+        argv = ["construct", "--family", "X", "--d", "8", "--g", "2", "--out", str(out_path)]
+        _, out, _ = run_cli(argv, capsys)
+        plain = (out, out_path.read_bytes())
         monkeypatch.setenv("ZAPPATIC_SEED", "5")
-        _, out, _ = run_cli(
-            ["construct", "--family", "X", "--d", "8", "--g", "2",
-             "--out", str(tmp_path / "a.json")],
-            capsys,
-        )
-        assert json_block(out)["seed"] == 5
-        _, out, _ = run_cli(
-            ["construct", "--family", "X", "--d", "8", "--g", "2", "--seed", "9",
-             "--out", str(tmp_path / "b.json")],
-            capsys,
-        )
+        _, out, _ = run_cli(argv, capsys)
+        assert (out, out_path.read_bytes()) == plain  # the environment changes nothing
+        assert json_block(out)["seed"] == 0
+        _, out, _ = run_cli(argv + ["--seed", "9"], capsys)
         assert json_block(out)["seed"] == 9
 
     def test_byte_identical_across_processes(self, tmp_path, cli_env):
