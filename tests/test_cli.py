@@ -653,6 +653,17 @@ class TestDeterminismAndSeeds:
         _, out, _ = run_cli(argv + ["--seed", "9"], capsys)
         assert json_block(out)["seed"] == 9
 
+    def test_seed_not_int_exit_2(self, tmp_path, capsys):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            ["construct", "--family", "X", "--d", "8", "--g", "2", "--seed", "abc",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and "invalid int value: 'abc'" in err
+        assert not out_path.exists()
+
     def test_byte_identical_across_processes(self, tmp_path, cli_env):
         cmd = [
             sys.executable, "-m", "zappatic.cli", "construct", "--family", "X",

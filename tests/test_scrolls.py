@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -216,6 +216,64 @@ class TestSectionDuality:
         pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
         with pytest.raises(RangeError, match="does not lie on the quadric"):
             section_duality_check(HYPERBOLIC, pi, 8, base_point=ProjPoint([1, 0, 0, 1]))
+
+    @pytest.mark.parametrize(
+        "quadric,pi,n_samples,match",
+        [
+            pytest.param(QuadricForm([[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+                         Subspace(2, [[1, 0, 0], [0, 1, 0]]), 8, "P\\^3", id="conic"),
+            pytest.param(HYPERBOLIC, Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0]]), 8,
+                         "plane in P\\^3", id="line-for-plane"),
+            pytest.param(HYPERBOLIC, Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]]),
+                         5, "n_samples >= 6", id="five-samples"),
+        ],
+    )
+    def test_input_checks(self, quadric, pi, n_samples, match):
+        with pytest.raises(RangeError, match=match):
+            section_duality_check(quadric, pi, n_samples, base_point=ProjPoint([1, 0, 0, 0]))
+
+    # points of x0 x3 = x1 x2; the check passes whichever ruling seeds the family
+    @pytest.mark.parametrize(
+        "point", [[1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0], [1, 2, 3, 6], [2, -1, 4, -2]]
+    )
+    def test_base_points_on_the_hyperbolic_quadric(self, point):
+        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
+        out = section_duality_check(HYPERBOLIC, pi, 8, base_point=ProjPoint(point))
+        assert out == {"passed": True, "samples": 8}
+
+    # (substitution matrix M, a rational point of the image M^T A M)
+    CONGRUENT = [
+        ([[0, 1, 1, 3], [-3, -3, 2, -2], [-1, 3, -3, 3], [-3, 2, -3, -1]], [2, 0, 1, -1]),
+        ([[-2, 1, -3, 0], [-2, 3, 2, 2], [3, -3, 2, -3], [2, 0, -1, -3]], [2, 2, 2, 1]),
+        ([[0, 0, -3, 2], [-3, -1, 1, 1], [-1, 2, 1, 1], [0, 0, -1, 3]], [2, 1, 0, 0]),
+        ([[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 0], [1, 0, 0, 2]], [1, 0, 1, 1]),
+    ]
+
+    @pytest.mark.parametrize("mat,point", CONGRUENT)
+    def test_base_point_on_congruent_images(self, mat, point):
+        q = HYPERBOLIC.congruent(mat)
+        assert q.evaluate(ProjPoint(point)) == 0
+        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
+        assert section_duality_check(q, pi, 8, base_point=ProjPoint(point))["passed"] is True
+
+    # forms with no rational point: the identity, minus the A_4 Cartan matrix,
+    # a positive form with off-diagonal terms (no real points), and
+    # x0^2 + x1^2 + x2^2 - 7 x3^2 (7 t^2 is never a sum of three rational squares)
+    POINTLESS = [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]],
+        [[2, 1, 1, 0], [1, 3, 0, 1], [1, 0, 4, 1], [0, 1, 1, 5]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -7]],
+    ]
+
+    @pytest.mark.parametrize("mat", POINTLESS)
+    def test_form_without_rational_points_rejects_every_base_point(self, mat):
+        q = QuadricForm(mat)
+        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
+        points = [p for p in product(range(-2, 3), repeat=4) if any(p)]
+        for p in points:
+            with pytest.raises(RangeError, match="does not lie on the quadric"):
+                section_duality_check(q, pi, 8, base_point=ProjPoint(list(p)))
 
     def test_twenty_randomized_instances(self):
         rng = random.Random(97)
