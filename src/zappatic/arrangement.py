@@ -243,7 +243,11 @@ class ZappaticReport:
     types: tuple[SingularityType, ...] = ()
 
 
-def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> ZappaticReport:
+def zappatic_report(
+    arr: Arrangement,
+    inc: IncidenceData | None = None,
+    base: tuple[IncidenceData, ZappaticReport] | None = None,
+) -> ZappaticReport:
     """Aggregate classification of every singular point.
 
     The arrangement is Zappatic iff every singular point classifies as
@@ -253,9 +257,21 @@ def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> Zappa
     them.  A third plane through a double line meets both of its planes in
     that line, so the planes on a line are the planes of the double lines
     with its basis.
+
+    ``base`` is the ``(incidence, report)`` of the first k planes of
+    ``arr``, as for ``compute_incidence``.  A point's type is a function of
+    its incident planes, its local edges and the bases of those planes
+    alone, and the first k planes of ``arr`` are the base's planes, so a
+    singular point whose coordinates, incident planes and local edges all
+    equal those of a base point has that point's type exactly.  Only the
+    other points, those a new plane passes through, are classified.
     """
     if inc is None:
         inc = compute_incidence(arr)
+    known = {}
+    if base is not None:
+        for sp, t in zip(base[0].singular_points, base[1].types):
+            known[sp.point.coords, sp.incident_planes, sp.local_edges] = t
     violations = []
     r_counts: Counter = Counter()
     s_counts: Counter = Counter()
@@ -271,7 +287,9 @@ def zappatic_report(arr: Arrangement, inc: IncidenceData | None = None) -> Zappa
             violations.append(f"double line of planes ({i},{j}) lies on {on} planes")
 
     for k, sp in enumerate(inc.singular_points):
-        t = classify_point(arr, inc, k)
+        t = known.get((sp.point.coords, sp.incident_planes, sp.local_edges))
+        if t is None:
+            t = classify_point(arr, inc, k)
         types.append(t)
         if t.kind == "R":
             r_counts[t.n] += 1

@@ -241,8 +241,9 @@ def _attach(prev, planes, anchored, seed, complete, deltas) -> ConstructionResul
     raises ``_Retry`` to reject a choice early.  The expectation on top of
     those points: every anchor becomes an S_4 point centred on its chosen
     plane, the R_3 and S_4 counts change by ``deltas`` and no cycle point
-    appears.  Each attempt meets only the pairs with a new plane: the
-    incidence of the old planes is ``prev.incidence``.
+    appears.  Each attempt meets only the pairs with a new plane, and
+    classifies only the points a new plane passes through: the incidence and
+    report of the old planes are ``prev.incidence`` and ``prev.report``.
     """
     rng = random.Random(seed)
     arr = prev.arrangement
@@ -275,7 +276,7 @@ def _attach(prev, planes, anchored, seed, complete, deltas) -> ConstructionResul
             except RangeError as exc:
                 raise _Retry(str(exc))
             inc = compute_incidence(new_arr, prev.incidence)
-            report = zappatic_report(new_arr, inc)
+            report = zappatic_report(new_arr, inc, (prev.incidence, old))
             if not report.is_zappatic:
                 raise _Retry(f"not Zappatic after attachment: {report.violations[:2]}")
             if report.r_counts.get(3, 0) != old.r_counts.get(3, 0) + r3_delta:

@@ -144,6 +144,24 @@ def _coordinate_subspace(ambient_dim: int, coords) -> Subspace:
     return s
 
 
+def _plane_kernel(rows):
+    """Kernel of a k x 3 integer matrix with nonzero rows, decided at rank 2
+    or 3 from one cross product (see meet): [] at rank 3, [c] at rank 2, and
+    None at rank <= 1, no rows included, which is left to linalg.nullspace.
+    """
+    if not rows:
+        return None
+    (x, y, z), rest = rows[0], iter(rows[1:])
+    for u, v, w in rest:
+        c = (y * w - z * v, z * u - x * w, x * v - y * u)
+        if any(c):
+            # rest resumes after the row that gave c
+            if any(c[0] * p + c[1] * q + c[2] * r for p, q, r in rest):
+                return []
+            return [c]
+    return None
+
+
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection, from one basis reduced against the other's rref.
 
@@ -165,6 +183,18 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     of R only (a zero column adds no condition), and has as many columns as
     b has rows: at most 3 for a plane.  When b lies in a, R is zero and the
     kernel is all of b.
+
+    When b is a plane, R has three rows and its rank decides the meet with
+    no kernel unless it is at most 1.  Cross the first nonzero column r of R
+    with each later column until a cross product c is nonzero, at column j.
+    The columns between r and column j lie on the line of r, so they, r and
+    column j are all orthogonal to c, and c spans the vectors orthogonal to
+    both r and column j.  So R has rank 3 exactly when some column after j
+    has a nonzero dot product with c: then the kernel is zero and a and b
+    are disjoint.  Otherwise every column lies in the span of r and column
+    j, the rank is 2 and the kernel is (c): a and b meet in the point c.B.
+    Only when every cross product is zero (rank <= 1, so the meet is a line
+    or all of b) is the kernel taken with linalg.nullspace.
     """
     _check_same_ambient(a, b)
     if a.support.isdisjoint(b.support):
@@ -184,7 +214,10 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
             if t:
                 r = [x - t * y for x, y in zip(r, row)]
         reduced.append(r)
-    kernel = linalg.nullspace([col for col in zip(*reduced) if any(col)], ncols=len(reduced))
+    cols = [col for col in zip(*reduced) if any(col)]
+    kernel = _plane_kernel(cols) if len(reduced) == 3 else None
+    if kernel is None:
+        kernel = linalg.nullspace(cols, ncols=len(reduced))
     return Subspace(
         a.ambient_dim,
         [[sum(c * x for c, x in zip(v, col)) for col in zip(*b.basis)] for v in kernel],

@@ -104,6 +104,27 @@ class TestClassification:
         rep = zappatic_report(arr, inc)
         assert rep.is_zappatic and rep.r_counts == {3: 1}
 
+    def test_report_grown_from_base_reclassifies_touched_points(self):
+        # the R_3 chain <e0,e1,e2>, <e0,e2,e3>, <e0,e3,e4> of P^6 and a plane
+        # <e0,e5,e6> that meets each of them in e0 alone: the point keeps
+        # its local edges but gains a plane, so it is classified again and
+        # its local graph is no longer connected
+        def pl(*coords):
+            return Subspace(6, [[1 if j == k else 0 for j in range(7)] for k in coords])
+
+        old = Arrangement(6, [pl(0, 1, 2), pl(0, 2, 3), pl(0, 3, 4)])
+        old_inc = compute_incidence(old)
+        old_report = zappatic_report(old, old_inc)
+        assert old_report.r_counts == {3: 1}
+        arr = Arrangement(6, old.planes + (pl(0, 5, 6),))
+        inc = compute_incidence(arr, old_inc)
+        assert inc.singular_points[0].local_edges == old_inc.singular_points[0].local_edges
+        rep = zappatic_report(arr, inc, (old_inc, old_report))
+        assert rep == zappatic_report(arr, inc)
+        assert rep.types[0].reason == "local graph not chain/fork/cycle"
+        # an arrangement grown by nothing keeps every type
+        assert zappatic_report(old, old_inc, (old_inc, old_report)) == old_report
+
     def test_cyclic_triple_in_p3_is_e3(self):
         # all three pairwise lines pass through e2, giving a triangle graph
         # whose span is P^3: an E_3 point

@@ -7,8 +7,8 @@ find the same by meeting every pair of double lines and by containment
 tests, and check point-meet absorption explicitly.  Both must agree on
 every arrangement the constructions classify, accepted or rejected, and on
 random arrangements with many shared lines and points.  An attachment
-attempt computes its incidence from the incidence of the old planes; that
-must equal the from-scratch incidence too.
+attempt computes its incidence and report from those of the old planes;
+they must equal the from-scratch incidence and report too.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import containment_incidence, containment_report
+from test_acceptance import GRID
 from test_golden import LEDGER_CASES
-from zappatic import constructions
+from zappatic import arrangement, constructions
 from zappatic.arrangement import Arrangement, compute_incidence, zappatic_report
+from zappatic.constructions import build_X, build_Z
 from zappatic.projective import Subspace
 
 
@@ -72,6 +74,47 @@ def test_ledger_bases_are_the_incidence_of_the_old_planes(ledger_passes):
     assert set(added) == {2, 3}
 
 
+# (d, g, seed) of Z builds up to d = 44; Z(8, 2, 13) retries
+Z_BUILDS = [(8, 2, 13), (11, 3, 2), (14, 4, 0), (20, 6, 1), (32, 10, 0), (44, 14, 0)]
+
+
+def test_grown_reports_match_from_scratch(monkeypatch):
+    """Every attachment attempt of the acceptance grid, the ledger builds
+    and Z up to d = 44, accepted or rejected, reuses the old report's types
+    and classifies fewer points, yet its report equals the from-scratch one:
+    the counts, the types and the violations in order."""
+    calls = []  # one entry per classify_point call
+    classified = Counter()
+    attempts = Counter()
+    classify_point = arrangement.classify_point
+
+    def counted(*args):
+        calls.append(args)
+        return classify_point(*args)
+
+    def checked(arr, inc=None, base=None):
+        start = len(calls)
+        report = zappatic_report(arr, inc, base)
+        if base is not None:
+            classified["grown"] += len(calls) - start
+            start = len(calls)
+            assert report == zappatic_report(arr, inc)
+            classified["scratch"] += len(calls) - start
+            attempts[report.is_zappatic] += 1
+        return report
+
+    monkeypatch.setattr(arrangement, "classify_point", counted)
+    monkeypatch.setattr(constructions, "zappatic_report", checked)
+    for d, g, seed in GRID:
+        build_X(d, g, seed)
+    for d, g, seed in Z_BUILDS:
+        build_Z(d, g, seed)
+    for build in LEDGER_CASES.values():
+        build()
+    assert attempts[True] and attempts[False]
+    assert classified["grown"] < classified["scratch"]
+
+
 @st.composite
 def arrangements(draw):
     """2 to 7 distinct planes of P^3..P^5, each spanned by three points of a
@@ -97,9 +140,12 @@ def arrangements(draw):
 @given(arrangements(), st.data())
 def test_random_arrangements_match_reference(arr, data):
     inc = compute_incidence(arr)
+    report = zappatic_report(arr, inc)
     assert inc == containment_incidence(arr)
-    assert zappatic_report(arr, inc) == containment_report(arr, inc)
-    # grown from the incidence of its first k planes, it is the same
+    assert report == containment_report(arr, inc)
+    # grown from the incidence and report of its first k planes, they are the same
     k = data.draw(st.integers(0, len(arr)))
     old = Arrangement(arr.ambient_dim, arr.planes[:k])
-    assert compute_incidence(arr, compute_incidence(old)) == inc
+    old_inc = compute_incidence(old)
+    assert compute_incidence(arr, old_inc) == inc
+    assert zappatic_report(arr, inc, (old_inc, zappatic_report(old, old_inc))) == report

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zappatic import linalg
 from zappatic.errors import RangeError
 from zappatic.projective import (
+    _plane_kernel,
     PluckerPoint,
     ProjPoint,
     QuadricForm,
@@ -220,6 +222,91 @@ def sparse_pairs(draw):
     return relation, side(sa), side(sb)
 
 
+HUGE = st.one_of(st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64)))
+ENTRY = st.one_of(st.integers(-3, 3), HUGE)
+
+
+@st.composite
+def plane_pairs(draw):
+    """(shared, a, b): two planes of P^5..P^22 spanned by `shared` common
+    points and 3 - shared points of their own, so that they are disjoint
+    (shared = 0; generic planes of P^5 and up do not meet), meet in a point
+    or meet in a line.  Points have small entries or entries above 2^64."""
+    n = draw(st.integers(5, 22))
+    point = st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any)
+    shared = draw(st.integers(0, 2))
+    common = [draw(point) for _ in range(shared)]
+    a = Subspace(n, common + [draw(point) for _ in range(3 - shared)])
+    b = Subspace(n, common + [draw(point) for _ in range(3 - shared)])
+    return shared, a, b
+
+
+@st.composite
+def three_column_rows(draw):
+    """Nonzero rows of a k x 3 integer matrix, 1 <= k <= 20: integer
+    combinations of up to three drawn rows, so of rank 0 to 3 and often
+    with rows that are multiples of each other."""
+    gens = draw(st.lists(st.tuples(ENTRY, ENTRY, ENTRY), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+        row = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3))
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def assert_plane_kernel(rows):
+    """_plane_kernel against linalg.rank, and at rank 2 against the row span
+    of linalg.nullspace."""
+    got = _plane_kernel(rows)
+    rank = linalg.rank([list(r) for r in rows]) if rows else 0
+    if rank <= 1:
+        assert got is None
+    elif rank == 3:
+        assert got == []
+    else:
+        (c,) = got
+        kernel = linalg.nullspace([list(r) for r in rows], ncols=3)
+        assert Subspace(2, [c]) == Subspace(2, kernel)
+    return rank
+
+
+class TestPlaneKernel:
+    """The rank and kernel that meet reads off one cross product."""
+
+    @settings(max_examples=300)
+    @given(three_column_rows())
+    def test_against_rank_and_nullspace(self, rows):
+        assert_plane_kernel(rows)
+
+    @settings(max_examples=100)
+    @given(
+        st.tuples(ENTRY, ENTRY, ENTRY).filter(any),
+        st.lists(st.integers(-5, 5).filter(bool), max_size=18),
+        st.tuples(ENTRY, ENTRY, ENTRY).filter(any),
+    )
+    def test_zero_cross_product_up_to_the_last_row(self, first, multiples, last):
+        rows = [first] + [tuple(m * x for x in first) for m in multiples] + [last]
+        assert assert_plane_kernel(rows) in (1, 2)
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([], 0),
+            ([(2**65, 0, -3)], 1),
+            ([(1, 2, 3), (-2, -4, -6), (3, 6, 9)], 1),
+            ([(1, 0, 0), (2, 0, 0), (0, 1, 0)], 2),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (5, -7, 0)], 2),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3),
+            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1), (1, 1, 1)], 3),
+            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1)], 2),
+        ],
+    )
+    def test_ranks_0_to_3(self, rows, rank):
+        assert assert_plane_kernel(rows) == rank
+
+
 class TestMeetExact:
     """meet returns exactly the canonical basis of the annihilator route."""
 
@@ -273,8 +360,18 @@ class TestMeetExact:
             assert len(a.support & b.support) == 1
         assert_meet_exact(a, b)
 
+    @settings(max_examples=50)  # the oracle takes about 0.1 s a pair in P^22
+    @given(plane_pairs())
+    def test_plane_pairs_p5_to_p22(self, pair):
+        shared, a, b = pair
+        assume(a.dim == b.dim == 2)
+        got = meet(a, b)
+        assert got.dim >= shared - 1
+        assert_meet_exact(a, b)
+
     # (a, b, kernels): bases in P^5 for each path of meet, and the number of
-    # linalg.nullspace calls it takes (0 on the shortcuts)
+    # linalg.nullspace calls it takes (0 on the shortcuts and on a plane b
+    # whose reduced matrix has rank 2 or 3)
     PATHS = {
         "coordinate nested": ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
                               [[0, 0, 1, 0, 0, 0]], 0),
@@ -283,22 +380,26 @@ class TestMeetExact:
         "coordinate one shared": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
                                   [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]], 0),
         "coordinate x dense": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
-                               [[1, 2, 0, 3, 0, 0], [0, 1, 1, 0, 0, 0], [5, 0, 0, 1, 1, 0]], 1),
+                               [[1, 2, 0, 3, 0, 0], [0, 1, 1, 0, 0, 0], [5, 0, 0, 1, 1, 0]], 0),
         "b in a": ([[1, 2, 0, 3, 0, 1], [0, 1, 1, 0, 0, 2], [5, 0, 0, 1, 1, 0]],
                    [[1, 3, 1, 3, 0, 3], [6, 2, 0, 4, 1, 1]], 1),
         "line then plane": ([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
                             [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]], 1),
         "plane then 3-space": ([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
                                [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
-                                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], 1),
+                                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], 0),
+        "plane pair disjoint": ([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
+                                [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 2]], 0),
+        "plane pair in a point": ([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
+                                  [[1, 1, 1, 0, 1, 1], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 3]], 0),
+        "plane pair in a line": ([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1]],
+                                 [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]], 1),
         "pivots not 1": ([[2, 1, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0], [0, 0, 0, 0, 5, 2]],
                          [[2, 1, 3, 1, 5, 2], [0, 0, 0, 0, 0, 1]], 1),
     }
 
     @pytest.mark.parametrize("case", list(PATHS))
     def test_each_path_against_the_oracle(self, case, monkeypatch):
-        from zappatic import linalg
-
         rows_a, rows_b, kernels = self.PATHS[case]
         a, b = Subspace(5, rows_a), Subspace(5, rows_b)
         if case == "pivots not 1":
@@ -315,6 +416,11 @@ class TestMeetExact:
         assert len(calls) == 2 * kernels
         if case == "b in a":
             assert meet(a, b) == b
+        if case.startswith("plane pair"):
+            # neither shortcut: the supports meet and one side is not a coordinate plane
+            assert a.support & b.support and max(len(a.support), len(b.support)) > 3
+            dim = {"disjoint": -1, "in a point": 0, "in a line": 1}[case[len("plane pair "):]]
+            assert meet(a, b).dim == dim
 
     @pytest.mark.parametrize(
         "build, d, g, seed",
@@ -381,8 +487,6 @@ class TestQuadricRank:
         done = 0
         while done < 20:
             m = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]
-            from zappatic import linalg
-
             if linalg.rank(m) < 6:
                 continue
             assert quadric_rank(q.congruent(m)) == 6
