@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import getitem, mul
 
 from zappatic import linalg
 from zappatic.errors import RangeError
@@ -76,6 +77,12 @@ class Subspace:
         """
         return frozenset(c for c, col in enumerate(zip(*self.basis)) if any(col))
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each canonical basis row, in row order; cached
+        like support."""
+        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis)
+
     def contains_point(self, p: ProjPoint) -> bool:
         if p.ambient_dim != self.ambient_dim:
             raise RangeError("ambient dimension mismatch")
@@ -127,43 +134,82 @@ def span_subspaces(subspaces, ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, rows)
 
 
-def _coordinate_subspace(ambient_dim: int, coords) -> Subspace:
-    """The subspace spanned by the unit vectors e_c, c in coords.
-
-    Its canonical basis is those unit rows in increasing order of c, so it
-    is set directly, without a reduction.
-    """
-    basis = []
-    for c in sorted(coords):
-        row = [0] * (ambient_dim + 1)
-        row[c] = 1
-        basis.append(tuple(row))
+def _canonical(ambient_dim: int, basis) -> Subspace:
+    """The Subspace whose canonical basis is already known, set directly,
+    without a reduction."""
     s = object.__new__(Subspace)
     object.__setattr__(s, "ambient_dim", ambient_dim)
     object.__setattr__(s, "basis", tuple(basis))
     return s
 
 
-def _plane_kernel(rows):
-    """Kernel of a k x 3 integer matrix with nonzero rows, decided at rank 2
-    or 3 from one cross product (see meet): [] at rank 3, [c] at rank 2, and
-    None at rank <= 1, no rows included, which is left to linalg.nullspace.
+def _coordinate_subspace(ambient_dim: int, coords) -> Subspace:
+    """The subspace spanned by the unit vectors e_c, c in coords.
+
+    Its canonical basis is those unit rows in increasing order of c, so it
+    is set directly.
     """
-    if not rows:
-        return None
-    (x, y, z), rest = rows[0], iter(rows[1:])
-    for u, v, w in rest:
+    basis = []
+    for c in sorted(coords):
+        row = [0] * (ambient_dim + 1)
+        row[c] = 1
+        basis.append(tuple(row))
+    return _canonical(ambient_dim, basis)
+
+
+def _reduced_columns(a, b):
+    """The nonzero columns of meet's reduced matrix R, each up to scale and
+    produced lazily: b's own columns off a's support, then the reduced
+    columns on a's support minus a's pivot columns (see meet)."""
+    cols = list(zip(*b.basis))
+    for c in b.support - a.support:
+        yield cols[c]
+    l = lcm(*map(getitem, a.basis, a.pivots))
+    terms = [(l // row[p], row, cols[p]) for row, p in zip(a.basis, a.pivots) if any(cols[p])]
+    for c in a.support.difference(a.pivots):
+        col = [l * x for x in cols[c]]
+        for s, row, at_pivot in terms:
+            t = s * row[c]
+            if t:
+                col = [x - t * y for x, y in zip(col, at_pivot)]
+        if any(col):
+            yield col
+
+
+def _small_kernel(cols, m):
+    """Left kernel of the matrix with these nonzero columns of m <= 3
+    entries each, decided from cross products (see meet): [] at rank m,
+    [c] at rank m - 1 >= 1, and otherwise, at rank <= 1, linalg.nullspace
+    of the first column or of none.  cols is read no further than the
+    column that proves rank m."""
+    cols = iter(cols)
+    first = next(cols, None)
+    if first is None:
+        return linalg.nullspace([], ncols=m)
+    if m == 1:
+        return []
+    if m == 2:
+        x, y = first
+        for u, v in cols:
+            if x * v - y * u:
+                return []
+        return [(-y, x)]
+    x, y, z = first
+    for u, v, w in cols:
         c = (y * w - z * v, z * u - x * w, x * v - y * u)
         if any(c):
-            # rest resumes after the row that gave c
-            if any(c[0] * p + c[1] * q + c[2] * r for p, q, r in rest):
-                return []
+            # cols resumes after the column that gave c
+            p, q, r = c
+            for u, v, w in cols:
+                if p * u + q * v + r * w:
+                    return []
             return [c]
-    return None
+    return linalg.nullspace([first], ncols=3)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection, from one basis reduced against the other's rref.
+    """Exact intersection, from the columns that the supports leave nonzero
+    when one basis is reduced against the other's rref.
 
     Two shortcuts need no kernel.  Disjoint supports leave no shared nonzero
     vector, since every vector of a lives on the support of a and every
@@ -174,54 +220,60 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     meet in the coordinate subspace on the shared support.
 
     Otherwise let a be the side with more rows, with canonical rows A_j,
-    pivot columns p_j, pivot values q_j and L = lcm(q_j).  Each row B_i of
-    b reduces to R_i = L.B_i - sum_j B_i[p_j].(L/q_j).A_j, which is zero at
-    every pivot column of a, so a combination x.B lies in the span of a
-    exactly when x.R = 0.  The rows of B are independent, so x -> x.B is
-    injective and maps the left kernel of R onto the intersection; Subspace
-    canonicalises the images.  The kernel is taken over the nonzero columns
-    of R only (a zero column adds no condition), and has as many columns as
-    b has rows: at most 3 for a plane.  When b lies in a, R is zero and the
-    kernel is all of b.
+    pivot columns p_j, pivot values q_j and L = lcm(q_j), and let b have m
+    rows B_i.  Each reduces to R_i = L.B_i - sum_j B_i[p_j].(L/q_j).A_j,
+    which is zero at every pivot column of a, so a combination x.B lies in
+    the span of a exactly when x.R = 0.  The rows of B are independent, so
+    x -> x.B is injective and maps the left kernel of R onto the
+    intersection.  A zero column of R adds no condition to x, and scaling a
+    column changes none, so the kernel is taken of R's nonzero columns, each
+    up to scale, and the supports say where they are:
+      * off a's support every A_j is zero and column c of R is L times
+        column c of B, so b's own columns there serve with no arithmetic;
+      * at a's pivot columns R is zero, and so it is wherever neither side
+        is nonzero;
+      * on the rest of a's support column c is computed, as
+        L.B[:, c] - sum_j (L/q_j).A_j[c].B[:, p_j].
+    The columns are produced lazily in that order, so a meet that b's own
+    columns decide computes no reduced column at all.
 
-    When b is a plane, R has three rows and its rank decides the meet with
-    no kernel unless it is at most 1.  Cross the first nonzero column r of R
-    with each later column until a cross product c is nonzero, at column j.
-    The columns between r and column j lie on the line of r, so they, r and
-    column j are all orthogonal to c, and c spans the vectors orthogonal to
-    both r and column j.  So R has rank 3 exactly when some column after j
-    has a nonzero dot product with c: then the kernel is zero and a and b
-    are disjoint.  Otherwise every column lies in the span of r and column
-    j, the rank is 2 and the kernel is (c): a and b meet in the point c.B.
-    Only when every cross product is zero (rank <= 1, so the meet is a line
-    or all of b) is the kernel taken with linalg.nullspace.
+    For m <= 3 the rank of R is read off cross products, stopping at the
+    first column that proves rank m (the meet is empty).  With m = 1 any
+    nonzero column does.  With m = 2 the first column (x, y) is
+    perpendicular to c = (-y, x); a later column with a nonzero dot product
+    with c gives rank 2, and otherwise every column lies on the line of the
+    first, the rank is 1 and the kernel is (c).  With m = 3, cross the first
+    column r with each later column until a cross product c is nonzero, at
+    column j.  The columns between r and column j lie on the line of r, so
+    they, r and column j are all orthogonal to c, and c spans the vectors
+    orthogonal to both r and column j.  So R has rank 3 exactly when some
+    column after j has a nonzero dot product with c; otherwise every column
+    lies in the span of r and column j, the rank is 2 and the kernel is (c).
+    Left over are R = 0 (b lies in a) and rank 1 with m = 3 (a meet that is
+    a line): every column is then a multiple of the first, and the kernel
+    is linalg.nullspace of that column, or of none.  For m > 3 the kernel is
+    linalg.nullspace of all the columns.
+
+    A kernel of one vector c, from either route, makes the meet the point
+    c.B, whose canonical basis is primitive(c.B), the rref of one nonzero
+    row; it is set with no reduction.  Subspace canonicalises the images of
+    a larger kernel.
     """
     _check_same_ambient(a, b)
     if a.support.isdisjoint(b.support):
-        return Subspace(a.ambient_dim)
+        return _canonical(a.ambient_dim, ())
     if len(a.support) == len(a.basis) and len(b.support) == len(b.basis):
         return _coordinate_subspace(a.ambient_dim, a.support & b.support)
     if len(a.basis) < len(b.basis):
         a, b = b, a
-    pivots = [next(c for c, x in enumerate(row) if x) for row in a.basis]
-    m = lcm(*(row[p] for row, p in zip(a.basis, pivots)))
-    scaled = [(p, m // row[p], row) for row, p in zip(a.basis, pivots)]
-    reduced = []
-    for v in b.basis:
-        r = [m * x for x in v]
-        for p, s, row in scaled:
-            t = v[p] * s
-            if t:
-                r = [x - t * y for x, y in zip(r, row)]
-        reduced.append(r)
-    cols = [col for col in zip(*reduced) if any(col)]
-    kernel = _plane_kernel(cols) if len(reduced) == 3 else None
-    if kernel is None:
-        kernel = linalg.nullspace(cols, ncols=len(reduced))
-    return Subspace(
-        a.ambient_dim,
-        [[sum(c * x for c, x in zip(v, col)) for col in zip(*b.basis)] for v in kernel],
-    )
+    m = len(b.basis)
+    cols = _reduced_columns(a, b)
+    kernel = _small_kernel(cols, m) if m <= 3 else linalg.nullspace(list(cols), ncols=m)
+    images = [[sum(map(mul, v, col)) for col in zip(*b.basis)] for v in kernel]
+    if len(images) > 1:
+        return Subspace(a.ambient_dim, images)
+    # no row, or one nonzero row, whose rref is the row made primitive
+    return _canonical(a.ambient_dim, map(linalg.primitive, images))
 
 
 @dataclass(frozen=True)

@@ -367,9 +367,10 @@ def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
             "--out", str(tmp_path / "z.json")]
     mats = kernel_inputs(monkeypatch, argv)
     shapes = {(len(m), len(m[0])) for m in mats}
-    # meet's tall three-column nullspace systems and classify_point's
-    # nine-row span stacks of three planes
-    assert any(nr > nc == 3 for nr, nc in shapes)
+    # meet's one-column kernels of plane pairs that meet in a double line
+    # (it hands the kernel no taller three-column system) and
+    # classify_point's nine-row span stacks of three planes
+    assert (1, 3) in shapes and all(nr == 1 for nr, nc in shapes if nc == 3)
     assert any(nr == 9 for nr, _ in shapes)
     for m in mats:
         assert_pure_kernel_matches_references(m)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from zappatic import linalg
 from zappatic.errors import RangeError
 from zappatic.projective import (
-    _plane_kernel,
+    _small_kernel,
     PluckerPoint,
     ProjPoint,
     QuadricForm,
@@ -242,43 +243,56 @@ def plane_pairs(draw):
 
 
 @st.composite
-def three_column_rows(draw):
-    """Nonzero rows of a k x 3 integer matrix, 1 <= k <= 20: integer
-    combinations of up to three drawn rows, so of rank 0 to 3 and often
-    with rows that are multiples of each other."""
-    gens = draw(st.lists(st.tuples(ENTRY, ENTRY, ENTRY), min_size=1, max_size=3))
-    rows = []
-    for _ in range(draw(st.integers(1, 20))):
+def small_columns(draw):
+    """(m, columns): the nonzero columns, 0 <= k <= 20 of them, of an m-row
+    integer matrix, 1 <= m <= 3: integer combinations of up to m drawn
+    columns, so of rank 0 to m and often multiples of each other."""
+    m = draw(st.integers(1, 3))
+    entries = st.lists(ENTRY, min_size=m, max_size=m)
+    gens = draw(st.lists(entries, min_size=1, max_size=m))
+    cols = []
+    for _ in range(draw(st.integers(0, 20))):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
-        row = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3))
-        if any(row):
-            rows.append(row)
-    return rows
+        col = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(m))
+        if any(col):
+            cols.append(col)
+    return m, cols
 
 
-def assert_plane_kernel(rows):
-    """_plane_kernel against linalg.rank, and at rank 2 against the row span
-    of linalg.nullspace."""
-    got = _plane_kernel(rows)
-    rank = linalg.rank([list(r) for r in rows]) if rows else 0
-    if rank <= 1:
-        assert got is None
-    elif rank == 3:
-        assert got == []
-    else:
-        (c,) = got
-        kernel = linalg.nullspace([list(r) for r in rows], ncols=3)
-        assert Subspace(2, [c]) == Subspace(2, kernel)
+def read_up_to(cols):
+    """The columns, then an error if they are read any further."""
+    yield from cols
+    raise AssertionError("read past the column that proves full rank")
+
+
+def assert_small_kernel(cols, m):
+    """_small_kernel against linalg.rank and the row span of
+    linalg.nullspace, which it takes itself only when no column is given or
+    at rank 1 with m = 3.  At rank m the columns are fed only up to the
+    first that proves it."""
+    rows = [list(col) for col in cols]
+    rank = linalg.rank(rows) if rows else 0
+    kernel = linalg.nullspace(rows, ncols=m)
+    if rank == m:
+        stop = next(j for j in range(1, len(rows) + 1) if linalg.rank(rows[:j]) == m)
+        cols = read_up_to(cols[:stop])
+    with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as counted:
+        got = _small_kernel(cols, m)
+    assert counted.call_count == (rank == 0 or (m, rank) == (3, 1))
+    assert len(got) == m - rank
+    if got:
+        assert Subspace(m - 1, got) == Subspace(m - 1, kernel)
     return rank
 
 
-class TestPlaneKernel:
-    """The rank and kernel that meet reads off one cross product."""
+class TestSmallKernel:
+    """The rank and kernel that meet reads off cross products."""
 
     @settings(max_examples=300)
-    @given(three_column_rows())
-    def test_against_rank_and_nullspace(self, rows):
-        assert_plane_kernel(rows)
+    @given(small_columns())
+    def test_against_rank_and_nullspace(self, data):
+        m, cols = data
+        assert_small_kernel(cols, m)
 
     @settings(max_examples=100)
     @given(
@@ -286,25 +300,48 @@ class TestPlaneKernel:
         st.lists(st.integers(-5, 5).filter(bool), max_size=18),
         st.tuples(ENTRY, ENTRY, ENTRY).filter(any),
     )
-    def test_zero_cross_product_up_to_the_last_row(self, first, multiples, last):
-        rows = [first] + [tuple(m * x for x in first) for m in multiples] + [last]
-        assert assert_plane_kernel(rows) in (1, 2)
+    def test_zero_cross_product_up_to_the_last_column(self, first, multiples, last):
+        cols = [first] + [tuple(m * x for x in first) for m in multiples] + [last]
+        assert assert_small_kernel(cols, 3) in (1, 2)
 
     @pytest.mark.parametrize(
-        "rows, rank",
+        "cols, m, rank",
         [
-            ([], 0),
-            ([(2**65, 0, -3)], 1),
-            ([(1, 2, 3), (-2, -4, -6), (3, 6, 9)], 1),
-            ([(1, 0, 0), (2, 0, 0), (0, 1, 0)], 2),
-            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (5, -7, 0)], 2),
-            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3),
-            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1), (1, 1, 1)], 3),
-            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1)], 2),
+            ([], 1, 0),
+            ([(-(2**65),)], 1, 1),
+            ([(3,), (-6,)], 1, 1),
+            ([], 2, 0),
+            ([(2**65, -3)], 2, 1),
+            ([(2, -4), (-1, 2), (2**64, -(2**65))], 2, 1),
+            ([(2, -4), (-1, 2), (0, 1), (7, 7)], 2, 2),
+            ([], 3, 0),
+            ([(2**65, 0, -3)], 3, 1),
+            ([(1, 2, 3), (-2, -4, -6), (3, 6, 9)], 3, 1),
+            ([(1, 0, 0), (2, 0, 0), (0, 1, 0)], 3, 2),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (5, -7, 0)], 3, 2),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3, 3),
+            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1), (1, 1, 1)], 3, 3),
+            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1)], 3, 2),
         ],
     )
-    def test_ranks_0_to_3(self, rows, rank):
-        assert assert_plane_kernel(rows) == rank
+    def test_ranks_0_to_m(self, cols, m, rank):
+        assert assert_small_kernel(cols, m) == rank
+
+    @pytest.mark.parametrize(
+        "cols, m",
+        [
+            ([(5,), (1,)], 1),
+            ([(2, -4), (-1, 2), (0, 1), (7, 7)], 2),
+            ([(1, 2, 3), (2, 4, 6), (0, 1, 0), (1, 3, 3), (0, 0, 1), (1, 1, 1)], 3),
+        ],
+    )
+    def test_full_rank_stops_at_the_column_that_proves_it(self, cols, m):
+        """A disjoint pair is decided without reading the columns after the
+        one that proves rank m."""
+        stop = next(j for j in range(1, len(cols) + 1)
+                    if linalg.rank([list(c) for c in cols[:j]]) == m)
+        assert stop < len(cols)
+        assert _small_kernel(read_up_to(cols[:stop]), m) == []
 
 
 class TestMeetExact:
@@ -369,9 +406,11 @@ class TestMeetExact:
         assert got.dim >= shared - 1
         assert_meet_exact(a, b)
 
-    # (a, b, kernels): bases in P^5 for each path of meet, and the number of
-    # linalg.nullspace calls it takes (0 on the shortcuts and on a plane b
-    # whose reduced matrix has rank 2 or 3)
+    # (a, b, kernels): bases in P^5 (P^7 where the supports need the room)
+    # for each path of meet, and the number of linalg.nullspace calls it
+    # takes: 0 on the shortcuts and whenever the reduced matrix has rank m
+    # or m - 1 >= 1 for a b of m <= 3 rows, so a line b is decided by the
+    # perpendicular and only a meet that is a line, or all of b, takes one
     PATHS = {
         "coordinate nested": ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
                               [[0, 0, 1, 0, 0, 0]], 0),
@@ -384,7 +423,7 @@ class TestMeetExact:
         "b in a": ([[1, 2, 0, 3, 0, 1], [0, 1, 1, 0, 0, 2], [5, 0, 0, 1, 1, 0]],
                    [[1, 3, 1, 3, 0, 3], [6, 2, 0, 4, 1, 1]], 1),
         "line then plane": ([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
-                            [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]], 1),
+                            [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]], 0),
         "plane then 3-space": ([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
                                [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
                                 [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], 0),
@@ -395,14 +434,27 @@ class TestMeetExact:
         "plane pair in a line": ([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1]],
                                  [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]], 1),
         "pivots not 1": ([[2, 1, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0], [0, 0, 0, 0, 5, 2]],
-                         [[2, 1, 3, 1, 5, 2], [0, 0, 0, 0, 0, 1]], 1),
+                         [[2, 1, 3, 1, 5, 2], [0, 0, 0, 0, 0, 1]], 0),
+        "disjoint by b's own columns": ([[1, 0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 2, 0, 0, 0, 0],
+                                         [0, 0, 1, 3, 0, 0, 0, 0]],
+                                        [[0, 0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 1],
+                                         [0, 0, 0, 0, 1, 0, 1, 0]], 0),
+        "coordinate x dense in a point": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                                           [0, 0, 1, 0, 0, 0]],
+                                          [[1, 1, 1, 0, 0, 0], [1, 2, 3, 1, 0, 1],
+                                           [2, 0, 1, 0, 1, 1]], 0),
+        "pivots not 1, plane b": ([[2, 1, 0, 0, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0, 0, 0],
+                                   [0, 0, 0, 0, 5, 2, 0, 0]],
+                                  [[0, 0, 0, 0, 5, 2, 0, 0], [0, 0, 0, 1, 1, 0, 1, 0],
+                                   [0, 0, 0, 0, 0, 1, 1, 1]], 0),
     }
 
     @pytest.mark.parametrize("case", list(PATHS))
     def test_each_path_against_the_oracle(self, case, monkeypatch):
         rows_a, rows_b, kernels = self.PATHS[case]
-        a, b = Subspace(5, rows_a), Subspace(5, rows_b)
-        if case == "pivots not 1":
+        n = len(rows_a[0]) - 1
+        a, b = Subspace(n, rows_a), Subspace(n, rows_b)
+        if case.startswith("pivots not 1"):
             assert all(row[c] > 1 for row, c in zip(a.basis, (0, 2, 4)))
         calls = []
         nullspace = linalg.nullspace
@@ -421,6 +473,23 @@ class TestMeetExact:
             assert a.support & b.support and max(len(a.support), len(b.support)) > 3
             dim = {"disjoint": -1, "in a point": 0, "in a line": 1}[case[len("plane pair "):]]
             assert meet(a, b).dim == dim
+        if case == "disjoint by b's own columns":
+            # in both orders, the other side's columns off one side's support
+            # have rank 3, so they decide the meet with no reduced column
+            for x, y in ((a, b), (b, a)):
+                own = [[row[c] for row in y.basis] for c in y.support - x.support]
+                assert linalg.rank(own) == 3
+            assert a.support & b.support and meet(a, b).dim == -1
+        if case == "coordinate x dense in a point":
+            # a's support is its pivot columns: only b's own columns are read
+            assert a.support == set(a.pivots) and len(b.support) == 6
+            assert meet(a, b) == span([ProjPoint([1, 1, 1, 0, 0, 0])], 5)
+        if case == "pivots not 1, plane b":
+            # the supports overlap, neither inside the other, and the reduced
+            # columns on a's non-pivot support are needed besides b's own
+            assert a.support & b.support and a.support - b.support and b.support - a.support
+            own = [[row[c] for row in b.basis] for c in b.support - a.support]
+            assert linalg.rank(own) == 2 and meet(a, b).dim == 0
 
     @pytest.mark.parametrize(
         "build, d, g, seed",
