@@ -209,6 +209,16 @@ def classify_point(
     Chain with maximal span (n+1) gives R_n, fork with span n+1 gives S_n,
     cycle with span n gives E_n.  A point where only two planes touch, or
     whose local graph or span fails the test, is not Zappatic.
+
+    A chain P1 - P2 - P3 of three planes through p always spans a P^4, so
+    it is R_3 with no rank:
+      * P1 and P3 both contain p, and their meet is not a local edge, so it
+        is not a line: P1 and P3 meet in p alone;
+      * P1 and P2 share a line, so they span a P^3;
+      * if P3 lay in that P^3, P1 and P3 would meet in a line; so P3, which
+        shares a line with P2, adds exactly one dimension.
+    For forks, 3-cycles and longer chains the pairwise meets do not decide
+    the span, and it is ranked.
     """
     sp = inc.singular_points[point_index]
     planes = sorted(sp.incident_planes)
@@ -222,7 +232,10 @@ def classify_point(
         return SingularityType("NonZappatic", n, "local graph not chain/fork/cycle")
     shape_name, order = shape
     kind, excess = _SHAPE_TYPES[shape_name]
-    span_dim = linalg.rank([row for i in planes for row in arr.planes[i].basis]) - 1
+    if shape_name == "chain" and n == 3:
+        span_dim = 4
+    else:
+        span_dim = linalg.rank([row for i in planes for row in arr.planes[i].basis]) - 1
     if span_dim != n + excess:
         return SingularityType("NonZappatic", n, "span too small")
     central = None

@@ -46,7 +46,14 @@ from zappatic.arrangement import (
 from zappatic.complexes import DualGraph, build_dual_graph
 from zappatic.errors import GenericityError, InternalCheckError, RangeError
 from zappatic.invariants import check_dg_range
-from zappatic.projective import ProjPoint, Subspace, meet, span, span_subspaces
+from zappatic.projective import (
+    ProjPoint,
+    Subspace,
+    coordinate_subspace,
+    meet,
+    span,
+    span_subspaces,
+)
 
 RETRY_CAP = 64
 SAMPLE_HEIGHT = 31
@@ -133,10 +140,7 @@ def chain_planes(d: int) -> ConstructionResult:
     if d < 2:
         raise RangeError("chain requires d >= 2")
     n = d + 1
-    subs = []
-    for i in range(d):
-        rows = [[1 if c == k else 0 for c in range(n + 1)] for k in (i, i + 1, i + 2)]
-        subs.append(Subspace(n, rows))
+    subs = [coordinate_subspace(n, (i, i + 1, i + 2)) for i in range(d)]
     res = _finish(Arrangement(n, subs), (), (), "chain", d, 0, None)
     _check_family_profile(res, d, 0)
     return res
@@ -145,11 +149,7 @@ def chain_planes(d: int) -> ConstructionResult:
 def _cycle(d: int, n: int) -> ConstructionResult:
     """d planes on cyclically consecutive triples of the first d coordinate
     points of P^n; dual graph a cycle with d R_3 points at those points."""
-    subs = []
-    for i in range(d):
-        ks = ((i - 1) % d, i, (i + 1) % d)
-        rows = [[1 if c == k else 0 for c in range(n + 1)] for k in ks]
-        subs.append(Subspace(n, rows))
+    subs = [coordinate_subspace(n, ((i - 1) % d, i, (i + 1) % d)) for i in range(d)]
     res = _finish(Arrangement(n, subs), (), (), "cycle", d, 1, None)
     _check_family_profile(res, d, 1)
     return res

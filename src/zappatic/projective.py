@@ -143,7 +143,7 @@ def _canonical(ambient_dim: int, basis) -> Subspace:
     return s
 
 
-def _coordinate_subspace(ambient_dim: int, coords) -> Subspace:
+def coordinate_subspace(ambient_dim: int, coords) -> Subspace:
     """The subspace spanned by the unit vectors e_c, c in coords.
 
     Its canonical basis is those unit rows in increasing order of c, so it
@@ -263,7 +263,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if a.support.isdisjoint(b.support):
         return _canonical(a.ambient_dim, ())
     if len(a.support) == len(a.basis) and len(b.support) == len(b.basis):
-        return _coordinate_subspace(a.ambient_dim, a.support & b.support)
+        return coordinate_subspace(a.ambient_dim, a.support & b.support)
     if len(a.basis) < len(b.basis):
         a, b = b, a
     m = len(b.basis)

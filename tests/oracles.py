@@ -8,7 +8,9 @@ compiled int64 kernel, and the pure kernel's content-reducing elimination
 must agree with it.  The incidence reference is the direct route that
 the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
-each double line, by containment tests.  The chain feasibility reference is
+each double line, by containment tests; the report reference ranks the span
+of every point's planes, which classify_point reads off the local graph for
+a chain of three.  The chain feasibility reference is
 the depth-first search over all placements that scrolls.chain_feasible
 replaced with a direct witness; it costs 2^a.  The strip walk counts the
 triangles at every vertex of both directrices of a placement's triangulated
@@ -191,19 +193,36 @@ def containment_incidence(arr):
 
 
 def containment_report(arr, inc):
-    """ZappaticReport with the plane count of each double line by containment
-    and an explicit check that each point meet is absorbed into a Zappatic
-    point whose vertex order holds both planes."""
+    """ZappaticReport with the plane count of each double line by containment,
+    the span of each point's planes by frac_rank, and an explicit check that
+    each point meet is absorbed into a Zappatic point whose vertex order holds
+    both planes.
+
+    classify_point gives each point's local-graph shape; its span is not
+    trusted.  A chain or fork of n planes must span a P^(n+1) and a cycle a
+    P^n, that is P^(2n - e) for e local edges.  An R/S/E point whose planes
+    span less becomes "span too small", and a "span too small" point whose
+    planes span that much is a violation."""
     from collections import Counter
 
-    from zappatic.arrangement import ZappaticReport, classify_point
+    from zappatic.arrangement import SingularityType, ZappaticReport, classify_point
 
     violations = []
     for i, j, line in inc.double_lines:
         on = sum(1 for k in range(len(arr)) if arr.planes[k].contains(line))
         if on > 2:
             violations.append(f"double line of planes ({i},{j}) lies on {on} planes")
-    types = [classify_point(arr, inc, k) for k in range(len(inc.singular_points))]
+    types = []
+    for k, sp in enumerate(inc.singular_points):
+        t = classify_point(arr, inc, k)
+        if t.kind in ("R", "S", "E") or t.reason == "span too small":
+            rows = [row for i in sp.incident_planes for row in arr.planes[i].basis]
+            full = frac_rank(rows) - 1 == 2 * t.n - len(sp.local_edges)
+            if not full:
+                t = SingularityType("NonZappatic", t.n, "span too small")
+            elif t.kind == "NonZappatic":
+                violations.append(f"point {list(sp.point.coords)}: span is full")
+        types.append(t)
     counts = {kind: Counter() for kind in "RSE"}
     for sp, t in zip(inc.singular_points, types):
         if t.kind in ("R", "S", "E"):

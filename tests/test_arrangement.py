@@ -2,6 +2,10 @@ import random
 
 import pytest
 
+from oracles import frac_rank
+from test_acceptance import GRID
+from test_golden import LEDGER_CASES
+from zappatic import linalg
 from zappatic.arrangement import (
     Arrangement,
     classify_point,
@@ -104,6 +108,39 @@ class TestClassification:
         rep = zappatic_report(arr, inc)
         assert rep.is_zappatic and rep.r_counts == {3: 1}
 
+    def test_r3_chain_needs_no_rank(self, monkeypatch):
+        # the chain <e0,e1,e2> - <e1,e2,e3> - <e2,e3,e4> through e2, listed
+        # with its middle plane first: its span is forced, so it is R_3
+        # with no rank of the stacked bases
+        def pl(*coords):
+            return Subspace(4, [[1 if j == k else 0 for j in range(5)] for k in coords])
+
+        arr = Arrangement(4, [pl(1, 2, 3), pl(0, 1, 2), pl(2, 3, 4)])
+        inc = compute_incidence(arr)
+
+        def no_rank(rows):
+            raise AssertionError("an R_3 point's span is ranked")
+
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        [sp] = inc.singular_points
+        assert sp.point.coords == (0, 0, 1, 0, 0)
+        t = classify_point(arr, inc, 0)
+        assert (t.tag, t.central, t.vertex_order) == ("R3", 0, (1, 0, 2))
+
+    def test_chain_of_four_planes_in_p4_flagged(self):
+        # the chain <e0,e1,e2> - <e0,e2,e3> - <e0,e3,e4> - <e0,e4,e1+e2+e3>
+        # through e0: the graph shape passes, but an R_4 point needs a P^5
+        a = plane([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 4)
+        b = plane([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], 4)
+        c = plane([[1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 4)
+        d = plane([[1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 1, 1, 0]], 4)
+        arr = Arrangement(4, [a, b, c, d])
+        inc = compute_incidence(arr)
+        [sp] = inc.singular_points
+        assert sp.local_edges == ((0, 1), (1, 2), (2, 3))
+        t = classify_point(arr, inc, 0)
+        assert (t.kind, t.n, t.reason) == ("NonZappatic", 4, "span too small")
+
     def test_report_grown_from_base_reclassifies_touched_points(self):
         # the R_3 chain <e0,e1,e2>, <e0,e2,e3>, <e0,e3,e4> of P^6 and a plane
         # <e0,e5,e6> that meets each of them in e0 alone: the point keeps
@@ -166,8 +203,6 @@ class TestClassification:
 
 class TestProjectiveInvariance:
     def test_classification_stable_under_coordinate_change(self):
-        from zappatic import linalg
-
         def pl(i):
             rows = [[1 if j == k else 0 for j in range(5)] for k in (i, i + 1, i + 2)]
             return Subspace(4, rows)
@@ -195,7 +230,6 @@ class TestProjectiveInvariance:
             done += 1
 
     def test_cycle_family_stable_under_coordinate_change(self):
-        from zappatic import linalg
         from zappatic.constructions import cycle_planes
 
         res = cycle_planes(5)
@@ -219,3 +253,20 @@ class TestProjectiveInvariance:
             rep = zappatic_report(moved)
             assert rep.is_zappatic and rep.r_counts == {3: 5}
             done += 1
+
+
+def test_r3_points_of_the_builds_span_a_p4():
+    """Every R_3 point of the acceptance grid and the ledger builds, whose
+    span classify_point no longer ranks, spans a P^4 by frac_rank."""
+    from zappatic.constructions import build_X
+
+    results = [build_X(d, g, seed) for d, g, seed in GRID]
+    results += [build() for build in LEDGER_CASES.values()]
+    seen = 0
+    for res in results:
+        planes = res.arrangement.planes
+        for sp, t in zip(res.incidence.singular_points, res.report.types):
+            if t.tag == "R3":
+                assert frac_rank([row for i in sp.incident_planes for row in planes[i].basis]) == 5
+                seen += 1
+    assert seen == sum(res.report.r_counts.get(3, 0) for res in results)

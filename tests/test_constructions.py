@@ -76,6 +76,26 @@ class TestCycle:
             cycle_planes(4)
 
 
+def test_base_planes_equal_their_reduced_unit_rows():
+    """chain_planes and cycle_planes set each plane's canonical basis directly;
+    reducing the plane's unit rows, as a Subspace does, gives the same basis,
+    support and pivots."""
+
+    def reduced(n, coords):
+        return Subspace(n, [[1 if c == k else 0 for c in range(n + 1)] for k in coords])
+
+    cases = [(chain_planes(d), [reduced(d + 1, (i, i + 1, i + 2)) for i in range(d)])
+             for d in range(2, 41)]
+    cases += [(cycle_planes(d), [reduced(d - 1, ((i - 1) % d, i, (i + 1) % d))
+                                 for i in range(d)])
+              for d in range(5, 41)]
+    for res, old in cases:
+        planes = res.arrangement.planes
+        assert planes == tuple(old)
+        assert [p.support for p in planes] == [p.support for p in old]
+        assert [p.pivots for p in planes] == [p.pivots for p in old]
+
+
 class TestAttachHandle:
     def test_cycle6_handle_gives_x82_profile(self):
         res = cycle_planes(6)

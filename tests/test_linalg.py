@@ -365,13 +365,23 @@ def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
 def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
     argv = ["construct", "--family", "Z", "--d", "11", "--g", "3", "--seed", "2",
             "--out", str(tmp_path / "z.json")]
+    ranked = []
+
+    def rank(rows, _op=linalg.rank):
+        ranked.append((len(rows), len(rows[0])))
+        return _op(rows)
+
+    monkeypatch.setattr(linalg, "rank", rank)
     mats = kernel_inputs(monkeypatch, argv)
     shapes = {(len(m), len(m[0])) for m in mats}
     # meet's one-column kernels of plane pairs that meet in a double line
-    # (it hands the kernel no taller three-column system) and
-    # classify_point's nine-row span stacks of three planes
+    # (it hands the kernel no taller three-column system)
     assert (1, 3) in shapes and all(nr == 1 for nr, nc in shapes if nc == 3)
-    assert any(nr == 9 for nr, _ in shapes)
+    # classify_point's twelve-row span stacks of the four planes at each of
+    # the four S_4 points; an R_3 point's span is forced, so no nine-row
+    # stack of three planes reaches the kernel
+    assert ranked == [(12, 7)] * 4
+    assert not any(nr == 9 for nr, _ in shapes)
     for m in mats:
         assert_pure_kernel_matches_references(m)
 
