@@ -1,14 +1,8 @@
-"""Exact linear algebra entry points with backend dispatch.
+"""Exact linear algebra entry points.
 
-Every rank/kernel/echelon computation in the package goes through here.  At
-import time the compiled int64 kernel (zappatic._bareiss_c, fraction-free
-Bareiss elimination in one hand-written C file) is selected when available.
-It raises OverflowError for whatever it cannot hold: a product or difference
-outside int64, an entry that is -2**63, larger or not an int, or a ragged
-matrix.  Each call then falls back transparently to the pure-Python
-arbitrary-precision kernel (zappatic._bareiss, content-reducing elimination
-that keeps every row content-free), which decides, so both backends give the
-same answer for every input.
+Every rank/kernel/echelon computation in the package goes through here.
+rank and rref run the one kernel, zappatic._bareiss: content-reducing
+elimination over arbitrary-precision ints that keeps every row content-free.
 
 clear_denominators is the one place where a rational row becomes a
 primitive integer row; nullspace is integer-only, and only solve returns
@@ -26,45 +20,27 @@ from operator import index
 
 from zappatic import _bareiss as _py
 
-try:
-    from zappatic import _bareiss_c as _c
-except ImportError:  # extension not built
-    _c = None
-
-_backend = "python" if _c is None else "compiled"
-
 
 def backend_name() -> str:
-    return _backend
+    """The kernel's name; there is one, the pure-Python kernel."""
+    return "python"
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("python",) if _c is None else ("python", "compiled")
+    return ("python",)
 
 
 def set_backend(name: str) -> None:
-    """Switch backends at runtime (used by tests and benchmarks)."""
-    global _backend
-    if name not in available_backends():
+    """Accept the one kernel's name; any other is a ValueError."""
+    if name != "python":
         raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    _backend = name
 
 
 def rank(rows) -> int:
-    if _backend == "compiled":
-        try:
-            return _c.rank(rows)
-        except OverflowError:
-            pass
     return _py.rank(rows)
 
 
 def rref(rows) -> tuple[tuple[int, ...], ...]:
-    if _backend == "compiled":
-        try:
-            return _c.rref(rows)
-        except OverflowError:
-            pass
     return _py.rref(rows)
 
 

@@ -2,10 +2,11 @@
 
 The linear algebra is deliberately written over Fractions with textbook
 Gaussian elimination so it shares no code path with zappatic.linalg's
-integer kernels.  The fraction-free Bareiss elimination with integer
-back-substitution is kept as a second reference: it is the algorithm of the
-compiled int64 kernel, and the pure kernel's content-reducing elimination
-must agree with it.  The incidence reference is the direct route that
+integer kernel.  The fraction-free Bareiss elimination with integer
+back-substitution is kept as a second reference: it divides exactly by the
+previous pivot where the kernel divides each row by its content, and the
+kernel's content-reducing elimination must agree with it.  The incidence
+reference is the direct route that
 the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
 each double line, by containment tests; the report reference ranks the span

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from zappatic.arrangement import (
     compute_incidence,
     zappatic_report,
 )
+from zappatic.constructions import build_X, cycle_planes
 from zappatic.errors import RangeError
 from zappatic.projective import Subspace
 
@@ -24,6 +26,49 @@ def coord_plane(missing, n):
 
 def plane(rows, n):
     return Subspace(n, rows)
+
+
+def chain_of_four_in_p4():
+    """The chain <e0,e1,e2> - <e0,e2,e3> - <e0,e3,e4> - <e0,e4,e1+e2+e3>
+    through e0: the graph shape passes, but an R_4 point needs a P^5."""
+    a = plane([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 4)
+    b = plane([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], 4)
+    c = plane([[1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 4)
+    d = plane([[1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 1, 1, 0]], 4)
+    return Arrangement(4, [a, b, c, d])
+
+
+def cyclic_triple_in_p3():
+    """Three planes whose pairwise lines all pass through e2, giving a
+    triangle graph whose span is P^3: an E_3 point."""
+    a = plane([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 3)
+    b = plane([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
+    c = plane([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], 3)
+    return Arrangement(3, [a, b, c])
+
+
+def coordinate_changes(n, seed, bound, count=10):
+    """count random invertible (n+1) x (n+1) integer matrices, entries
+    in [-bound, bound]."""
+    rng = random.Random(seed)
+    while count:
+        m = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(n + 1)]
+        if linalg.rank(m) == n + 1:
+            count -= 1
+            yield m
+
+
+def moved(arr, m):
+    """arr with every basis row x of every plane replaced by m x."""
+    n = arr.ambient_dim
+    return Arrangement(n, [
+        Subspace(n, [[sum(a * x for a, x in zip(mrow, row)) for mrow in m] for row in p.basis])
+        for p in arr.planes
+    ])
+
+
+def tags(arr):
+    return Counter(t.tag for t in zappatic_report(arr).types)
 
 
 class TestIncidence:
@@ -128,13 +173,7 @@ class TestClassification:
         assert (t.tag, t.central, t.vertex_order) == ("R3", 0, (1, 0, 2))
 
     def test_chain_of_four_planes_in_p4_flagged(self):
-        # the chain <e0,e1,e2> - <e0,e2,e3> - <e0,e3,e4> - <e0,e4,e1+e2+e3>
-        # through e0: the graph shape passes, but an R_4 point needs a P^5
-        a = plane([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], 4)
-        b = plane([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], 4)
-        c = plane([[1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 4)
-        d = plane([[1, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 1, 1, 0]], 4)
-        arr = Arrangement(4, [a, b, c, d])
+        arr = chain_of_four_in_p4()
         inc = compute_incidence(arr)
         [sp] = inc.singular_points
         assert sp.local_edges == ((0, 1), (1, 2), (2, 3))
@@ -163,12 +202,7 @@ class TestClassification:
         assert zappatic_report(old, old_inc, (old_inc, old_report)) == old_report
 
     def test_cyclic_triple_in_p3_is_e3(self):
-        # all three pairwise lines pass through e2, giving a triangle graph
-        # whose span is P^3: an E_3 point
-        a = plane([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 3)
-        b = plane([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
-        c = plane([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], 3)
-        rep = zappatic_report(Arrangement(3, [a, b, c]))
+        rep = zappatic_report(cyclic_triple_in_p3())
         assert rep.is_zappatic and rep.f_counts == {3: 1}
 
     def test_span_too_small_fork_flagged(self):
@@ -209,57 +243,37 @@ class TestProjectiveInvariance:
 
         arr = Arrangement(4, [pl(0), pl(1), pl(2)])
         base = zappatic_report(arr)
-        rng = random.Random(19)
-        done = 0
-        while done < 10:
-            m = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(5)]
-            if linalg.rank(m) < 5:
-                continue
-
-            def apply(s):
-                rows = [
-                    [sum(m[c][k] * row[k] for k in range(5)) for c in range(5)]
-                    for row in s.basis
-                ]
-                return Subspace(4, rows)
-
-            moved = Arrangement(4, [apply(p) for p in arr.planes])
-            rep = zappatic_report(moved)
+        for m in coordinate_changes(4, seed=19, bound=5):
+            rep = zappatic_report(moved(arr, m))
             assert rep.is_zappatic == base.is_zappatic
             assert rep.r_counts == base.r_counts
-            done += 1
 
     def test_cycle_family_stable_under_coordinate_change(self):
-        from zappatic.constructions import cycle_planes
-
-        res = cycle_planes(5)
-        arr = res.arrangement
-        n = arr.ambient_dim + 1
-        rng = random.Random(31)
-        done = 0
-        while done < 10:
-            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if linalg.rank(m) < n:
-                continue
-
-            def apply(s):
-                rows = [
-                    [sum(m[c][k] * row[k] for k in range(n)) for c in range(n)]
-                    for row in s.basis
-                ]
-                return Subspace(arr.ambient_dim, rows)
-
-            moved = Arrangement(arr.ambient_dim, [apply(p) for p in arr.planes])
-            rep = zappatic_report(moved)
+        arr = cycle_planes(5).arrangement
+        for m in coordinate_changes(arr.ambient_dim, seed=31, bound=4):
+            rep = zappatic_report(moved(arr, m))
             assert rep.is_zappatic and rep.r_counts == {3: 5}
-            done += 1
+
+    @pytest.mark.parametrize("make,expected", [
+        pytest.param(lambda: build_X(11, 3, 0).arrangement, {"R3": 7, "S4": 4},
+                     id="S4-points-of-X(11,3)"),
+        pytest.param(cyclic_triple_in_p3, {"E3": 1}, id="E3-triple"),
+        pytest.param(chain_of_four_in_p4, {"NonZappatic(span too small)": 1},
+                     id="span-too-small-4-chain"),
+    ])
+    def test_ranked_spans_stable_under_coordinate_change(self, make, expected):
+        """classify_point ranks the span of a fork, a 3-cycle or a chain of
+        four, where an R_3 point's span is read off its local graph; each
+        point keeps its type in every frame."""
+        arr = make()
+        assert tags(arr) == expected
+        for m in coordinate_changes(arr.ambient_dim, seed=7, bound=3):
+            assert tags(moved(arr, m)) == expected
 
 
 def test_r3_points_of_the_builds_span_a_p4():
     """Every R_3 point of the acceptance grid and the ledger builds, whose
     span classify_point no longer ranks, spans a P^4 by frac_rank."""
-    from zappatic.constructions import build_X
-
     results = [build_X(d, g, seed) for d, g, seed in GRID]
     results += [build() for build in LEDGER_CASES.values()]
     seen = 0

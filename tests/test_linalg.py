@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zappatic import _bareiss, cli, linalg
@@ -21,28 +21,30 @@ from oracles import (
 )
 
 
-@pytest.fixture(params=("python", "compiled"))
-def backend(request):
-    if request.param == "compiled":
-        request.getfixturevalue("compiled_linalg")
-    old = linalg.backend_name()
-    linalg.set_backend(request.param)
-    yield request.param
-    linalg.set_backend(old)
+def test_one_kernel_is_reported():
+    assert linalg.backend_name() == "python"
+    assert linalg.available_backends() == ("python",)
+    linalg.set_backend("python")
+    with pytest.raises(ValueError, match="unknown backend 'compiled'"):
+        linalg.set_backend("compiled")
+    # linalg's entry points wrap the kernel's rather than alias them: the
+    # benchmark's tracer counts calls to the two layers separately
+    assert linalg.rank is not _bareiss.rank
+    assert linalg.rref is not _bareiss.rref
 
 
 def random_matrix(rng, nr, nc, lo=-30, hi=30):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
-def test_rank_small_cases(backend):
+def test_rank_small_cases():
     assert linalg.rank([[1, 0], [0, 1]]) == 2
     assert linalg.rank([[2, 4], [1, 2]]) == 1
     assert linalg.rank([[0, 0], [0, 0]]) == 0
     assert linalg.rank([]) == 0
 
 
-def test_rank_matches_fraction_oracle(backend):
+def test_rank_matches_fraction_oracle():
     rng = random.Random(1)
     for _ in range(150):
         nr = rng.randint(1, 7)
@@ -51,7 +53,7 @@ def test_rank_matches_fraction_oracle(backend):
         assert linalg.rank(m) == frac_rank(m)
 
 
-def test_rref_is_scaled_fraction_rref(backend):
+def test_rref_is_scaled_fraction_rref():
     rng = random.Random(2)
     for _ in range(120):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
@@ -66,7 +68,7 @@ def test_rref_is_scaled_fraction_rref(backend):
             assert [Fraction(x, piv) for x in a] == b
 
 
-def test_rref_idempotent_and_canonical(backend):
+def test_rref_idempotent_and_canonical():
     rng = random.Random(3)
     for _ in range(60):
         m = random_matrix(rng, 5, 6)
@@ -78,7 +80,7 @@ def test_rref_idempotent_and_canonical(backend):
         assert linalg.rref(m2) == r1
 
 
-def test_nullspace_annihilates(backend):
+def test_nullspace_annihilates():
     rng = random.Random(4)
     for _ in range(100):
         nr, nc = rng.randint(1, 10), rng.randint(1, 10)
@@ -94,44 +96,28 @@ def test_nullspace_annihilates(backend):
         assert ns == tuple(frac_primitive(v) for v in frac_nullspace(m))
 
 
-def test_nullspace_empty_matrix(backend):
+def test_nullspace_empty_matrix():
     assert linalg.nullspace([], ncols=3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def test_solve_consistent_and_inconsistent(backend):
+def test_solve_consistent_and_inconsistent():
     a = [[1, 2], [3, 4]]
     x = linalg.solve(a, [5, 6])
     assert [x[0] + 2 * x[1], 3 * x[0] + 4 * x[1]] == [5, 6]
     assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
 
 
-def test_solve_rejects_a_right_hand_side_of_the_wrong_length(backend):
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     for rhs in ([5], [5, 6, 7]):
         with pytest.raises(ValueError, match="right-hand sides"):
             linalg.solve([[1, 2], [3, 4]], rhs)
 
 
-def test_solve_with_no_equations(backend):
+def test_solve_with_no_equations():
     # a system with no equations is consistent, and has no unknowns to fix
     assert linalg.solve([], []) == []
     with pytest.raises(ValueError, match="right-hand sides"):
         linalg.solve([], [1, 2])
-
-
-def test_backends_agree_on_big_entries(bareiss_c, monkeypatch):
-    monkeypatch.setattr(linalg, "_c", bareiss_c)
-    rng = random.Random(5)
-    big = [[rng.randint(-(10**25), 10**25) for _ in range(5)] for _ in range(5)]
-    old = linalg.backend_name()
-    try:
-        linalg.set_backend("compiled")
-        r_c = linalg.rref(big)  # falls back internally on overflow
-        rk_c = linalg.rank(big)
-        linalg.set_backend("python")
-        assert r_c == linalg.rref(big)
-        assert rk_c == linalg.rank(big)
-    finally:
-        linalg.set_backend(old)
 
 
 @settings(max_examples=80)
@@ -161,7 +147,7 @@ KERNEL_CASES = {
 
 
 @pytest.mark.parametrize("m", KERNEL_CASES.values(), ids=KERNEL_CASES)
-def test_kernel_cases_match_fractions(backend, m):
+def test_kernel_cases_match_fractions(m):
     ref = frac_rref(m)
     for rows in (m, [tuple(r) for r in m]):
         before = repr(rows)
@@ -175,14 +161,14 @@ def test_kernel_cases_match_fractions(backend, m):
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, 1.0])
-def test_kernel_rejects_entries_that_are_not_ints(backend, bad):
+def test_kernel_rejects_entries_that_are_not_ints(bad):
     for op in (linalg.rank, linalg.rref):
         with pytest.raises(TypeError):
             op([[1, 2], [3, bad]])
 
 
 @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5]]])
-def test_kernel_rejects_ragged_rows(backend, m):
+def test_kernel_rejects_ragged_rows(m):
     for op in (linalg.rank, linalg.rref):
         with pytest.raises(ValueError, match="ragged"):
             op(m)
@@ -235,7 +221,7 @@ def test_clear_denominators_rejects_entries_that_are_not_rationals(bad):
         linalg.clear_denominators(iter([1, Fraction(1, 3), bad]))
 
 
-def test_clear_denominators_reads_an_iterator_once(backend):
+def test_clear_denominators_reads_an_iterator_once():
     assert linalg.clear_denominators(iter([Fraction(1, 2), 1])) == (1, 2)
     assert ProjPoint(x for x in [1, 2]) == ProjPoint([1, 2])
     line = Subspace(3, [[1, 2, 0, 3], [0, 1, 5, -1]])
@@ -253,10 +239,10 @@ def rationals(bound):
     )
 
 
-@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=100)
 @given(st.sampled_from((1, 9, 2**100)).flatmap(
     lambda bound: st.lists(st.one_of(st.just(0), rationals(bound)), max_size=9)))
-def test_clear_denominators_matches_fractions(backend, row):
+def test_clear_denominators_matches_fractions(row):
     ours = linalg.clear_denominators(row)
     assert ours == frac_primitive(row)
     assert all(type(x) is int for x in ours)
@@ -315,9 +301,9 @@ def test_pure_kernel_matches_bareiss_and_fractions(m):
     assert_pure_kernel_matches_references(m)
 
 
-@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=100)
 @given(m=hard_matrices())
-def test_nullspace_matches_fractions_on_hard_matrices(backend, m):
+def test_nullspace_matches_fractions_on_hard_matrices(m):
     """Tall, rank-deficient, sparse and 100-bit matrices: the integer kernel
     basis is the primitive part of the Fraction one."""
     ns = linalg.nullspace(m)
@@ -431,9 +417,9 @@ def sparse_columns(draw):
     return nrows, draw(st.permutations(cols))
 
 
-@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300)
 @given(data=sparse_columns())
-def test_sparse_rank_matches_fractions(backend, data):
+def test_sparse_rank_matches_fractions(data):
     nrows, cols = data
     before = [dict(c) for c in cols]
     dense = densely(cols, nrows)
@@ -441,7 +427,7 @@ def test_sparse_rank_matches_fractions(backend, data):
     assert cols == before  # the columns are read, not reduced in place
 
 
-def test_sparse_rank_edge_cases(backend):
+def test_sparse_rank_edge_cases():
     assert linalg.sparse_rank([]) == 0
     assert linalg.sparse_rank([{}, {0: 0}, {3: 0, 5: 0}]) == 0
     assert linalg.sparse_rank([{0: 2, 1: 4}, {0: 4, 1: 2}]) == 2  # no unit pivot
