@@ -324,6 +324,108 @@ def test_pure_kernel_on_tall_rank_deficient_big_products():
         assert _bareiss.rank(m) == frac_rank(right)
 
 
+# The kernel works on arbitrary-precision ints, so the edges of int64 are not
+# edges for it; these check that exactness does not fail there (ROADMAP aim 3):
+# each value, or the products and sums that elimination forms from it, leaves
+# [-(2^63 - 1), 2^63 - 1].
+INT64_MIN = -(2**63)
+INT64_EDGES = {
+    "2**31": 2**31, "-2**31": -(2**31),
+    "2**62-1": 2**62 - 1, "-(2**62-1)": -(2**62 - 1),
+    "2**62": 2**62, "-2**62": -(2**62),
+    "2**63-1": 2**63 - 1, "-(2**63-1)": -(2**63 - 1),
+    "-2**63": INT64_MIN, "2**63": 2**63,
+    "2**64": 2**64, "-2**64": -(2**64),
+}
+
+
+def around(e):
+    """Small matrices with e in them: full rank, rank one, tall and wide."""
+    return [
+        [[e, 1, 0], [1, e, 1], [0, 1, e]],
+        [[e, e], [e, e]],
+        [[e, -1], [1, e], [e, e]],
+        [[e, e - 1, 1], [e + 1, e, -1]],
+        [[e, 0, e], [0, e, 0], [e, e, e]],
+    ]
+
+
+@pytest.mark.parametrize("e", INT64_EDGES.values(), ids=INT64_EDGES)
+def test_rank_and_rref_at_an_int64_edge(e):
+    for m in around(e):
+        assert_pure_kernel_matches_references(m)
+        assert linalg.rank(m) == frac_rank(m)
+        assert linalg.rref(m) == _bareiss.rref(m)
+
+
+@pytest.mark.parametrize("e", INT64_EDGES.values(), ids=INT64_EDGES)
+def test_nullspace_and_solve_at_an_int64_edge(e):
+    for m in around(e):
+        assert linalg.nullspace(m) == tuple(frac_primitive(v) for v in frac_nullspace(m))
+    a, rhs = [[e, 1], [1, e]], [e, 1]
+    x = linalg.solve(a, rhs)
+    assert [sum(c * v for c, v in zip(row, x)) for row in a] == rhs
+    # two equal left-hand sides with different right-hand sides
+    assert linalg.solve([[e, 1], [e, 1]], [e, e + 1]) is None
+
+
+@pytest.mark.parametrize("e", INT64_EDGES.values(), ids=INT64_EDGES)
+def test_sparse_rank_at_an_int64_edge(e):
+    for m in around(e):
+        cols = [{r: row[j] for r, row in enumerate(m)} for j in range(len(m[0]))]
+        assert linalg.sparse_rank(cols) == frac_rank(m) == bareiss_rank(m)
+
+
+def test_int64_min_rank():
+    assert linalg.rank([[INT64_MIN, 0], [1, 2]]) == 2
+
+
+def test_int64_min_rref():
+    # the pivot comes back positive, so -INT64_MIN leaves int64
+    assert linalg.rref([[INT64_MIN, 1]]) == ((2**63, -1),)
+    assert linalg.rref([[INT64_MIN, 2]]) == ((2**62, -1),)
+    assert linalg.rref([[INT64_MIN, 0], [1, 2]]) == ((1, 0), (0, 1))
+
+
+def test_rows_that_are_not_lists():
+    assert linalg.rank(iter([[1, 2], [2, 4]])) == 1
+    assert linalg.rref([iter([2, 4])]) == ((1, 2),)
+    assert linalg.rref((range(3), range(1, 4))) == ((1, 0, -1), (0, 1, 2))
+
+
+def test_rank_and_rref_on_big_entries():
+    rng = random.Random(5)
+    big = [[rng.randint(-(10**25), 10**25) for _ in range(5)] for _ in range(5)]
+    assert_pure_kernel_matches_references(big)
+    assert linalg.rref(big) == _bareiss.rref(big)
+    assert linalg.rank(big) == frac_rank(big)
+
+
+@st.composite
+def edge_matrices(draw):
+    """Up to 5 x 4 matrices of int64 edges and small ints; about one in five
+    has one row a column short or long."""
+    entries = st.one_of(st.sampled_from((0, 1, -1, *INT64_EDGES.values())),
+                        st.integers(-3, 3))
+    ncols = draw(st.integers(0, 4))
+    lengths = draw(st.lists(st.just(ncols), max_size=5))
+    if lengths and draw(st.integers(0, 4)) == 0:
+        lengths[draw(st.integers(0, len(lengths) - 1))] += draw(st.sampled_from((-1, 1)))
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for n in lengths if n >= 0]
+
+
+@settings(max_examples=400)
+@given(edge_matrices())
+def test_kernel_at_int64_edges_matches_references(m):
+    if len({len(r) for r in m}) > 1:
+        for op in (linalg.rank, linalg.rref):
+            with pytest.raises(ValueError, match="ragged"):
+                op(m)
+    else:
+        assert_pure_kernel_matches_references(m)
+        assert linalg.rref(m) == _bareiss.rref(m)
+
+
 def kernel_inputs(monkeypatch, argv):
     """Every matrix the command hands to linalg.rank and linalg.rref."""
     seen = []
