@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
 from operator import itemgetter
 
 from zappatic import linalg
@@ -71,16 +70,29 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     planes of the meets that produce p, and the local edges at p are the
     double lines whose two planes both pass through p.
 
+    The crossings are read off the pair table, with one exception.  Double
+    lines (s, u) and (s, w) lie in the plane P_s and cross there.  If they
+    coincide, that line lies on P_u and P_w, so (u, w) is a double line
+    too.  Otherwise they cross in one point, which lies on P_u and P_w; so
+    when (u, w) is not a double line it is a point meet at that point, and
+    the crossing is that point.  So a point meet (u, w) gives its point the
+    planes u, w and every common neighbour of u and w in the graph of
+    double lines.  Only a triangle of that graph needs a meet of two of its
+    lines: three planes on one line, or a point that all three planes pass
+    through (all three crossings are that point, the one point common to
+    the three planes).
+
     ``base`` is the incidence of the first k planes of ``arr``, where k is
     one more than the highest plane index in its meets; from scratch,
     k = 0.  A meet of two of those old planes, and a crossing of two of
     their double lines, depends on those planes alone, so ``base`` already
     holds it: its double lines and point meets are taken over, and each of
     its singular points lists exactly the planes that its meets and
-    crossings contribute there.  Only the pairs with a new plane are met,
-    and only the line pairs with a new line are crossed.  An old plane past
-    the highest index meets no old plane, so counting it as new only
-    re-meets pairs that are empty.
+    crossings contribute there, so adding an old plane to one changes
+    nothing.  Only the pairs with a new plane are met, and only the
+    triangles with a new plane cross lines.  An old plane past the highest
+    index meets no old plane, so counting it as new only re-meets pairs
+    that are empty.
     """
     old = IncidenceData((), (), ()) if base is None else base
     k = max((j + 1 for _, j, _ in old.double_lines + old.point_meets), default=0)
@@ -102,20 +114,20 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     through: dict[tuple[int, ...], tuple[ProjPoint, set[int]]] = {
         sp.point.coords: (sp.point, set(sp.incident_planes)) for sp in old.singular_points
     }
-    for i, j, p in new_points:
-        through.setdefault(p.coords, (p, set()))[1].update((i, j))
-    lines_of = [[] for _ in range(v)]
-    for line in double_lines:
-        lines_of[line[0]].append(line)
-        lines_of[line[1]].append(line)
-    for lines in lines_of:
-        for (a, b, la), (c, d, lb) in combinations(lines, 2):
-            if max(b, d) < k:
-                continue  # two old lines: their crossing is in base
-            inter = meet(la, lb)
-            if inter.dim == 0:
-                p = inter.point()
-                through.setdefault(p.coords, (p, set()))[1].update((a, b, c, d))
+    lines_at = [{} for _ in range(v)]  # neighbour -> double line, per plane
+    for i, j, line in double_lines:
+        lines_at[i][j] = lines_at[j][i] = line
+    for i, j, p in point_meets:
+        planes = through.setdefault(p.coords, (p, set()))[1]
+        planes.update((i, j), lines_at[i].keys() & lines_at[j].keys())
+    for i, j, line in double_lines:
+        for s in lines_at[i].keys() & lines_at[j].keys():
+            # s is the triangle's last plane, and new if any of its planes is
+            if s > j and s >= k:
+                inter = meet(line, lines_at[i][s])
+                if inter.dim == 0:
+                    p = inter.point()
+                    through.setdefault(p.coords, (p, set()))[1].update((i, j, s))
 
     points = []
     for key in sorted(through):

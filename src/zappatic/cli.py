@@ -222,7 +222,9 @@ def _run_quadric_oracle(d: int) -> tuple[int, int]:
     """The oracle's two counts: independent quadrics through 2d+2 points of
     the rational normal curve in P^d, and those that also contain a seeded
     random codimension-3 subspace.  Each count is the number of quadric
-    monomials minus the rank of the conditions; no kernel basis is built."""
+    monomials minus the rank of the conditions; no kernel basis is built.
+    The curve's conditions are reduced once: their rref rows span the same
+    conditions, so the second rank stacks those rows on the subspace's."""
     import random
 
     from zappatic.projective import ProjPoint, Subspace, quadric_conditions
@@ -231,15 +233,16 @@ def _run_quadric_oracle(d: int) -> tuple[int, int]:
         ProjPoint([t**k for k in range(d + 1)]) for t in range(-(d + 1), d + 1)
     ]
     monomials, rows = quadric_conditions(samples, [], d)
-    count_all = len(monomials) - linalg.rank(rows)
+    reduced = linalg.rref(rows)
+    count_all = len(monomials) - len(reduced)
     rng = random.Random(0)
     while True:
         rows = [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(d - 2)]
         sigma = Subspace(d, rows)
         if sigma.dim == d - 3:
             break
-    _, rows = quadric_conditions(samples, [sigma], d)
-    return count_all, len(monomials) - linalg.rank(rows)
+    _, rows = quadric_conditions([], [sigma], d)
+    return count_all, len(monomials) - linalg.rank([*reduced, *rows])
 
 
 @functools.cache

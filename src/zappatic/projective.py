@@ -94,9 +94,14 @@ class Subspace:
         return linalg.rank(stacked) == len(self.basis)
 
     def point(self) -> ProjPoint:
+        """The point that this subspace is.  Its one canonical basis row is
+        primitive with a positive leading entry, which is ProjPoint's normal
+        form, so it is set directly, as _canonical sets a basis."""
         if self.dim != 0:
             raise RangeError("subspace is not a single point")
-        return ProjPoint(self.basis[0])
+        p = object.__new__(ProjPoint)
+        object.__setattr__(p, "coords", self.basis[0])
+        return p
 
     def coords_of(self, p: ProjPoint) -> tuple[Fraction, ...]:
         """Coordinates of p in this subspace's basis (p must lie on it)."""

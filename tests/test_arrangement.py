@@ -6,16 +6,16 @@ import pytest
 from oracles import frac_rank
 from test_acceptance import GRID
 from test_golden import LEDGER_CASES
-from zappatic import linalg
+from zappatic import arrangement, linalg
 from zappatic.arrangement import (
     Arrangement,
     classify_point,
     compute_incidence,
     zappatic_report,
 )
-from zappatic.constructions import build_X, cycle_planes
+from zappatic.constructions import build_X, build_Z, cycle_planes
 from zappatic.errors import RangeError
-from zappatic.projective import Subspace
+from zappatic.projective import Subspace, meet
 
 
 def coord_plane(missing, n):
@@ -67,6 +67,19 @@ def moved(arr, m):
     ])
 
 
+def meets(monkeypatch):
+    """The list that records the dimensions of both sides of every meet that
+    compute_incidence makes from now on."""
+    met = []
+
+    def counted(a, b):
+        met.append((a.dim, b.dim))
+        return meet(a, b)
+
+    monkeypatch.setattr(arrangement, "meet", counted)
+    return met
+
+
 def tags(arr):
     return Counter(t.tag for t in zappatic_report(arr).types)
 
@@ -90,6 +103,44 @@ class TestIncidence:
         assert inc.double_lines == ()
         assert inc.point_meets == ()
         assert inc.singular_points == ()
+
+    @pytest.mark.parametrize(
+        "build", [lambda: build_X(16, 4, 0), lambda: build_Z(14, 4, 0)], ids=["X16", "Z14"]
+    )
+    def test_triangle_free_build_meets_only_plane_pairs(self, build, monkeypatch):
+        """With no triangle of double lines, every crossing of two double
+        lines is the point of a point meet, so the incidence meets the plane
+        pairs and no two lines: all C(v,2) pairs from scratch, and the v-1
+        pairs with the last plane when grown from the others."""
+        arr = build().arrangement
+        inc = compute_incidence(arr)
+        neighbours = [set() for _ in arr.planes]
+        for i, j, _ in inc.double_lines:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+        assert not any(neighbours[i] & neighbours[j] for i, j, _ in inc.double_lines)
+        base = compute_incidence(Arrangement(arr.ambient_dim, arr.planes[:-1]))
+        met = meets(monkeypatch)
+        v = len(arr)
+        assert compute_incidence(arr) == inc
+        assert met == [(2, 2)] * (v * (v - 1) // 2)
+        met.clear()
+        assert compute_incidence(arr, base) == inc
+        assert met == [(2, 2)] * (v - 1)
+
+    def test_triangle_meets_two_of_its_lines(self, monkeypatch):
+        """The E_3 triple is a triangle of double lines, whose point is no
+        point meet's: the incidence meets the three plane pairs and then two
+        of the lines, once.  Grown from its own incidence, it meets nothing."""
+        arr = cyclic_triple_in_p3()
+        met = meets(monkeypatch)
+        inc = compute_incidence(arr)
+        assert met == [(2, 2)] * 3 + [(1, 1)]
+        [sp] = inc.singular_points
+        assert sp.point.coords == (0, 0, 1, 0) and sp.incident_planes == {0, 1, 2}
+        met.clear()
+        assert compute_incidence(arr, inc) == inc
+        assert met == []
 
     @pytest.mark.parametrize(
         "planes, message",

@@ -444,8 +444,9 @@ def kernel_inputs(monkeypatch, argv):
 
 def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
     mats = kernel_inputs(monkeypatch, ["quadrics", "--d", "7", "--g", "0", "--oracle"])
-    # the evaluation systems of the curve, the codim-3 subspace and both together
-    assert [(len(m), len(m[0])) for m in mats] == [(16, 36), (5, 8), (31, 36)]
+    # the curve's evaluation system, reduced once; the codim-3 subspace; and
+    # the curve's 15 reduced rows stacked on the subspace's 15 conditions
+    assert [(len(m), len(m[0])) for m in mats] == [(16, 36), (5, 8), (30, 36)]
     for m in mats:
         assert_pure_kernel_matches_references(m)
 

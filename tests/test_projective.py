@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from unittest.mock import patch
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zappatic import linalg
+from zappatic.constructions import build_Z
 from zappatic.errors import RangeError
 from zappatic.projective import (
     _small_kernel,
@@ -58,6 +60,27 @@ class TestPoints:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ProjPoint([0, 0, 0])
+
+    def test_point_of_a_subspace_is_its_basis_row(self):
+        """Subspace.point sets the canonical basis row as the coordinates:
+        it is the ProjPoint of that row, in ==, in hash and in int coords,
+        also on the point meets of a Z build with entries past 64 bits."""
+        wide = 0
+        for a, b in combinations(build_Z(32, 10, 0).arrangement.planes, 2):
+            m = meet(a, b)
+            if m.dim != 0:
+                continue
+            p, q = m.point(), ProjPoint(m.basis[0])
+            assert p == q and hash(p) == hash(q) and p.coords == q.coords
+            assert all(type(x) is int for x in p.coords)
+            wide += max(map(abs, p.coords)).bit_length() > 64
+        assert wide
+
+    @pytest.mark.parametrize("rows", [[], [[1, 0, 0, 0], [0, 1, 0, 0]],
+                                      [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]])
+    def test_point_of_a_subspace_needs_dimension_zero(self, rows):
+        with pytest.raises(RangeError, match="not a single point"):
+            Subspace(3, rows).point()
 
 
 class TestCoordsOf:
