@@ -340,11 +340,14 @@ def _attach_pair(
     def complete(lines, pi, anchors, rng):
         line1, line2 = lines
         for k in range(len(arr)):
-            inter = meet(pi, arr.planes[k])
             if k in (i, j):
-                if inter != (line1 if k == i else line2):
+                # pi and plane k share the chosen line, so they meet beyond
+                # it exactly when the plane lies in pi
+                if pi.contains(arr.planes[k]):
                     raise _Retry(f"3-space meets plane {k} beyond the chosen line")
-            elif inter.dim >= 1:
+                continue
+            inter = meet(pi, arr.planes[k])
+            if inter.dim >= 1:
                 if inter.dim == 1 and (
                     pi.dim == n - 1 or (anchored and inter == span(anchors, n))
                 ):

@@ -4,8 +4,11 @@ Points, linear subspaces, quadratic forms and Pluecker coordinates are all
 stored as primitive integer data, so equality of the underlying projective
 objects is plain tuple equality and every computation reduces to integer row
 reduction in zappatic.linalg.  Each constructor takes ints or Fractions and
-clears denominators once, with linalg.clear_denominators (per basis row for
-a Subspace, over the whole matrix for a QuadricForm).
+normalises once.  A Subspace hands rows of plain ints straight to
+linalg.rref, whose kernel makes every row content-free on its own, and clears
+denominators per basis row with linalg.clear_denominators only when some
+entry is not an int (a Fraction, a bool or another int subclass); a point
+clears its coordinates, and a QuadricForm its whole matrix, the same way.
 
 Conventions pinned here:
   * a Subspace is the row span of its canonical rref basis; projective
@@ -50,7 +53,13 @@ class ProjPoint:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of P^r spanned by its canonical basis rows."""
+    """Linear subspace of P^r spanned by its canonical basis rows.
+
+    The basis is linalg.rref of the given rows.  Rows of plain ints go to it
+    as they are: the kernel divides every row by its content, and its rref
+    is canonical, so clearing them first would change nothing.  Only when
+    some entry is not an int are the rows cleared of denominators first.
+    """
 
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
@@ -60,7 +69,8 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim + 1:
                 raise RangeError("basis row length does not match ambient dimension")
-        rows = [linalg.clear_denominators(r) for r in rows]
+        if not {type(x) for r in rows for x in r} <= {int}:
+            rows = [linalg.clear_denominators(r) for r in rows]
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", linalg.rref(rows) if rows else ())
 
@@ -259,10 +269,16 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     is linalg.nullspace of that column, or of none.  For m > 3 the kernel is
     linalg.nullspace of all the columns.
 
-    A kernel of one vector c, from either route, makes the meet the point
-    c.B, whose canonical basis is primitive(c.B), the rref of one nonzero
-    row; it is set with no reduction.  Subspace canonicalises the images of
-    a larger kernel.
+    The meet is spanned by the images v.B of a kernel basis, and its
+    canonical basis is read off them with no reduction of the images.  A
+    kernel of more than one vector is first put in rref, m columns wide.
+    B is canonical: its pivot columns p_i increase, and B_i is positive at
+    p_i and zero at every other p_l.  A row v of rref(K) with pivot k is
+    zero before k and at every other row's pivot l, so v.B is zero before
+    p_k, is v_k.B_k[p_k] > 0 at p_k, and is v_l.B_l[p_l] = 0 at p_l.  So the
+    rows of rref(K).B are in reduced echelon form, each made primitive is a
+    canonical basis row, and they are set as they are.  One vector c needs
+    no rref: primitive(c.B) is the one canonical row, with its sign fixed.
     """
     _check_same_ambient(a, b)
     if a.support.isdisjoint(b.support):
@@ -274,11 +290,13 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     m = len(b.basis)
     cols = _reduced_columns(a, b)
     kernel = _small_kernel(cols, m) if m <= 3 else linalg.nullspace(list(cols), ncols=m)
-    images = [[sum(map(mul, v, col)) for col in zip(*b.basis)] for v in kernel]
-    if len(images) > 1:
-        return Subspace(a.ambient_dim, images)
-    # no row, or one nonzero row, whose rref is the row made primitive
-    return _canonical(a.ambient_dim, map(linalg.primitive, images))
+    if len(kernel) > 1:
+        kernel = linalg.rref(kernel)
+    b_cols = list(zip(*b.basis))
+    return _canonical(
+        a.ambient_dim,
+        [linalg.primitive([sum(map(mul, v, col)) for col in b_cols]) for v in kernel],
+    )
 
 
 @dataclass(frozen=True)

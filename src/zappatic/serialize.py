@@ -79,6 +79,19 @@ def _list_text(items, depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
 
 
+# A basis row, _list_text([_list_text([_int_text(x), "1"], 4) for x in row], 3),
+# spelled out as one join: a call per entry would take most of the time saved.
+# In a row that fits int64, _int_text(x) is str(x).
+_ROW_OPEN = "[\n    [\n     "
+_ROW_SEP = ",\n     1\n    ],\n    [\n     "
+_ROW_CLOSE = ",\n     1\n    ]\n   ]"
+
+
+def _row_text(row) -> str:
+    fits = _I64_MIN <= min(row) and max(row) <= _I64_MAX
+    return _ROW_OPEN + _ROW_SEP.join(map(str if fits else _int_text, row)) + _ROW_CLOSE
+
+
 def dumps(arr: Arrangement, metadata: dict | None = None) -> str:
     """The file text: json.dumps(obj, sort_keys=True, indent=1) plus a newline.
 
@@ -88,14 +101,8 @@ def dumps(arr: Arrangement, metadata: dict | None = None) -> str:
     go through json.dumps.  A JSON string holds no raw newline, so indenting
     every line of the metadata text by one space nests it one level down.
     """
-    # each entry is _list_text([_int_text(x), "1"], 4), spelled out: that
-    # call per entry would take most of the time saved
     planes = _list_text([
-        _list_text([
-            _list_text([f"[\n     {_int_text(x)},\n     1\n    ]" for x in row], 3)
-            for row in p.basis
-        ], 2)
-        for p in arr.planes
+        _list_text([_row_text(row) for row in p.basis], 2) for p in arr.planes
     ], 1)
     fields = [f'"ambient_dim": {json.dumps(arr.ambient_dim)}']
     if metadata:

@@ -463,9 +463,15 @@ def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
     monkeypatch.setattr(linalg, "rank", rank)
     mats = kernel_inputs(monkeypatch, argv)
     shapes = {(len(m), len(m[0])) for m in mats}
-    # meet's one-column kernels of plane pairs that meet in a double line
-    # (it hands the kernel no taller three-column system)
-    assert (1, 3) in shapes and all(nr == 1 for nr, nc in shapes if nc == 3)
+    # meet's one-column kernels of plane pairs that meet in a double line,
+    # each followed by meet's rref of its two-vector nullspace (it hands the
+    # kernel no other three-column system)
+    assert (1, 3) in shapes and all(nr <= 2 for nr, nc in shapes if nc == 3)
+    line_kernels = [(prev, m) for prev, m in zip(mats, mats[1:])
+                    if len(m) == 2 and len(m[0]) == 3]
+    assert line_kernels
+    for prev, m in line_kernels:
+        assert m == [list(v) for v in linalg.nullspace(prev)]
     # classify_point's twelve-row span stacks of the four planes at each of
     # the four S_4 points; an R_3 point's span is forced, so no nine-row
     # stack of three planes reaches the kernel

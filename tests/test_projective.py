@@ -26,7 +26,7 @@ from zappatic.projective import (
     span_subspaces,
 )
 
-from oracles import frac_meet, frac_rank, klein_form
+from oracles import frac_meet, frac_rank, frac_rref, klein_form
 
 
 def e(i, n):
@@ -367,6 +367,104 @@ class TestSmallKernel:
         assert _small_kernel(read_up_to(cols[:stop]), m) == []
 
 
+@st.composite
+def int_rows(draw):
+    """(n, rows): up to five rows of P^n, 1 <= n <= 8, each a drawn row
+    with small entries or entries past 2^64 times a multiplier of -6 to 6:
+    rows of content above 1, leading entries of either sign, and zero rows."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(ENTRY, min_size=n + 1, max_size=n + 1)
+    multipliers = draw(st.lists(st.integers(-6, 6), max_size=5))
+    return n, [[k * x for x in draw(row)] for k in multipliers]
+
+
+def cleared(build):
+    """build() and how many rows it cleared of denominators."""
+    with patch.object(linalg, "clear_denominators", wraps=linalg.clear_denominators) as counted:
+        out = build()
+    return out, counted.call_count
+
+
+class TestIntRowsGoStraightToTheKernel:
+    """A Subspace of int rows is reduced once, by the kernel's rref, and is
+    the Subspace of the same rows written as Fractions."""
+
+    @settings(max_examples=100)
+    @given(int_rows(), st.integers(1, 7))
+    def test_int_rows_equal_fraction_rows(self, data, den):
+        n, rows = data
+        s, calls = cleared(lambda: Subspace(n, rows))
+        assert calls == 0
+        assert s == Subspace(n, [[Fraction(x) for x in r] for r in rows])
+        assert s == Subspace(n, [[Fraction(x, den) for x in r] for r in rows])
+        assert all(type(x) is int for r in s.basis for x in r)
+        ref = frac_rref(rows)
+        assert len(s.basis) == len(ref)
+        for got, want in zip(s.basis, ref):
+            lead = next(x for x in got if x)
+            assert lead > 0 and [Fraction(x, lead) for x in got] == want
+
+    @settings(max_examples=50)
+    @given(int_rows(), st.data())
+    def test_bools_are_cleared_like_fractions(self, drawn, data):
+        n, rows = drawn
+        assume(rows)
+        # some entries of 0 or 1 written as bools
+        flagged = [[bool(x) if x in (0, 1) and data.draw(st.booleans()) else x for x in r]
+                   for r in rows]
+        assume(any(type(x) is bool for r in flagged for x in r))
+        s, calls = cleared(lambda: Subspace(n, flagged))
+        assert calls == len(rows)
+        assert s == Subspace(n, rows)
+        assert all(type(x) is int for r in s.basis for x in r)
+
+
+@st.composite
+def line_meet_planes(draw):
+    """(a, b): two planes of P^3..P^12 through two common points, with one
+    own point each, so that a generic pair meets in the line of the two."""
+    n = draw(st.integers(3, 12))
+    point = st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any)
+    common = [draw(point) for _ in range(2)]
+    return Subspace(n, common + [draw(point)]), Subspace(n, common + [draw(point)])
+
+
+@st.composite
+def nested_pairs(draw):
+    """(a, b): a the span of three to five points of P^4..P^12, and b the
+    span of two or three integer combinations of them, so b lies in a."""
+    n = draw(st.integers(4, 12))
+    point = st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any)
+    pts = [draw(point) for _ in range(draw(st.integers(3, 5)))]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts))
+    rows = [[sum(c * p[i] for c, p in zip(cs, pts)) for i in range(n + 1)]
+            for cs in draw(st.lists(coeffs, min_size=2, max_size=3))]
+    return Subspace(n, pts), Subspace(n, rows)
+
+
+@st.composite
+def solid_pairs(draw):
+    """(a, b): two 3-spaces of P^5..P^8 through two or three common points,
+    with the rest of their four points their own: a generic pair meets in
+    a line or a plane, through the nullspace of four-row columns."""
+    n = draw(st.integers(5, 8))
+    point = st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any)
+    common = [draw(point) for _ in range(draw(st.integers(2, 3)))]
+    own = 4 - len(common)
+    a = Subspace(n, common + [draw(point) for _ in range(own)])
+    return a, Subspace(n, common + [draw(point) for _ in range(own)])
+
+
+def assert_wide_kernel_meet(a, b):
+    """meet(a, b) is a line or a plane, so its kernel has two or three
+    vectors, and it matches the oracle, in both orders, with a basis that
+    is its own rref."""
+    got = meet(a, b)
+    assume(got.dim in (1, 2))
+    assert got == oracle_meet(a, b) and meet(b, a) == got
+    assert got.basis == linalg.rref(got.basis)
+
+
 class TestMeetExact:
     """meet returns exactly the canonical basis of the annihilator route."""
 
@@ -428,6 +526,25 @@ class TestMeetExact:
         got = meet(a, b)
         assert got.dim >= shared - 1
         assert_meet_exact(a, b)
+
+    @settings(max_examples=50)
+    @given(line_meet_planes())
+    def test_line_meets_of_planes(self, pair):
+        assert_wide_kernel_meet(*pair)
+
+    @settings(max_examples=40)
+    @given(nested_pairs())
+    def test_b_inside_a(self, pair):
+        a, b = pair
+        assert meet(a, b) == b
+        assert_wide_kernel_meet(a, b)
+
+    @settings(max_examples=50)
+    @given(solid_pairs())
+    def test_3_spaces_of_p5_to_p8(self, pair):
+        a, b = pair
+        assume(a.dim == b.dim == 3)
+        assert_wide_kernel_meet(a, b)
 
     # (a, b, kernels): bases in P^5 (P^7 where the supports need the room)
     # for each path of meet, and the number of linalg.nullspace calls it
