@@ -12,7 +12,8 @@ R_n, S_n or E_n.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from zappatic import linalg
@@ -92,7 +93,8 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     nothing.  Only the pairs with a new plane are met, and only the
     triangles with a new plane cross lines.  An old plane past the highest
     index meets no old plane, so counting it as new only re-meets pairs
-    that are empty.
+    that are empty.  No meet is a plane: ``Arrangement`` refuses a repeated
+    basis, and bases are canonical.
     """
     old = IncidenceData((), (), ()) if base is None else base
     k = max((j + 1 for _, j, _ in old.double_lines + old.point_meets), default=0)
@@ -102,8 +104,6 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     for i in range(v):
         for j in range(max(i + 1, k), v):
             inter = meet(arr.planes[i], arr.planes[j])
-            if inter.dim == 2:
-                raise RangeError(f"planes {i} and {j} coincide")
             if inter.dim == 1:
                 new_lines.append((i, j, inter))
             elif inter.dim == 0:
@@ -143,8 +143,17 @@ class SingularityType:
     kind: str  # "R" | "S" | "E" | "NonZappatic"
     n: int = 0
     reason: str = ""
-    central: int | None = None
     vertex_order: tuple[int, ...] = ()
+
+    @property
+    def central(self) -> int | None:
+        """The central plane: the centre of a fork (S), the middle plane of
+        an R_3 chain, and None for any other type."""
+        if self.kind == "S":
+            return self.vertex_order[0]
+        if self.kind == "R" and self.n == 3:
+            return self.vertex_order[1]
+        return None
 
     @property
     def tag(self) -> str:
@@ -250,22 +259,36 @@ def classify_point(
         span_dim = linalg.rank([row for i in planes for row in arr.planes[i].basis]) - 1
     if span_dim != n + excess:
         return SingularityType("NonZappatic", n, "span too small")
-    central = None
-    if kind == "S":
-        central = order[0]
-    elif kind == "R" and n == 3:
-        central = order[1]
-    return SingularityType(kind, n, central=central, vertex_order=order)
+    return SingularityType(kind, n, vertex_order=order)
 
 
 @dataclass(frozen=True)
 class ZappaticReport:
-    is_zappatic: bool
-    r_counts: dict[int, int] = field(default_factory=dict)
-    s_counts: dict[int, int] = field(default_factory=dict)
-    f_counts: dict[int, int] = field(default_factory=dict)
-    violations: tuple[str, ...] = ()
-    types: tuple[SingularityType, ...] = ()
+    """The violations and the type of each singular point, in incidence
+    order.  The arrangement is Zappatic iff there is no violation, and the
+    R_n, S_n and E_n counts (n -> count) tally the types in order."""
+
+    violations: tuple[str, ...]
+    types: tuple[SingularityType, ...]
+
+    @property
+    def is_zappatic(self) -> bool:
+        return not self.violations
+
+    def _tally(self, kind: str) -> dict[int, int]:
+        return dict(Counter(t.n for t in self.types if t.kind == kind))
+
+    @cached_property
+    def r_counts(self) -> dict[int, int]:
+        return self._tally("R")
+
+    @cached_property
+    def s_counts(self) -> dict[int, int]:
+        return self._tally("S")
+
+    @cached_property
+    def f_counts(self) -> dict[int, int]:
+        return self._tally("E")
 
 
 def zappatic_report(
@@ -298,9 +321,6 @@ def zappatic_report(
         for sp, t in zip(base[0].singular_points, base[1].types):
             known[sp.point.coords, sp.incident_planes, sp.local_edges] = t
     violations = []
-    r_counts: Counter = Counter()
-    s_counts: Counter = Counter()
-    f_counts: Counter = Counter()
     types = []
 
     planes_on = defaultdict(set)
@@ -316,21 +336,6 @@ def zappatic_report(
         if t is None:
             t = classify_point(arr, inc, k)
         types.append(t)
-        if t.kind == "R":
-            r_counts[t.n] += 1
-        elif t.kind == "S":
-            s_counts[t.n] += 1
-        elif t.kind == "E":
-            f_counts[t.n] += 1
-        else:
-            coords = list(sp.point.coords)
-            violations.append(f"point {coords}: {t.reason}")
-
-    return ZappaticReport(
-        is_zappatic=not violations,
-        r_counts=dict(r_counts),
-        s_counts=dict(s_counts),
-        f_counts=dict(f_counts),
-        violations=tuple(violations),
-        types=tuple(types),
-    )
+        if t.kind == "NonZappatic":
+            violations.append(f"point {list(sp.point.coords)}: {t.reason}")
+    return ZappaticReport(tuple(violations), tuple(types))

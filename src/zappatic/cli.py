@@ -62,11 +62,11 @@ def cmd_construct(args) -> int:
     metadata = {"family": res.family, "d": res.d, "g": res.g, "seed": seed}
     serialize.write_arrangement(args.out, res.arrangement, metadata)
 
-    inv = invariants_of(res.report, res.graph)
+    inv = invariants_of(res.graph)
     counts = " ".join(
-        [f"R{n}={c}" for n, c in sorted(res.report.r_counts.items())]
-        + [f"S{n}={c}" for n, c in sorted(res.report.s_counts.items())]
-        + [f"E{n}={c}" for n, c in sorted(res.report.f_counts.items())]
+        [f"R{n}={c}" for n, c in sorted(inv.r_counts.items())]
+        + [f"S{n}={c}" for n, c in sorted(inv.s_counts.items())]
+        + [f"E{n}={c}" for n, c in sorted(inv.f_counts.items())]
     )
     print(f"family {res.family} d={res.d} g={res.g} seed={seed}")
     print(f"planes={inv.v} edges={inv.e}")
@@ -125,7 +125,7 @@ def cmd_invariants(args) -> int:
             n, m = int(args.abstract[1]), int(args.abstract[2])
         except ValueError:
             raise RangeError("--abstract torus grid sizes must be integers")
-        inv = invariants_of(None, build_torus_complex(n, m))
+        inv = invariants_of(build_torus_complex(n, m))
         h = inv.homology
         print(
             f"v={inv.v} e={inv.e} f={sum(inv.f_counts.values())} chi={inv.chi} "
@@ -141,8 +141,7 @@ def cmd_invariants(args) -> int:
     arr, meta = serialize.read_arrangement(args.path)
     inc = compute_incidence(arr)
     report = zappatic_report(arr, inc)
-    graph = build_dual_graph(arr, inc, report)
-    inv = invariants_of(report, graph)
+    inv = invariants_of(build_dual_graph(arr, inc, report))
     sm = smoothing_of(inv) if args.smooth else None
     family = meta.get("family")
     if sm is not None and family in SCROLL_FAMILIES:
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except RangeError as exc:
+    except (RangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GenericityError as exc:
@@ -318,9 +317,6 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -79,17 +79,25 @@ class ConstructionResult:
     attachments: tuple[AttachmentRecord, ...]
     discrepancies: tuple[str, ...]
     family: str
-    d: int
-    g: int
     seed: int | None
 
     @property
     def num_edges(self) -> int:
         return self.graph.num_edges
 
+    @property
+    def d(self) -> int:
+        """The degree: one plane per unit of degree."""
+        return len(self.arrangement)
+
+    @property
+    def g(self) -> int:
+        """The sectional genus e - v + 1."""
+        return self.num_edges - len(self.arrangement) + 1
+
 
 def _finish(
-    arr, attachments, discrepancies, family, d, g, seed, inc=None, report=None
+    arr, attachments, discrepancies, family, seed, inc=None, report=None
 ) -> ConstructionResult:
     """Package a verified arrangement; pass inc/report when already computed."""
     if inc is None:
@@ -109,8 +117,6 @@ def _finish(
         attachments=tuple(attachments),
         discrepancies=tuple(discrepancies),
         family=family,
-        d=d,
-        g=g,
         seed=seed,
     )
 
@@ -141,7 +147,7 @@ def chain_planes(d: int) -> ConstructionResult:
         raise RangeError("chain requires d >= 2")
     n = d + 1
     subs = [coordinate_subspace(n, (i, i + 1, i + 2)) for i in range(d)]
-    res = _finish(Arrangement(n, subs), (), (), "chain", d, 0, None)
+    res = _finish(Arrangement(n, subs), (), (), "chain", None)
     _check_family_profile(res, d, 0)
     return res
 
@@ -150,7 +156,7 @@ def _cycle(d: int, n: int) -> ConstructionResult:
     """d planes on cyclically consecutive triples of the first d coordinate
     points of P^n; dual graph a cycle with d R_3 points at those points."""
     subs = [coordinate_subspace(n, ((i - 1) % d, i, (i + 1) % d)) for i in range(d)]
-    res = _finish(Arrangement(n, subs), (), (), "cycle", d, 1, None)
+    res = _finish(Arrangement(n, subs), (), (), "cycle", None)
     _check_family_profile(res, d, 1)
     return res
 
@@ -309,8 +315,6 @@ def _attach(prev, planes, anchored, seed, complete, deltas) -> ConstructionResul
             prev.attachments + (rec,),
             prev.discrepancies,
             prev.family,
-            prev.d + len(new_planes),
-            prev.g + 1,
             seed,
             inc,
             report,
@@ -423,7 +427,8 @@ def build_X(d: int, g: int, seed: int = 0) -> ConstructionResult:
 
 def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
     """Chain of d-2g planes with g quadric pairs attached: the outermost pair
-    hangs on free lines of the two end planes, the inner pairs on lines
+    hangs on free lines of the two end planes, closing the chain into a
+    cycle as ``cycle_from_chain`` does, and the inner pairs on lines
     through the R_3 points p_i and p_(d-2g+1-i) centred on planes i-1 and
     d-2g-i."""
     if g < 2:
@@ -432,7 +437,7 @@ def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
         raise RangeError("requires d > 4g")
     rng = random.Random(seed)
     k = d - 2 * g
-    result = _attach_pair(chain_planes(k), 0, k - 1, rng.randrange(2**63), False)
+    result = cycle_from_chain(k + 2, rng.randrange(2**63))
     for i in range(2, g + 1):
         result = _attach_pair(result, i - 1, k - i, rng.randrange(2**63), True)
     result = replace(result, family="Y", seed=seed)

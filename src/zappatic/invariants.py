@@ -18,7 +18,6 @@ from math import comb
 
 from zappatic.complexes import DualGraph, HomologyReport, homology
 from zappatic.errors import InternalCheckError, RangeError
-from zappatic.arrangement import ZappaticReport
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,14 @@ def k_bounds(r_counts, s_counts) -> tuple[int, int]:
     return k_min, k_max
 
 
-def invariants_of(report: ZappaticReport | None, graph: DualGraph) -> InvariantReport:
-    """Invariants of a Zappatic central fibre and its smoothing.
+def invariants_of(graph: DualGraph) -> InvariantReport:
+    """Invariants of a Zappatic central fibre and its smoothing, read off
+    its dual complex alone.
 
-    For abstract complexes (no arrangement behind them) pass report=None;
-    the counts are then read off the complex itself.
+    The complex of an arrangement has one 2-cell per E_n point, one open
+    face per R_n point and one angle per S_n point (``build_dual_graph``),
+    so the counts are those of the cells; an abstract complex, with no
+    arrangement behind it, is read the same way.
 
     g = e - v + 1 is the arithmetic genus of the hyperplane section, a union
     of v lines meeting in e points, so a disconnected fibre can have g < 0:
@@ -68,23 +70,9 @@ def invariants_of(report: ZappaticReport | None, graph: DualGraph) -> InvariantR
     """
     v = graph.num_vertices
     e = graph.num_edges
-    if report is not None:
-        if not report.is_zappatic:
-            raise RangeError("arrangement is not Zappatic")
-        r_counts = dict(report.r_counts)
-        s_counts = dict(report.s_counts)
-        f_counts = dict(report.f_counts)
-        if (
-            f_counts != graph.face_counts()
-            or r_counts != graph.open_face_counts()
-            or s_counts != graph.angle_counts()
-        ):
-            raise InternalCheckError("report counts disagree with the dual complex")
-    else:
-        r_counts = graph.open_face_counts()
-        s_counts = graph.angle_counts()
-        f_counts = graph.face_counts()
-
+    r_counts = graph.open_face_counts()
+    s_counts = graph.angle_counts()
+    f_counts = graph.face_counts()
     h = homology(graph)
     g = e - v + 1
     chi_formula = v - e + sum(f_counts.values())

@@ -11,7 +11,10 @@ the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
 each double line, by containment tests; the report reference ranks the span
 of every point's planes, which classify_point reads off the local graph for
-a chain of three.  The chain feasibility reference is
+a chain of three.  The report-against-complex check compares a report's
+point counts with the cells that complexes.build_dual_graph made from its
+types, and reads each central plane off the local edges rather than the
+vertex order.  The chain feasibility reference is
 the depth-first search over all placements that scrolls.chain_feasible
 replaced with a direct witness; it costs 2^a.  The strip walk counts the
 triangles at every vertex of both directrices of a placement's triangulated
@@ -204,8 +207,6 @@ def containment_report(arr, inc):
     P^n, that is P^(2n - e) for e local edges.  An R/S/E point whose planes
     span less becomes "span too small", and a "span too small" point whose
     planes span that much is a violation."""
-    from collections import Counter
-
     from zappatic.arrangement import SingularityType, ZappaticReport, classify_point
 
     violations = []
@@ -224,11 +225,8 @@ def containment_report(arr, inc):
             elif t.kind == "NonZappatic":
                 violations.append(f"point {list(sp.point.coords)}: span is full")
         types.append(t)
-    counts = {kind: Counter() for kind in "RSE"}
     for sp, t in zip(inc.singular_points, types):
-        if t.kind in ("R", "S", "E"):
-            counts[t.kind][t.n] += 1
-        else:
+        if t.kind == "NonZappatic":
             violations.append(f"point {list(sp.point.coords)}: {t.reason}")
     index = {sp.point.coords: k for k, sp in enumerate(inc.singular_points)}
     for i, j, p in inc.point_meets:
@@ -237,14 +235,32 @@ def containment_report(arr, inc):
             violations.append(f"planes ({i},{j}) meet at an unclassified point")
         elif types[k].kind in ("R", "S", "E") and not {i, j} <= set(types[k].vertex_order):
             violations.append(f"planes ({i},{j}) touch a singular point they are not part of")
-    return ZappaticReport(
-        is_zappatic=not violations,
-        r_counts=dict(counts["R"]),
-        s_counts=dict(counts["S"]),
-        f_counts=dict(counts["E"]),
-        violations=tuple(violations),
-        types=tuple(types),
-    )
+    return ZappaticReport(tuple(violations), tuple(types))
+
+
+def report_disagreements(inc, report, graph):
+    """How a report and the dual complex built from it disagree.
+
+    The R_n, S_n and E_n counts must equal those of the open faces, angles
+    and 2-cells.  The central plane of a fork (S_n) or of a three-plane
+    chain (R_3) lies on every local edge at its point, and no other type
+    has one."""
+    out = []
+    for kind, counts, cells in (
+        ("R", report.r_counts, graph.open_face_counts()),
+        ("S", report.s_counts, graph.angle_counts()),
+        ("E", report.f_counts, graph.face_counts()),
+    ):
+        if counts != cells:
+            out.append(f"{kind} counts {counts} but the complex has {cells}")
+    for sp, t in zip(inc.singular_points, report.types):
+        on_every_edge = None
+        if t.kind == "S" or t.tag == "R3":
+            (on_every_edge,) = set(sp.incident_planes).intersection(*sp.local_edges)
+        if t.central != on_every_edge:
+            out.append(f"{t.tag} at {list(sp.point.coords)}: central {t.central},"
+                       f" on every local edge {on_every_edge}")
+    return out
 
 
 def dfs_chain_feasible(a, b):

@@ -38,6 +38,7 @@ from oracles import (
     chi_normal,
     meet_first_disjoint_central_pair,
     param_breakdown,
+    report_disagreements,
     verify_transversality,
 )
 
@@ -64,9 +65,14 @@ def test_criterion_01_construction_counts(grid_results):
         assert rep.is_zappatic, (d, g, s)
         assert rep.r_counts == {3: d - 2 * g + 2}, (d, g, s)
         assert rep.s_counts == {4: 2 * g - 2}, (d, g, s)
-        inv = invariants_of(rep, res.graph)
+        inv = invariants_of(res.graph)
         assert inv.g == g and inv.chi == 1 - g and inv.p_omega == 0, (d, g, s)
     _ok(1, f"{len(GRID)} builds match d-2g+2 / 2g-2 counts, genus, chi, p_omega")
+
+
+def test_report_counts_and_centrals_match_the_dual_complex(grid_results):
+    for key, res in grid_results.items():
+        assert not report_disagreements(res.incidence, res.report, res.graph), key
 
 
 def test_disjoint_central_pair_matches_plane_meets(grid_results):
@@ -83,7 +89,7 @@ def test_grown_incidence_matches_from_scratch(grid_results):
 
 def test_criterion_02_k2_reproduction(grid_results):
     for (d, g, s), res in grid_results.items():
-        inv = invariants_of(res.report, res.graph)
+        inv = invariants_of(res.graph)
         assert inv.K2_interval == (8 * (1 - g), 6 * (1 - g)), (d, g, s)
     _ok(2, "K2 interval equals [8(1-g), 6(1-g)] on every grid surface")
 

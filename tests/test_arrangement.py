@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,9 @@ def coord_plane(missing, n):
 
 def plane(rows, n):
     return Subspace(n, rows)
+
+
+SKEW = plane([[1, 2, 0, -1], [0, 1, 1, 2], [2, 0, 1, 0]], 3)  # not a coordinate plane
 
 
 def chain_of_four_in_p4():
@@ -152,6 +156,25 @@ class TestIncidence:
             ),
             pytest.param(
                 [coord_plane(3, 3), coord_plane(3, 3)], "duplicate plane at index 1", id="duplicate"
+            ),
+            # bases are canonical, so one plane from other spanning rows is a
+            # duplicate too, and compute_incidence never meets a plane with itself
+            pytest.param(
+                [SKEW, coord_plane(3, 3), plane([[-3, -6, 0, 3], [0, 5, 5, 10], [4, 0, 2, 0]], 3)],
+                "duplicate plane at index 2",
+                id="duplicate-scaled",
+            ),
+            pytest.param(
+                [SKEW, plane([[2, 0, 1, 0], [1, 2, 0, -1], [0, 1, 1, 2]], 3)],
+                "duplicate plane at index 1",
+                id="duplicate-reordered",
+            ),
+            pytest.param(
+                [SKEW, plane([[Fraction(1, 2), 1, 0, Fraction(-1, 2)],
+                              [0, Fraction(-2, 7), Fraction(-2, 7), Fraction(-4, 7)],
+                              [3, 2, 1, -1]], 3)],
+                "duplicate plane at index 1",
+                id="duplicate-fractions",
             ),
             pytest.param(
                 [plane([[1, 0, 0, 0], [0, 1, 0, 0]], 3)],

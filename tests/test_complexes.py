@@ -205,7 +205,7 @@ class TestConeOverCycle:
         graph = build_dual_graph(arr, inc, report)
         assert len(graph.two_cells) == 1 and graph.face_counts() == {n: 1}
         assert betti(graph) == (1, 0, 0)
-        inv = invariants_of(report, graph)
+        inv = invariants_of(graph)
         assert (inv.g, inv.chi, inv.p_omega, inv.K2_interval) == (1, 1, 0, (n, n))
         assert sum("/* face: " in line for line in to_dot(graph).splitlines()) == 1
 

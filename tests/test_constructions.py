@@ -36,7 +36,7 @@ class TestChain:
     @pytest.mark.parametrize("d", range(2, 13))
     def test_sectional_genus_zero(self, d):
         res = chain_planes(d)
-        inv = invariants_of(res.report, res.graph)
+        inv = invariants_of(res.graph)
         assert inv.g == 0 and inv.chi == 1 and inv.p_omega == 0
         assert inv.K2_interval == (8, 8)
         assert res.report.r_counts.get(3, 0) == d - 2
@@ -52,7 +52,7 @@ class TestCycle:
         res = cycle_planes(d)
         assert res.report.r_counts == {3: d}
         assert len(res.incidence.singular_points) == d
-        inv = invariants_of(res.report, res.graph)
+        inv = invariants_of(res.graph)
         assert (inv.g, inv.chi, inv.p_omega) == (1, 0, 0)
         assert inv.K2_interval == (0, 0)
 
@@ -103,7 +103,7 @@ class TestAttachHandle:
         assert len(out.arrangement) == 8
         assert out.report.r_counts == {3: 6}
         assert out.report.s_counts == {4: 2}
-        inv = invariants_of(out.report, out.graph)
+        inv = invariants_of(out.graph)
         assert inv.g == 2
 
     def test_handle_transversality_witness(self):
@@ -153,7 +153,7 @@ class TestBuildX:
         assert rep.r_counts == {3: d - 2 * g + 2}
         assert rep.s_counts == {4: 2 * g - 2}
         assert res.num_edges == d + g - 1
-        inv = invariants_of(rep, res.graph)
+        inv = invariants_of(res.graph)
         assert (inv.g, inv.chi, inv.p_omega) == (g, 1 - g, 0)
         assert inv.K2_interval == (8 * (1 - g), 6 * (1 - g))
 
@@ -321,7 +321,7 @@ class TestCycleFromChain:
 
     def test_matches_cycle_profile(self):
         res = cycle_from_chain(7, seed=23)
-        inv = invariants_of(res.report, res.graph)
+        inv = invariants_of(res.graph)
         assert (inv.g, inv.chi, inv.p_omega) == (1, 0, 0)
 
 
@@ -352,7 +352,7 @@ class TestBuildY:
         assert res.report.r_counts == {3: d - 2 * g + 2}
         assert res.report.s_counts == {4: 2 * g - 2}
         assert res.num_edges == d + g - 1
-        inv = invariants_of(res.report, res.graph)
+        inv = invariants_of(res.graph)
         assert inv.g == g
         assert inv.K2_interval == (8 * (1 - g), 6 * (1 - g))
 
@@ -383,7 +383,7 @@ class TestBuildZ:
         assert res.report.r_counts == {3: d - 2 * g + 2}
         assert res.report.s_counts == {4: 2 * g - 2}
         assert res.num_edges == d + g - 1
-        inv = invariants_of(res.report, res.graph)
+        inv = invariants_of(res.graph)
         assert inv.K2_interval == (8 * (1 - g), 6 * (1 - g))
 
     def test_8_2_discrepancy_and_edges(self):
@@ -402,9 +402,9 @@ class TestFamilyAgreement:
         rx = build_X(d, g, seed=4)
         ry = build_Y(d, g, seed=4)
         rz = build_Z(d, g, seed=4)
-        ix = invariants_of(rx.report, rx.graph)
-        iy = invariants_of(ry.report, ry.graph)
-        iz = invariants_of(rz.report, rz.graph)
+        ix = invariants_of(rx.graph)
+        iy = invariants_of(ry.graph)
+        iz = invariants_of(rz.graph)
         assert ix == iy == iz
 
 

@@ -8,7 +8,9 @@ tests, and check point-meet absorption explicitly.  Both must agree on
 every arrangement the constructions classify, accepted or rejected, and on
 random arrangements with many shared lines and points.  An attachment
 attempt computes its incidence and report from those of the old planes;
-they must equal the from-scratch incidence and report too.
+they must equal the from-scratch incidence and report too.  The counts and
+central planes of a Zappatic report must match the dual complex built from
+it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import containment_incidence, containment_report
+from oracles import containment_incidence, containment_report, report_disagreements
 from test_acceptance import GRID
 from test_golden import LEDGER_CASES
 from zappatic import arrangement, constructions
 from zappatic.arrangement import Arrangement, compute_incidence, zappatic_report
+from zappatic.complexes import build_dual_graph
 from zappatic.constructions import build_X, build_Z
 from zappatic.projective import Subspace
 
@@ -47,6 +50,13 @@ def ledger_passes():
     return passes
 
 
+def assert_matches_complex(arr, inc, report):
+    """A Zappatic report agrees with the dual complex built from it."""
+    if report.is_zappatic:
+        graph = build_dual_graph(arr, inc, report)
+        assert not report_disagreements(inc, report, graph)
+
+
 def test_ledger_passes_match_reference(ledger_passes):
     rejected = 0
     for arr, base, inc in ledger_passes:
@@ -54,6 +64,7 @@ def test_ledger_passes_match_reference(ledger_passes):
         assert inc == containment_incidence(arr)
         report = zappatic_report(arr, inc)
         assert report == containment_report(arr, inc)
+        assert_matches_complex(arr, inc, report)
         rejected += not report.is_zappatic
     # the ledger builds retry, so some passes classify a rejected attempt
     assert rejected > 0
@@ -143,6 +154,7 @@ def test_random_arrangements_match_reference(arr, data):
     report = zappatic_report(arr, inc)
     assert inc == containment_incidence(arr)
     assert report == containment_report(arr, inc)
+    assert_matches_complex(arr, inc, report)
     # grown from the incidence and report of its first k planes, they are the same
     k = data.draw(st.integers(0, len(arr)))
     old = Arrangement(arr.ambient_dim, arr.planes[:k])

@@ -129,7 +129,7 @@ class TestKBounds:
 class TestInvariantsOfTorus:
     def test_abelian_degeneration_profile(self):
         g = build_torus_complex(2, 2)
-        inv = invariants_of(None, g)
+        inv = invariants_of(g)
         assert inv.chi == 0
         assert inv.p_omega == 1
         assert inv.K2_interval == (0, 0)
@@ -138,7 +138,7 @@ class TestInvariantsOfTorus:
 
     def test_carries_the_homology_it_computed(self):
         g = build_torus_complex(3, 5)
-        inv = invariants_of(None, g)
+        inv = invariants_of(g)
         assert inv.homology == homology(g)
         assert inv.p_omega == inv.homology.h2
 
