@@ -217,13 +217,41 @@ def cmd_quadrics(args) -> int:
     return 0
 
 
+def _rref_by_distinct_columns(rows) -> tuple[tuple[int, ...], ...]:
+    """linalg.rref(rows), reducing each distinct column once.
+
+    Equal columns fall in one class, numbered in first-occurrence order, so
+    rows = D E with D the matrix of distinct columns and E the 0/1 spread of
+    each class to its columns.  If U D = rref(D), then U rows = rref(D) E,
+    and that is already canonical: its pivots are the first occurrences of
+    D's pivot classes, so they increase, it is zero at the other rows'
+    pivots, and its entries are rref(D)'s, so its rows are primitive with
+    positive pivots.  Canonical rref is unique, so it is linalg.rref(rows).
+    """
+    classes = {}
+    spread = [classes.setdefault(col, len(classes)) for col in zip(*rows)]
+    return tuple([tuple([r[k] for k in spread])
+                  for r in linalg.rref(list(zip(*classes)))])
+
+
 def _run_quadric_oracle(d: int) -> tuple[int, int]:
     """The oracle's two counts: independent quadrics through 2d+2 points of
     the rational normal curve in P^d, and those that also contain a seeded
     random codimension-3 subspace.  Each count is the number of quadric
     monomials minus the rank of the conditions; no kernel basis is built.
-    The curve's conditions are reduced once: their rref rows span the same
-    conditions, so the second rank stacks those rows on the subspace's."""
+
+    The curve's conditions are reduced once, exactly: monomials of equal
+    weight take equal values at every sample, and _rref_by_distinct_columns
+    reduces each distinct column once and spreads the rows back, which is
+    linalg.rref of the conditions.  Their rref rows span the same
+    conditions, so the second rank stacks them on the subspace's.
+
+    The subspace is the row span of [I | R], with the 3(d - 2) entries of R
+    drawn in [-9, 9].  The identity block makes its d - 2 rows independent,
+    so it has codimension 3 with no redraw, and its rows are already its
+    canonical basis; a random point of the Grassmannian's big cell is as
+    general as a dense draw, with small entries.
+    """
     import random
 
     from zappatic.projective import ProjPoint, Subspace, quadric_conditions
@@ -232,14 +260,13 @@ def _run_quadric_oracle(d: int) -> tuple[int, int]:
         ProjPoint([t**k for k in range(d + 1)]) for t in range(-(d + 1), d + 1)
     ]
     monomials, rows = quadric_conditions(samples, [], d)
-    reduced = linalg.rref(rows)
+    reduced = _rref_by_distinct_columns(rows)
     count_all = len(monomials) - len(reduced)
     rng = random.Random(0)
-    while True:
-        rows = [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(d - 2)]
-        sigma = Subspace(d, rows)
-        if sigma.dim == d - 3:
-            break
+    sigma = Subspace(d, [
+        [int(i == j) for j in range(d - 2)] + [rng.randint(-9, 9) for _ in range(3)]
+        for i in range(d - 2)
+    ])
     _, rows = quadric_conditions([], [sigma], d)
     return count_all, len(monomials) - linalg.rank([*reduced, *rows])
 

@@ -26,6 +26,8 @@ _I64_MAX = 2**63 - 1
 
 
 def _decode_int(x) -> int:
+    if type(x) is int:  # what json.load gives for nearly every entry
+        return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return int(x)

@@ -538,7 +538,7 @@ class TestSmallCommands:
         assert "formula 2 = oracle 2" in out
 
     def test_quadrics_oracle_d12_pinned(self, capsys):
-        # the 81 x 91 evaluation system of the analyze workload's largest oracle
+        # the 80 x 91 evaluation system of the analyze workload's largest oracle
         code, out, _ = run_cli(["quadrics", "--d", "12", "--g", "0", "--oracle"], capsys)
         assert code == 0
         assert out == (
@@ -595,13 +595,16 @@ def test_error_exits(tmp_path, capsys, monkeypatch, argv, setup, code):
 
 
 def _oracle_inputs(d):
-    """The samples and the codim-3 subspace that the quadric oracle draws."""
+    """The samples and the codim-3 subspace that the quadric oracle draws:
+    the row span of [I | R], R drawn row by row."""
     rng = random.Random(0)
     samples = [ProjPoint([t**k for k in range(d + 1)]) for t in range(-(d + 1), d + 1)]
-    while True:
-        sigma = Subspace(d, [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(d - 2)])
-        if sigma.dim == d - 3:
-            return samples, sigma
+    rows = [[0] * (d - 2) + [rng.randint(-9, 9) for _ in range(3)] for _ in range(d - 2)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    sigma = Subspace(d, rows)
+    assert sigma.dim == d - 3 and sigma.basis == tuple(map(tuple, rows))
+    return samples, sigma
 
 
 @pytest.mark.parametrize("d", range(2, 11))
@@ -610,6 +613,18 @@ def test_quadric_oracle_rank_count_is_the_kernel_basis_size(d):
     assert _run_quadric_oracle(d) == (
         len(quadrics_through(samples, [], d)[1]),
         len(quadrics_through(samples, [sigma], d)[1]),
+    )
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_quadric_oracle_agrees_with_the_formula(d, capsys):
+    code, out, _ = run_cli(["quadrics", "--d", str(d), "--g", "0", "--oracle"], capsys)
+    through, codim3 = (d + 2) * (d + 1) // 2 - (2 * d + 1), d - 1
+    assert code == 0
+    assert out == (
+        f"through_curve={through} with_codim3={codim3}\n"
+        f"formula {through} = oracle {through}\n"
+        f"with codim-3 subspace: formula {codim3} = oracle {codim3}\n"
     )
 
 

@@ -5,8 +5,9 @@ edges, and the planes on each double line off the pairwise plane meets
 alone.  ``oracles.containment_incidence`` and ``oracles.containment_report``
 find the same by meeting every pair of double lines and by containment
 tests, and check point-meet absorption explicitly.  Both must agree on
-every arrangement the constructions classify, accepted or rejected, and on
-random arrangements with many shared lines and points.  An attachment
+every arrangement the constructions classify, accepted or rejected, on
+random arrangements with many shared lines and points, and on random S_n
+forks.  An attachment
 attempt computes its incidence and report from those of the old planes;
 they must equal the from-scratch incidence and report too.  The counts and
 central planes of a Zappatic report must match the dual complex built from
@@ -147,9 +148,66 @@ def arrangements(draw):
     return Arrangement(r, list(planes.values()))
 
 
+# pairwise independent points of the line e1 e2 of the fork's centre
+CENTRE_LINE_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
+
+
+@st.composite
+def forks(draw):
+    """(arrangement, n, index of the centre): an S_n fork of n = 4 or 5
+    coordinate planes of P^(n+1), the centre spanned by e0, e1, e2 and each
+    leaf by e0, a point of the line e1 e2 and a coordinate of its own, so
+    that it meets the centre in a line through e0 and the other leaves in
+    e0 alone; in shuffled order, under an invertible change of coordinates
+    L U (unit triangular, off-diagonal entries in {-1, 0, 1}), with up to
+    two extra planes through points with entries in {-1, 0, 1}."""
+    n = draw(st.integers(4, 5))
+    r = n + 1
+    units = [[int(i == j) for j in range(r + 1)] for i in range(r + 1)]
+    leaf_points = draw(st.lists(st.sampled_from(CENTRE_LINE_POINTS), min_size=n - 1,
+                                max_size=n - 1, unique=True))
+    planes = [units[:3]] + [[units[0], [0, a, b] + [0] * (r - 2), units[3 + i]]
+                             for i, (a, b) in enumerate(leaf_points)]
+    order = draw(st.permutations(range(n)))
+    off = st.integers(-1, 1)
+    lower = [[1 if i == j else draw(off) if j < i else 0 for j in range(r + 1)]
+             for i in range(r + 1)]
+    upper = [[1 if i == j else draw(off) if j > i else 0 for j in range(r + 1)]
+             for i in range(r + 1)]
+    change = [[sum(x * y for x, y in zip(row, col)) for col in zip(*upper)]
+              for row in lower]
+    subs = [Subspace(r, [[sum(x * y for x, y in zip(v, col)) for col in zip(*change)]
+                         for v in planes[k]]) for k in order]
+    point = st.lists(st.integers(-1, 1), min_size=r + 1, max_size=r + 1)
+    for rows in draw(st.lists(st.lists(point, min_size=3, max_size=3), max_size=2)):
+        extra = Subspace(r, rows)
+        if extra.dim == 2 and extra not in subs:
+            subs.append(extra)
+    return Arrangement(r, subs), n, order.index(0)
+
+
 @settings(max_examples=300)
 @given(arrangements(), st.data())
 def test_random_arrangements_match_reference(arr, data):
+    assert_matches_reference(arr, data)
+
+
+@settings(max_examples=150)
+@given(forks(), st.data())
+def test_random_forks_match_reference(fork, data):
+    arr, n, centre = fork
+    report = assert_matches_reference(arr, data)
+    if len(arr) == n:  # no extra plane: one S_n point, on the centre
+        assert report.is_zappatic
+        assert report.s_counts == {n: 1}
+        (t,) = report.types
+        assert t.central == centre
+
+
+def assert_matches_reference(arr, data):
+    """compute_incidence and zappatic_report equal the containment reference
+    and agree with the dual complex, also when grown from a drawn prefix of
+    the planes; returns the report."""
     inc = compute_incidence(arr)
     report = zappatic_report(arr, inc)
     assert inc == containment_incidence(arr)
@@ -161,3 +219,4 @@ def test_random_arrangements_match_reference(arr, data):
     old_inc = compute_incidence(old)
     assert compute_incidence(arr, old_inc) == inc
     assert zappatic_report(arr, inc, (old_inc, zappatic_report(old, old_inc))) == report
+    return report

@@ -444,11 +444,44 @@ def kernel_inputs(monkeypatch, argv):
 
 def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
     mats = kernel_inputs(monkeypatch, ["quadrics", "--d", "7", "--g", "0", "--oracle"])
-    # the curve's evaluation system, reduced once; the codim-3 subspace; and
-    # the curve's 15 reduced rows stacked on the subspace's 15 conditions
-    assert [(len(m), len(m[0])) for m in mats] == [(16, 36), (5, 8), (30, 36)]
+    # the curve's evaluation system's 15 distinct columns, reduced once; the
+    # codim-3 subspace; and the curve's 15 reduced rows, spread back to the
+    # 36 monomials, stacked on the subspace's 15 conditions
+    assert [(len(m), len(m[0])) for m in mats] == [(16, 15), (5, 8), (30, 36)]
     for m in mats:
         assert_pure_kernel_matches_references(m)
+
+
+@st.composite
+def matrices_with_repeated_columns(draw):
+    """Up to 6 rows whose columns repeat, negate or zero out a few base
+    columns of small ints, in any order."""
+    nr, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    base = [draw(st.lists(st.integers(-4, 4), min_size=nr, max_size=nr))
+            for _ in range(k)]
+    picks = draw(st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1, 0))),
+                          max_size=9))
+    cols = [[s * x for x in base[j]] for j, s in picks]
+    return [[col[i] for col in cols] for i in range(nr)]
+
+
+@settings(max_examples=300)
+@given(matrices_with_repeated_columns())
+def test_distinct_column_rref_spread_back_is_the_rref(m):
+    ours = cli._rref_by_distinct_columns(m)
+    assert ours == linalg.rref(m)
+    ref = frac_rref(m)
+    assert len(ours) == len(ref)
+    for a, b in zip(ours, ref):
+        piv = next(x for x in a if x)
+        assert piv > 0 and [Fraction(x, piv) for x in a] == b
+
+
+def test_distinct_column_rref_merges_only_equal_columns():
+    # a negated column is a class of its own
+    assert cli._rref_by_distinct_columns([[1, -1, 1], [2, -2, 2]]) == ((1, -1, 1),)
+    assert cli._rref_by_distinct_columns([[0, 3, 0, 3], [1, 0, 1, 0]]) == (
+        (1, 0, 1, 0), (0, 1, 0, 1))
 
 
 def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
