@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
-from math import lcm
-from operator import getitem, mul
+from itertools import combinations_with_replacement, compress
+from operator import itemgetter, mul
 
 from zappatic import linalg
 from zappatic.errors import RangeError
@@ -59,6 +58,13 @@ class Subspace:
     as they are: the kernel divides every row by its content, and its rref
     is canonical, so clearing them first would change nothing.  Only when
     some entry is not an int are the rows cleared of denominators first.
+
+    Lemma: y lies in S iff y is zero off S's support and every one of S's
+    equations vanishes at y.  Every vector of S is zero off the support, and
+    in the coordinate space on the support S is the row space of its basis
+    restricted to those columns, which is the orthogonal complement of that
+    restriction's right kernel, whose basis the equations are.  So a
+    containment test reads the equations, and meet reduces against them.
     """
 
     ambient_dim: int
@@ -93,15 +99,38 @@ class Subspace:
         like support."""
         return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis)
 
+    @cached_property
+    def equations(self) -> tuple[tuple[itemgetter, tuple[int, ...]], ...]:
+        """linalg.nullspace of the basis restricted to the support columns,
+        each form kept as (getter, coefficients) of its nonzero coordinates,
+        so that it is evaluated on a row y as sum(map(mul, coefficients,
+        getter(y))); cached like support, and like it not a field.
+
+        A form is nonzero at its free column and at the pivot of a row that
+        is nonzero there, so it has at least two nonzero coordinates and its
+        getter returns a tuple.  A coordinate subspace has as many support
+        columns as rows, so it has no equations and takes no kernel.
+        """
+        cols = sorted(self.support)
+        if len(cols) == len(self.basis):
+            return ()
+        forms = linalg.nullspace([[row[c] for c in cols] for row in self.basis])
+        return tuple([(itemgetter(*compress(cols, f)), tuple(filter(None, f))) for f in forms])
+
+    def _holds_on_support(self, y) -> bool:
+        """Every equation vanishes at y (see the lemma in the class docstring)."""
+        return not any(sum(map(mul, f, get(y))) for get, f in self.equations)
+
     def contains_point(self, p: ProjPoint) -> bool:
         if p.ambient_dim != self.ambient_dim:
             raise RangeError("ambient dimension mismatch")
-        return linalg.rank(list(self.basis) + [list(p.coords)]) == len(self.basis)
+        support = self.support
+        return (all(c in support for c, x in enumerate(p.coords) if x)
+                and self._holds_on_support(p.coords))
 
     def contains(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)
-        stacked = list(self.basis) + list(other.basis)
-        return linalg.rank(stacked) == len(self.basis)
+        return other.support <= self.support and all(map(self._holds_on_support, other.basis))
 
     def point(self) -> ProjPoint:
         """The point that this subspace is.  Its one canonical basis row is
@@ -172,31 +201,26 @@ def coordinate_subspace(ambient_dim: int, coords) -> Subspace:
     return _canonical(ambient_dim, basis)
 
 
-def _reduced_columns(a, b):
-    """The nonzero columns of meet's reduced matrix R, each up to scale and
-    produced lazily: b's own columns off a's support, then the reduced
-    columns on a's support minus a's pivot columns (see meet)."""
-    cols = list(zip(*b.basis))
+def _reduced_columns(a, b, b_cols):
+    """The nonzero columns of meet's reduced matrix R, produced lazily:
+    b's own columns off a's support, read from b_cols, the columns of b's
+    basis, then, for each equation f of a, the column (f.B_i)_i (see
+    meet)."""
     for c in b.support - a.support:
-        yield cols[c]
-    l = lcm(*map(getitem, a.basis, a.pivots))
-    terms = [(l // row[p], row, cols[p]) for row, p in zip(a.basis, a.pivots) if any(cols[p])]
-    for c in a.support.difference(a.pivots):
-        col = [l * x for x in cols[c]]
-        for s, row, at_pivot in terms:
-            t = s * row[c]
-            if t:
-                col = [x - t * y for x, y in zip(col, at_pivot)]
+        yield b_cols[c]
+    for get, f in a.equations:
+        col = [sum(map(mul, f, get(row))) for row in b.basis]
         if any(col):
             yield col
 
 
 def _small_kernel(cols, m):
-    """Left kernel of the matrix with these nonzero columns of m <= 3
-    entries each, decided from cross products (see meet): [] at rank m,
-    [c] at rank m - 1 >= 1, and otherwise, at rank <= 1, linalg.nullspace
-    of the first column or of none.  cols is read no further than the
-    column that proves rank m."""
+    """Left kernel, in rref, of the matrix with these nonzero columns of
+    m <= 3 entries each, decided from cross products (see meet): [] at rank
+    m, [c] at rank m - 1 >= 1, at rank 1 with m = 3 the rref of the plane
+    orthogonal to the first column, and at rank 0 linalg.nullspace of no
+    column, the unit vectors.  cols is read no further than the column that
+    proves rank m."""
     cols = iter(cols)
     first = next(cols, None)
     if first is None:
@@ -219,12 +243,16 @@ def _small_kernel(cols, m):
                 if p * u + q * v + r * w:
                     return []
             return [c]
-    return linalg.nullspace([first], ncols=3)
+    if z:
+        return [linalg.primitive((z, 0, -x)), linalg.primitive((0, z, -y))]
+    if y:
+        return [linalg.primitive((y, -x, 0)), (0, 0, 1)]
+    return [(0, 1, 0), (0, 0, 1)]
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection, from the columns that the supports leave nonzero
-    when one basis is reduced against the other's rref.
+    and the equations of one side.
 
     Two shortcuts need no kernel.  Disjoint supports leave no shared nonzero
     vector, since every vector of a lives on the support of a and every
@@ -234,23 +262,27 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     rows is spanned by unit vectors: a coordinate subspace.  Two of those
     meet in the coordinate subspace on the shared support.
 
-    Otherwise let a be the side with more rows, with canonical rows A_j,
-    pivot columns p_j, pivot values q_j and L = lcm(q_j), and let b have m
-    rows B_i.  Each reduces to R_i = L.B_i - sum_j B_i[p_j].(L/q_j).A_j,
-    which is zero at every pivot column of a, so a combination x.B lies in
-    the span of a exactly when x.R = 0.  The rows of B are independent, so
-    x -> x.B is injective and maps the left kernel of R onto the
-    intersection.  A zero column of R adds no condition to x, and scaling a
-    column changes none, so the kernel is taken of R's nonzero columns, each
-    up to scale, and the supports say where they are:
-      * off a's support every A_j is zero and column c of R is L times
-        column c of B, so b's own columns there serve with no arithmetic;
-      * at a's pivot columns R is zero, and so it is wherever neither side
-        is nonzero;
-      * on the rest of a's support column c is computed, as
-        L.B[:, c] - sum_j (L/q_j).A_j[c].B[:, p_j].
-    The columns are produced lazily in that order, so a meet that b's own
-    columns decide computes no reduced column at all.
+    Otherwise let a be the side with more rows, and let b have m rows B_i.
+    By the lemma of Subspace, a combination x.B lies in a exactly when it
+    is zero off a's support and every equation f of a vanishes on it, that
+    is when x.B[:, c] = 0 for each column c of B off a's support and
+    x.(B.f) = 0 for each f, where B.f is the column (f.B_i)_i.  So x lies in
+    the left kernel of the matrix R of those columns.  The rows of B are
+    independent, so x -> x.B is injective and maps that kernel onto the
+    intersection.  Each column of B off a's support is zero unless it is in
+    b's support, and a zero column of R adds no condition, so R is made of
+    b's own columns off a's support and the nonzero B.f.  They are produced
+    lazily in that order, so a meet that b's own columns decide reads no
+    equation, and a computes its equations, once, only when one is read.
+
+    This is the reduction of B against a's rref, read through equations.
+    Let a have canonical rows A_j with pivot columns p_j, pivot values q_j
+    and L = lcm(q_j).  The equation for a's free column c is a nonzero
+    multiple of g_c = L.e_c - sum_j (L/q_j).A_j[c].e_(p_j), so B.f is a
+    nonzero multiple of B.g_c, the column that R_i = L.B_i -
+    sum_j B_i[p_j].(L/q_j).A_j has at c.  Scaling a column changes no
+    kernel, so R has the left kernel of that reduction, and the meet is
+    the same canonical subspace.
 
     For m <= 3 the rank of R is read off cross products, stopping at the
     first column that proves rank m (the meet is empty).  With m = 1 any
@@ -264,14 +296,18 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     orthogonal to both r and column j.  So R has rank 3 exactly when some
     column after j has a nonzero dot product with c; otherwise every column
     lies in the span of r and column j, the rank is 2 and the kernel is (c).
-    Left over are R = 0 (b lies in a) and rank 1 with m = 3 (a meet that is
-    a line): every column is then a multiple of the first, and the kernel
-    is linalg.nullspace of that column, or of none.  For m > 3 the kernel is
-    linalg.nullspace of all the columns.
+    When no cross product is nonzero, every column is a multiple of the
+    first, (x, y, z), and the kernel is the plane orthogonal to it (a meet
+    that is a line).  Its rref is written down, each row made primitive: if
+    z != 0, (z, 0, -x) and (0, z, -y), signed so that z > 0, which are zero
+    at each other's pivot; if z = 0 and y != 0, (y, -x, 0) and (0, 0, 1);
+    and otherwise (0, 1, 0) and (0, 0, 1).  With no column at all (b lies in
+    a) the kernel is linalg.nullspace of none, the unit vectors.  For m > 3
+    the kernel is linalg.nullspace of all the columns, put in rref when it
+    has more than one vector.
 
     The meet is spanned by the images v.B of a kernel basis, and its
-    canonical basis is read off them with no reduction of the images.  A
-    kernel of more than one vector is first put in rref, m columns wide.
+    canonical basis is read off them with no reduction of the images.
     B is canonical: its pivot columns p_i increase, and B_i is positive at
     p_i and zero at every other p_l.  A row v of rref(K) with pivot k is
     zero before k and at every other row's pivot l, so v.B is zero before
@@ -288,15 +324,19 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if len(a.basis) < len(b.basis):
         a, b = b, a
     m = len(b.basis)
-    cols = _reduced_columns(a, b)
-    kernel = _small_kernel(cols, m) if m <= 3 else linalg.nullspace(list(cols), ncols=m)
-    if len(kernel) > 1:
-        kernel = linalg.rref(kernel)
     b_cols = list(zip(*b.basis))
-    return _canonical(
-        a.ambient_dim,
-        [linalg.primitive([sum(map(mul, v, col)) for col in b_cols]) for v in kernel],
-    )
+    cols = _reduced_columns(a, b, b_cols)
+    if m <= 3:
+        kernel = _small_kernel(cols, m)
+    else:
+        kernel = linalg.nullspace(list(cols), ncols=m)
+        if len(kernel) > 1:
+            kernel = linalg.rref(kernel)
+    if m == 3:
+        images = [[p * u + q * v + r * w for u, v, w in b_cols] for p, q, r in kernel]
+    else:
+        images = [[sum(map(mul, v, col)) for col in b_cols] for v in kernel]
+    return _canonical(a.ambient_dim, [linalg.primitive(row) for row in images])
 
 
 @dataclass(frozen=True)

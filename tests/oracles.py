@@ -9,7 +9,8 @@ kernel's content-reducing elimination must agree with it.  The incidence
 reference is the direct route that
 the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
-each double line, by containment tests; the report reference ranks the span
+each double line, by containment tests that rank the stacked rows over
+Fractions rather than read Subspace's equations; the report reference ranks the span
 of every point's planes, which classify_point reads off the local graph for
 a chain of three.  The report-against-complex check compares a report's
 point counts with the cells that complexes.build_dual_graph made from its
@@ -166,8 +167,15 @@ def frac_meet(a_rows, b_rows, ncols):
     return frac_nullspace(ann, ncols)
 
 
+def frac_contains(basis, rows) -> bool:
+    """Whether the row span of basis holds every one of rows, by frac_rank
+    of the stacked rows."""
+    return frac_rank(list(basis) + list(rows)) == len(basis)
+
+
 def containment_incidence(arr):
-    """IncidenceData from all plane and line meets plus containment tests."""
+    """IncidenceData from all plane and line meets plus containment tests,
+    each decided by frac_contains."""
     from zappatic.arrangement import IncidenceData, SingularPoint
     from zappatic.projective import meet
 
@@ -190,17 +198,18 @@ def containment_incidence(arr):
     points = []
     for key in sorted(candidates):
         p = candidates[key]
-        incident = frozenset(i for i in range(v) if arr.planes[i].contains_point(p))
-        edges = tuple((i, j) for i, j, line in double_lines if line.contains_point(p))
+        incident = frozenset(i for i in range(v) if frac_contains(arr.planes[i].basis, [p.coords]))
+        edges = tuple((i, j) for i, j, line in double_lines
+                      if frac_contains(line.basis, [p.coords]))
         points.append(SingularPoint(p, incident, edges))
     return IncidenceData(tuple(double_lines), tuple(point_meets), tuple(points))
 
 
 def containment_report(arr, inc):
-    """ZappaticReport with the plane count of each double line by containment,
-    the span of each point's planes by frac_rank, and an explicit check that
-    each point meet is absorbed into a Zappatic point whose vertex order holds
-    both planes.
+    """ZappaticReport with the plane count of each double line by
+    frac_contains, the span of each point's planes by frac_rank, and an
+    explicit check that each point meet is absorbed into a Zappatic point
+    whose vertex order holds both planes.
 
     classify_point gives each point's local-graph shape; its span is not
     trusted.  A chain or fork of n planes must span a P^(n+1) and a cycle a
@@ -211,7 +220,7 @@ def containment_report(arr, inc):
 
     violations = []
     for i, j, line in inc.double_lines:
-        on = sum(1 for k in range(len(arr)) if arr.planes[k].contains(line))
+        on = sum(1 for k in range(len(arr)) if frac_contains(arr.planes[k].basis, line.basis))
         if on > 2:
             violations.append(f"double line of planes ({i},{j}) lies on {on} planes")
     types = []

@@ -493,18 +493,24 @@ def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
         ranked.append((len(rows), len(rows[0])))
         return _op(rows)
 
+    reduced = []
+
+    def nullspace(rows, ncols=None, _op=linalg.nullspace):
+        reduced.append(tuple(map(tuple, rows)))
+        return _op(rows, ncols)
+
     monkeypatch.setattr(linalg, "rank", rank)
+    monkeypatch.setattr(linalg, "nullspace", nullspace)
     mats = kernel_inputs(monkeypatch, argv)
     shapes = {(len(m), len(m[0])) for m in mats}
-    # meet's one-column kernels of plane pairs that meet in a double line,
-    # each followed by meet's rref of its two-vector nullspace (it hands the
-    # kernel no other three-column system)
-    assert (1, 3) in shapes and all(nr <= 2 for nr, nc in shapes if nc == 3)
-    line_kernels = [(prev, m) for prev, m in zip(mats, mats[1:])
-                    if len(m) == 2 and len(m[0]) == 3]
-    assert line_kernels
-    for prev, m in line_kernels:
-        assert m == [list(v) for v in linalg.nullspace(prev)]
+    # meet writes down the kernel of a plane pair that meets in a double
+    # line, so no three-column system reaches the kernel; nullspace sees the
+    # equations of the planes that meets read, each plane's three rows on
+    # its support of six or seven columns, and each plane once
+    assert not any(nc == 3 for _, nc in shapes)
+    assert (3, 6) in shapes
+    assert reduced and {(len(m), len(m[0])) for m in reduced} <= {(3, 6), (3, 7)}
+    assert len(set(reduced)) == len(reduced)
     # classify_point's twelve-row span stacks of the four planes at each of
     # the four S_4 points; an R_3 point's span is forced, so no nine-row
     # stack of three planes reaches the kernel

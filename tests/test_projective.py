@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -11,11 +12,13 @@ from zappatic import linalg
 from zappatic.constructions import build_Z
 from zappatic.errors import RangeError
 from zappatic.projective import (
+    _reduced_columns,
     _small_kernel,
     PluckerPoint,
     ProjPoint,
     QuadricForm,
     Subspace,
+    coordinate_subspace,
     dual_plane_in_klein,
     klein_value,
     meet,
@@ -26,7 +29,7 @@ from zappatic.projective import (
     span_subspaces,
 )
 
-from oracles import frac_meet, frac_rank, frac_rref, klein_form
+from oracles import frac_contains, frac_meet, frac_nullspace, frac_rank, frac_rref, klein_form
 
 
 def e(i, n):
@@ -290,9 +293,9 @@ def read_up_to(cols):
 
 def assert_small_kernel(cols, m):
     """_small_kernel against linalg.rank and the row span of
-    linalg.nullspace, which it takes itself only when no column is given or
-    at rank 1 with m = 3.  At rank m the columns are fed only up to the
-    first that proves it."""
+    linalg.nullspace, which it takes itself only when no column is given;
+    a kernel of more than one vector is that nullspace's rref.  At rank m
+    the columns are fed only up to the first that proves it."""
     rows = [list(col) for col in cols]
     rank = linalg.rank(rows) if rows else 0
     kernel = linalg.nullspace(rows, ncols=m)
@@ -301,10 +304,12 @@ def assert_small_kernel(cols, m):
         cols = read_up_to(cols[:stop])
     with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as counted:
         got = _small_kernel(cols, m)
-    assert counted.call_count == (rank == 0 or (m, rank) == (3, 1))
+    assert counted.call_count == (rank == 0)
     assert len(got) == m - rank
     if got:
         assert Subspace(m - 1, got) == Subspace(m - 1, kernel)
+    if len(got) > 1:
+        assert tuple(got) == linalg.rref(kernel)
     return rank
 
 
@@ -546,11 +551,13 @@ class TestMeetExact:
         assume(a.dim == b.dim == 3)
         assert_wide_kernel_meet(a, b)
 
-    # (a, b, kernels): bases in P^5 (P^7 where the supports need the room)
-    # for each path of meet, and the number of linalg.nullspace calls it
-    # takes: 0 on the shortcuts and whenever the reduced matrix has rank m
-    # or m - 1 >= 1 for a b of m <= 3 rows, so a line b is decided by the
-    # perpendicular and only a meet that is a line, or all of b, takes one
+    # (a, b, read): bases in P^5 (P^7 where the supports need the room)
+    # for each path of meet, and how many of the two sides' equations the
+    # meets in both orders read.  Each side's equations are one
+    # linalg.nullspace call, however many meets read them; the shortcuts,
+    # and a meet that b's own columns decide, read none.  The only other
+    # kernel call is that of no column, when b lies in a: a meet that is a
+    # line has its kernel written down.
     PATHS = {
         "coordinate nested": ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
                               [[0, 0, 1, 0, 0, 0]], 0),
@@ -559,22 +566,22 @@ class TestMeetExact:
         "coordinate one shared": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
                                   [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]], 0),
         "coordinate x dense": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
-                               [[1, 2, 0, 3, 0, 0], [0, 1, 1, 0, 0, 0], [5, 0, 0, 1, 1, 0]], 0),
+                               [[1, 2, 0, 3, 0, 0], [0, 1, 1, 0, 0, 0], [5, 0, 0, 1, 1, 0]], 1),
         "b in a": ([[1, 2, 0, 3, 0, 1], [0, 1, 1, 0, 0, 2], [5, 0, 0, 1, 1, 0]],
                    [[1, 3, 1, 3, 0, 3], [6, 2, 0, 4, 1, 1]], 1),
         "line then plane": ([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
-                            [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]], 0),
+                            [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]], 1),
         "plane then 3-space": ([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
                                [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
-                                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], 0),
+                                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], 1),
         "plane pair disjoint": ([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
-                                [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 2]], 0),
+                                [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 2]], 2),
         "plane pair in a point": ([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
-                                  [[1, 1, 1, 0, 1, 1], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 3]], 0),
+                                  [[1, 1, 1, 0, 1, 1], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 3]], 2),
         "plane pair in a line": ([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1]],
-                                 [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]], 1),
+                                 [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]], 2),
         "pivots not 1": ([[2, 1, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0], [0, 0, 0, 0, 5, 2]],
-                         [[2, 1, 3, 1, 5, 2], [0, 0, 0, 0, 0, 1]], 0),
+                         [[2, 1, 3, 1, 5, 2], [0, 0, 0, 0, 0, 1]], 1),
         "disjoint by b's own columns": ([[1, 0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 2, 0, 0, 0, 0],
                                          [0, 0, 1, 3, 0, 0, 0, 0]],
                                         [[0, 0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 1],
@@ -582,16 +589,16 @@ class TestMeetExact:
         "coordinate x dense in a point": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
                                            [0, 0, 1, 0, 0, 0]],
                                           [[1, 1, 1, 0, 0, 0], [1, 2, 3, 1, 0, 1],
-                                           [2, 0, 1, 0, 1, 1]], 0),
+                                           [2, 0, 1, 0, 1, 1]], 1),
         "pivots not 1, plane b": ([[2, 1, 0, 0, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0, 0, 0],
                                    [0, 0, 0, 0, 5, 2, 0, 0]],
                                   [[0, 0, 0, 0, 5, 2, 0, 0], [0, 0, 0, 1, 1, 0, 1, 0],
-                                   [0, 0, 0, 0, 0, 1, 1, 1]], 0),
+                                   [0, 0, 0, 0, 0, 1, 1, 1]], 2),
     }
 
     @pytest.mark.parametrize("case", list(PATHS))
     def test_each_path_against_the_oracle(self, case, monkeypatch):
-        rows_a, rows_b, kernels = self.PATHS[case]
+        rows_a, rows_b, read = self.PATHS[case]
         n = len(rows_a[0]) - 1
         a, b = Subspace(n, rows_a), Subspace(n, rows_b)
         if case.startswith("pivots not 1"):
@@ -605,7 +612,10 @@ class TestMeetExact:
 
         monkeypatch.setattr(linalg, "nullspace", counted)
         assert_meet_exact(a, b)
-        assert len(calls) == 2 * kernels
+        equations = [args for args in calls if args[0]]
+        # each one a side that has equations, which it keeps
+        assert len(equations) == read == sum(bool(s.__dict__.get("equations")) for s in (a, b))
+        assert len(calls) - read == 2 * (case == "b in a")
         if case == "b in a":
             assert meet(a, b) == b
         if case.startswith("plane pair"):
@@ -645,6 +655,215 @@ class TestMeetExact:
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     assert_meet_exact(group[i], group[j])
+
+
+@st.composite
+def subspaces(draw, n=None):
+    """(n, s): a subspace of P^n, 1 <= n <= 8 unless n is given, of a drawn
+    kind: the span of up to four rows of ints (small or past 2^64), of
+    Fractions or of bools, each zero off a drawn support; a coordinate
+    subspace; the empty subspace; or the whole space."""
+    if n is None:
+        n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["int", "fraction", "bool", "coordinate", "empty", "whole"]))
+    if kind == "empty":
+        return n, Subspace(n)
+    if kind == "whole":
+        return n, Subspace(n, [e(c, n + 1).coords for c in range(n + 1)])
+    support = draw(st.sets(st.integers(0, n), min_size=1))
+    if kind == "coordinate":
+        return n, coordinate_subspace(n, support)
+    entry = {
+        "int": ENTRY,
+        "fraction": st.builds(Fraction, ENTRY, st.integers(1, 7)),
+        "bool": st.booleans(),
+    }[kind]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [0] * (n + 1)
+        for c in support:
+            row[c] = draw(entry)
+        rows.append(row)
+    return n, Subspace(n, rows)
+
+
+def nudged_combinations(data, s, n, k):
+    """k integer combinations of s's basis rows, each, at even odds, with a
+    nonzero entry added at one coordinate, on s's support or off it."""
+    rows = []
+    for _ in range(k):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(s.basis),
+                                    max_size=len(s.basis)))
+        row = [sum(c * b[i] for c, b in zip(coeffs, s.basis)) for i in range(n + 1)]
+        if data.draw(st.booleans()):
+            row[data.draw(st.integers(0, n))] += data.draw(ENTRY.filter(bool))
+        rows.append(row)
+    return rows
+
+
+class TestEquations:
+    """A subspace's equations, and the containment tests that read them,
+    against the Fraction oracle."""
+
+    @settings(max_examples=200)
+    @given(subspaces())
+    def test_equations_vanish_on_the_basis(self, drawn):
+        n, s = drawn
+        assert len(s.equations) == len(s.support) - len(s.basis)
+        dense = []
+        for get, f in s.equations:
+            cols = get(range(n + 1))  # the coordinates that the form reads
+            assert len(cols) == len(f) >= 2 and all(f) and set(cols) <= s.support
+            assert all(sum(map(mul, f, get(row))) == 0 for row in s.basis)
+            row = [0] * (n + 1)
+            for c, x in zip(cols, f):
+                row[c] = x
+            dense.append(row)
+        # independent, so they cut out exactly the row span on the support
+        assert frac_rank(dense) == len(dense)
+
+    @settings(max_examples=300)
+    @given(subspaces(), st.data())
+    def test_contains_point_agrees_with_frac_rank(self, drawn, data):
+        n, s = drawn
+        (y,) = nudged_combinations(data, s, n, 1)
+        if not any(y):
+            y = data.draw(st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any))
+        p = ProjPoint(y)
+        assert s.contains_point(p) == frac_contains(s.basis, [p.coords])
+
+    @settings(max_examples=300)
+    @given(subspaces(), st.data())
+    def test_contains_agrees_with_frac_rank(self, drawn, data):
+        n, s = drawn
+        if data.draw(st.booleans()):
+            _, t = data.draw(subspaces(n))
+        else:
+            t = Subspace(n, nudged_combinations(data, s, n, data.draw(st.integers(0, 3))))
+        assert s.contains(t) == frac_contains(s.basis, t.basis)
+
+    @pytest.mark.parametrize(
+        "rows, point, inside",
+        [
+            ([[1, 1, 0]], [1, 1, 1], False),  # on the equations, off the support
+            ([[1, 1, 0]], [2, 2, 0], True),
+            ([[1, 0, 2, 0], [0, 1, 3, 0]], [1, 1, 5, 0], True),
+            ([[1, 0, 2, 0], [0, 1, 3, 0]], [1, 1, 5, 2**70], False),
+            ([[1, 0, 2, 0], [0, 1, 3, 0]], [1, 1, 4, 0], False),
+            ([], [0, 0, 1], False),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [2**65, -3, 1], True),
+        ],
+    )
+    def test_contains_point_examples(self, rows, point, inside):
+        s = Subspace(len(point) - 1, rows)
+        assert s.contains_point(ProjPoint(point)) is inside
+        assert s.contains(span([ProjPoint(point)], s.ambient_dim)) is inside
+
+    def test_equations_are_not_part_of_the_value(self):
+        s = Subspace(4, [[1, 2, 0, 3, 0], [0, 1, 1, 0, 0]])
+        t = Subspace(4, [[1, 2, 0, 3, 0], [0, 1, 1, 0, 0]])
+        before = (repr(s), hash(s))
+        assert len(s.equations) == 2 and "equations" not in t.__dict__
+        assert s == t and (repr(s), hash(s)) == before and hash(t) == before[1]
+
+
+@st.composite
+def closed_form_line_meets(draw):
+    """(case, a, b): two planes of P^3..P^12 whose meet is a line, with a's
+    equations reducing b's rows to multiples of one column (x, y, z) in the
+    drawn case of _small_kernel: z != 0, z = 0 with y != 0, or only x != 0.
+    The line is spanned by two combinations of b's canonical rows that are
+    orthogonal to (x, y, z), and a by the line and a point of its own."""
+    n = draw(st.integers(3, 12))
+    point = st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any)
+    b = Subspace(n, [draw(point) for _ in range(3)])
+    assume(b.dim == 2)
+    case = draw(st.sampled_from(["z", "y", "x"]))
+    if case == "z":
+        x, y, z = draw(ENTRY), draw(ENTRY), draw(ENTRY.filter(bool))
+        combos = [(z, 0, -x), (0, z, -y)]
+    elif case == "y":
+        x, y = draw(ENTRY), draw(ENTRY.filter(bool))
+        combos = [(y, -x, 0), (0, 0, 1)]
+    else:
+        combos = [(0, 1, 0), (0, 0, 1)]
+    line = [[sum(map(mul, v, col)) for col in zip(*b.basis)] for v in combos]
+    return case, Subspace(n, line + [draw(point)]), b
+
+
+class TestClosedFormLineMeets:
+    """A meet of two planes in a line writes its kernel down."""
+
+    @settings(max_examples=90)
+    @given(closed_form_line_meets())
+    def test_each_case_against_the_oracle(self, drawn):
+        case, a, b = drawn
+        assume(a.dim == 2 and a != b)
+        x, y, z = next(_reduced_columns(a, b, list(zip(*b.basis))))
+        assert {"z": z != 0, "y": z == 0 and y != 0, "x": y == z == 0}[case]
+        got = meet(a, b)
+        assert got.dim == 1
+        assert_meet_exact(a, b)
+
+    @pytest.mark.parametrize(
+        "first",
+        [(2, 3, -4), (-6, 0, 9), (0, 0, -(2**65)), (5, -(2**64) - 1, 0), (0, -7, 0),
+         (-3, 0, 0), (2**66, 0, 0), (4, 6, 8)],
+    )
+    def test_complement_is_the_rref_of_the_kernel(self, first):
+        cols = [first, tuple(-3 * v for v in first)]
+        got = _small_kernel(cols, 3)
+        ref = frac_rref(frac_nullspace([list(first)]))
+        assert len(got) == len(ref) == 2
+        for row, want in zip(got, ref):
+            lead = next(v for v in row if v)
+            assert lead > 0 and linalg.primitive(row) == row
+            assert [Fraction(v, lead) for v in row] == want
+
+
+class TestEquationCalls:
+    """What the equations cost in kernel calls."""
+
+    @settings(max_examples=50)
+    @given(line_meet_planes())
+    def test_line_meet_of_planes_with_equations_takes_no_kernel(self, pair):
+        a, b = pair
+        assume(a.dim == b.dim == 2 and meet(a, b).dim == 1)
+        a.equations, b.equations  # read once, and kept
+        with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as ns, \
+                patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+            assert meet(a, b).dim == meet(b, a).dim == 1
+        assert ns.call_count == rref.call_count == 0
+
+    def test_equations_cost_one_nullspace_however_many_meets(self):
+        """A plane of P^7 met with seven others, disjoint from it or through
+        one or two of its rows, in both orders, and tested for containing
+        each, reduces its rows on its support once."""
+        rng = random.Random(31)
+        n = 7
+        a = span([random_point(rng, n + 1) for _ in range(3)], n)
+        own = [[row[c] for c in sorted(a.support)] for row in a.basis]
+        others = [span([ProjPoint(row) for row in a.basis[:k]]
+                       + [random_point(rng, n + 1) for _ in range(3 - k)], n)
+                  for k in (0, 0, 0, 1, 1, 2, 2)]
+        with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as ns:
+            for b in others:
+                assert meet(a, b) == meet(b, a) == oracle_meet(a, b)
+                assert not a.contains(b)
+        assert [c.args[0] for c in ns.call_args_list].count(own) == 1
+
+    @pytest.mark.parametrize("coords", [(0, 2, 3), (1,), range(9), (4, 5, 6, 7)])
+    def test_a_coordinate_subspace_costs_none(self, coords):
+        n = 8
+        rng = random.Random(32)
+        dense = span([random_point(rng, n + 1) for _ in range(len(coords))], n)
+        with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as ns:
+            for s in (coordinate_subspace(n, coords), Subspace(n, [e(c, n + 1).coords for c in coords])):
+                assert s.equations == ()
+                assert s.contains_point(e(coords[0], n + 1))
+                assert s.contains(span([e(c, n + 1) for c in coords], n))
+        assert ns.call_count == 0
+        assert_meet_exact(coordinate_subspace(n, coords), dense)
 
 
 class TestQuadricForm:
