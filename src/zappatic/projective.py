@@ -94,12 +94,6 @@ class Subspace:
         return frozenset(c for c, col in enumerate(zip(*self.basis)) if any(col))
 
     @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """Pivot column of each canonical basis row, in row order; cached
-        like support."""
-        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis)
-
-    @cached_property
     def equations(self) -> tuple[tuple[itemgetter, tuple[int, ...]], ...]:
         """linalg.nullspace of the basis restricted to the support columns,
         each form kept as (getter, coefficients) of its nonzero coordinates,
@@ -332,10 +326,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
         kernel = linalg.nullspace(list(cols), ncols=m)
         if len(kernel) > 1:
             kernel = linalg.rref(kernel)
-    if m == 3:
-        images = [[p * u + q * v + r * w for u, v, w in b_cols] for p, q, r in kernel]
-    else:
-        images = [[sum(map(mul, v, col)) for col in b_cols] for v in kernel]
+    images = [[sum(map(mul, v, col)) for col in b_cols] for v in kernel]
     return _canonical(a.ambient_dim, [linalg.primitive(row) for row in images])
 
 

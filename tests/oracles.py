@@ -155,6 +155,11 @@ def frac_primitive(vec):
     return tuple(x // g for x in ints)
 
 
+def basis_pivots(basis) -> tuple[int, ...]:
+    """Column of the first nonzero entry of each row, in row order."""
+    return tuple(next(c for c, x in enumerate(row) if x) for row in basis)
+
+
 def frac_meet(a_rows, b_rows, ncols):
     """Basis of the intersection of two row spans, through annihilators.
 
