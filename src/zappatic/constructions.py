@@ -1,8 +1,9 @@
 """Explicit plane configurations: chains, cycles and attachments.
 
-The base families are exact coordinate constructions (consecutive coordinate
-point triples).  Higher genus is reached inductively by attaching pieces to
-two chosen planes: the degenerate quadric (two planes through the common
+The chain and cycle are Stanley-Reisner arrangements of a triangulated strip
+and annulus: ``_coordinate_planes`` sets the coordinate plane on each vertex
+triple.  Higher genus is reached inductively by attaching pieces to two
+chosen planes: the degenerate quadric (two planes through the common
 transversal of a line in each chosen plane, for X, Y and the closed chain)
 or the degenerate cubic scroll (three planes in a general P^4, for Z).
 Every family is built in its final P^(d-2g+1) from its first plane, so the
@@ -28,6 +29,10 @@ reclassifies the grown arrangement, checks it is Zappatic and meets the
 expectation, and otherwise resamples (up to a fixed retry cap), so every
 returned configuration carries a full witness of its own genericity in its
 attachment records.
+
+A build is named once: ``_finish`` packages a verified arrangement, and each
+builder ends in ``_named``, which checks its family's counts and sets family,
+seed and discrepancy note (an intermediate result has family "", seed None).
 """
 
 from __future__ import annotations
@@ -77,9 +82,9 @@ class ConstructionResult:
     report: ZappaticReport
     graph: DualGraph
     attachments: tuple[AttachmentRecord, ...]
-    discrepancies: tuple[str, ...]
-    family: str
-    seed: int | None
+    discrepancies: tuple[str, ...] = ()
+    family: str = ""
+    seed: int | None = None
 
     @property
     def num_edges(self) -> int:
@@ -96,35 +101,22 @@ class ConstructionResult:
         return self.num_edges - len(self.arrangement) + 1
 
 
-def _finish(
-    arr, attachments, discrepancies, family, seed, inc=None, report=None
-) -> ConstructionResult:
+def _finish(arr, attachments=(), inc=None, report=None) -> ConstructionResult:
     """Package a verified arrangement; pass inc/report when already computed."""
     if inc is None:
         inc = compute_incidence(arr)
     if report is None:
         report = zappatic_report(arr, inc)
     if not report.is_zappatic:
-        raise InternalCheckError(
-            f"{family} construction produced violations: {report.violations}"
-        )
+        raise InternalCheckError(f"construction produced violations: {report.violations}")
     graph = build_dual_graph(arr, inc, report)
-    return ConstructionResult(
-        arrangement=arr,
-        incidence=inc,
-        report=report,
-        graph=graph,
-        attachments=tuple(attachments),
-        discrepancies=tuple(discrepancies),
-        family=family,
-        seed=seed,
-    )
+    return ConstructionResult(arr, inc, report, graph, tuple(attachments))
 
 
-def _check_family_profile(result: ConstructionResult, d: int, g: int) -> None:
-    """The counts of a degree-d genus-g family: d planes, d+g-1 double lines,
-    no cycle point, d-2 R_3 points on a chain (g = 0) and d-2g+2 otherwise,
-    and 2g-2 S_4 points from genus 2 on."""
+def _named(result, family, d, g, seed=None, note=None) -> ConstructionResult:
+    """Check the counts of a degree-d genus-g family and name the build: d
+    planes, d+g-1 double lines, no cycle point, 2g-2 S_4 points from genus 2
+    on, and d-2 R_3 points on a chain (g = 0), d-2g+2 otherwise."""
     rep = result.report
     ok = (
         len(result.arrangement) == d
@@ -138,6 +130,12 @@ def _check_family_profile(result: ConstructionResult, d: int, g: int) -> None:
             f"family profile mismatch for (d,g)=({d},{g}): v={len(result.arrangement)}"
             f" e={result.num_edges} r={rep.r_counts} s={rep.s_counts}"
         )
+    return replace(result, discrepancies=(note,) if note else (), family=family, seed=seed)
+
+
+def _coordinate_planes(n: int, triples) -> ConstructionResult:
+    """The coordinate plane of P^n on each vertex triple of a triangulation."""
+    return _finish(Arrangement(n, [coordinate_subspace(n, t) for t in triples]))
 
 
 def chain_planes(d: int) -> ConstructionResult:
@@ -145,20 +143,15 @@ def chain_planes(d: int) -> ConstructionResult:
     graph a chain with d-2 R_3 points."""
     if d < 2:
         raise RangeError("chain requires d >= 2")
-    n = d + 1
-    subs = [coordinate_subspace(n, (i, i + 1, i + 2)) for i in range(d)]
-    res = _finish(Arrangement(n, subs), (), (), "chain", None)
-    _check_family_profile(res, d, 0)
-    return res
+    res = _coordinate_planes(d + 1, [(i, i + 1, i + 2) for i in range(d)])
+    return _named(res, "chain", d, 0)
 
 
 def _cycle(d: int, n: int) -> ConstructionResult:
     """d planes on cyclically consecutive triples of the first d coordinate
     points of P^n; dual graph a cycle with d R_3 points at those points."""
-    subs = [coordinate_subspace(n, ((i - 1) % d, i, (i + 1) % d)) for i in range(d)]
-    res = _finish(Arrangement(n, subs), (), (), "cycle", None)
-    _check_family_profile(res, d, 1)
-    return res
+    res = _coordinate_planes(n, [((i - 1) % d, i, (i + 1) % d) for i in range(d)])
+    return _named(res, "cycle", d, 1)
 
 
 def cycle_planes(d: int) -> ConstructionResult:
@@ -193,22 +186,13 @@ def _line_in(plane: Subspace, anchor: ProjPoint | None, avoid, rng) -> Subspace:
             return line
 
 
-def _r3_anchor(result: ConstructionResult, plane_index: int) -> ProjPoint:
-    """The R_3 point whose central component is the given plane."""
-    for k, t in enumerate(result.report.types):
-        if t.kind == "R" and t.n == 3 and t.central == plane_index:
-            return result.incidence.singular_points[k].point
-    raise RangeError(
-        f"plane {plane_index} is not the central component of any R_3 point"
-    )
-
-
-def _r3_centrals(result: ConstructionResult) -> list[int]:
-    out = []
-    for t in result.report.types:
-        if t.kind == "R" and t.n == 3 and t.central is not None:
-            out.append(t.central)
-    return sorted(set(out))
+def _r3_centres(result: ConstructionResult) -> dict[int, ProjPoint]:
+    """Each R_3 central plane and its R_3 point, the first in incidence order."""
+    centres: dict[int, ProjPoint] = {}
+    for sp, t in zip(result.incidence.singular_points, result.report.types):
+        if t.kind == "R" and t.n == 3:
+            centres.setdefault(t.central, sp.point)
+    return centres
 
 
 def _touching(inc: IncidenceData) -> set[tuple[int, int]]:
@@ -220,7 +204,7 @@ def _touching(inc: IncidenceData) -> set[tuple[int, int]]:
 def first_disjoint_central_pair(result: ConstructionResult) -> tuple[int, int] | None:
     """First pair (in index order) of disjoint R_3 central planes."""
     touching = _touching(result.incidence)
-    pairs = combinations(_r3_centrals(result), 2)
+    pairs = combinations(sorted(_r3_centres(result)), 2)
     return next((pair for pair in pairs if pair not in touching), None)
 
 
@@ -257,7 +241,11 @@ def _attach(prev, planes, anchored, seed, complete, deltas) -> ConstructionResul
     old = prev.report
     r3_delta, s4_delta = deltas
     if anchored:
-        anchors = tuple(_r3_anchor(prev, k) for k in planes)
+        centres = _r3_centres(prev)
+        for k in planes:
+            if k not in centres:
+                raise RangeError(f"plane {k} is not the central component of any R_3 point")
+        anchors = tuple(centres[k] for k in planes)
         avoids = ((), ())
     else:
         anchors = (None, None)
@@ -310,15 +298,7 @@ def _attach(prev, planes, anchored, seed, complete, deltas) -> ConstructionResul
             seed=seed,
             retries=attempt,
         )
-        return _finish(
-            new_arr,
-            prev.attachments + (rec,),
-            prev.discrepancies,
-            prev.family,
-            seed,
-            inc,
-            report,
-        )
+        return _finish(new_arr, prev.attachments + (rec,), inc, report)
     raise GenericityError(
         f"no generic attachment found for planes {planes} after {RETRY_CAP} tries;"
         f" last failure: {last_reason}"
@@ -390,9 +370,7 @@ def cycle_from_chain(d: int, seed: int) -> ConstructionResult:
     if d < 5:
         raise RangeError("cycle requires d >= 5")
     res = _attach_pair(chain_planes(d - 2), 0, d - 3, seed, False)
-    res = replace(res, family="cycle_from_chain")
-    _check_family_profile(res, d, 1)
-    return res
+    return _named(res, "cycle_from_chain", d, 1, seed)
 
 
 def build_X(d: int, g: int, seed: int = 0) -> ConstructionResult:
@@ -416,13 +394,9 @@ def build_X(d: int, g: int, seed: int = 0) -> ConstructionResult:
         f"{d + g + 2}, inconsistent with g = e-v+1; derived value e = d+g-1 = "
         f"{d + g - 1} is used"
     )
-    result = replace(
-        result, discrepancies=result.discrepancies + (note,), family="X", seed=seed
-    )
-    _check_family_profile(result, d, g)
     if first_disjoint_central_pair(result) is None:
         raise InternalCheckError("no two R_3 central planes are disjoint in the result")
-    return result
+    return _named(result, "X", d, g, seed, note)
 
 
 def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
@@ -440,9 +414,7 @@ def build_Y(d: int, g: int, seed: int = 0) -> ConstructionResult:
     result = cycle_from_chain(k + 2, rng.randrange(2**63))
     for i in range(2, g + 1):
         result = _attach_pair(result, i - 1, k - i, rng.randrange(2**63), True)
-    result = replace(result, family="Y", seed=seed)
-    _check_family_profile(result, d, g)
-    return result
+    return _named(result, "Y", d, g, seed)
 
 
 def _z_step(prev: ConstructionResult, seed: int) -> ConstructionResult:
@@ -505,10 +477,7 @@ def build_Z(d: int, g: int, seed: int = 0) -> ConstructionResult:
         f" is used"
     )
     rng = random.Random(seed)
-    seeds = [rng.randrange(2**63) for _ in range(g - 1)]
     result = _cycle(d - 3 * (g - 1), d - 2 * g + 1)
-    for s in seeds:
-        result = _z_step(result, s)
-    result = replace(result, discrepancies=(note,), family="Z", seed=seed)
-    _check_family_profile(result, d, g)
-    return result
+    for _ in range(g - 1):
+        result = _z_step(result, rng.randrange(2**63))
+    return _named(result, "Z", d, g, seed, note)

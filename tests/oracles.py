@@ -161,15 +161,21 @@ def basis_pivots(basis) -> tuple[int, ...]:
 
 
 def frac_meet(a_rows, b_rows, ncols):
-    """Basis of the intersection of two row spans, through annihilators.
+    """Basis of the intersection of two row spans, through the left kernel.
 
-    The intersection is the common kernel of both annihilators (dual bases),
-    each taken with frac_nullspace.
+    x.A + y.B = 0 puts x.A in both spans, and every common vector arises so:
+    take frac_nullspace of the stacked rows' transpose, then frac_rref of
+    the images x.A.  No annihilator of either span is formed.
     """
     if not a_rows or not b_rows:
         return []
-    ann = frac_nullspace(a_rows) + frac_nullspace(b_rows)
-    return frac_nullspace(ann, ncols)
+    stacked = list(a_rows) + list(b_rows)
+    kernel = frac_nullspace([list(col) for col in zip(*stacked)], len(stacked))
+    images = [
+        [sum(x * row[c] for x, row in zip(v, a_rows)) for c in range(ncols)]
+        for v in kernel
+    ]
+    return frac_rref(images)
 
 
 def frac_contains(basis, rows) -> bool:
@@ -367,11 +373,11 @@ def dense_homology(graph):
 
 
 def meet_first_disjoint_central_pair(result):
-    """First pair (in index order) of R_3 central planes whose meet is empty."""
-    from zappatic.constructions import _r3_centrals
+    """First pair (in index order) of R_3 central planes whose meet is empty,
+    with the centrals read off the report's types."""
     from zappatic.projective import meet
 
-    centrals = _r3_centrals(result)
+    centrals = sorted({t.central for t in result.report.types if (t.kind, t.n) == ("R", 3)})
     for a in range(len(centrals)):
         for b in range(a + 1, len(centrals)):
             i, j = centrals[a], centrals[b]

@@ -11,6 +11,7 @@ from zappatic.constructions import (
     cycle_planes,
     first_disjoint_central_pair,
 )
+from zappatic.complexes import build_torus_complex
 from zappatic.errors import GenericityError, RangeError
 from zappatic.invariants import invariants_of
 from zappatic.projective import ProjPoint, Subspace, meet, span, span_subspaces
@@ -93,6 +94,28 @@ def test_base_planes_equal_their_reduced_unit_rows():
         planes = res.arrangement.planes
         assert planes == tuple(old)
         assert [p.support for p in planes] == [p.support for p in old]
+
+
+def _grid_torus_triangles(n, m):
+    """The two triangles of each square of the n x m grid torus, on the
+    vertices (i, j) -> i*m + j: a 6-cycle link at every vertex."""
+    def v(i, j):
+        return (i % n) * m + j % m
+
+    return [t for i in range(n) for j in range(m) for t in (
+        (v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 5)])
+def test_coordinate_torus_equals_the_abstract_torus(n, m):
+    """The coordinate planes of a triangulated torus in P^(nm-1), built as
+    chains and cycles are, have nm E_6 points and the cell counts,
+    invariants and homology of build_torus_complex(n, m)."""
+    res = constructions._coordinate_planes(n * m - 1, _grid_torus_triangles(n, m))
+    assert res.report.is_zappatic
+    assert (res.report.f_counts, res.report.r_counts, res.report.s_counts) == (
+        {6: n * m}, {}, {})
+    assert invariants_of(res.graph) == invariants_of(build_torus_complex(n, m))
 
 
 class TestAttachHandle:
@@ -220,7 +243,7 @@ class TestAttachmentRules:
 
         def checked(result, i, j, seed):
             arr = result.arrangement
-            anchors = [constructions._r3_anchor(result, k) for k in (i, j)]
+            anchors = [constructions._r3_centres(result)[k] for k in (i, j)]
             through_both = {
                 k for k in range(len(arr))
                 if all(arr.planes[k].contains_point(a) for a in anchors)

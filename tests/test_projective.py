@@ -479,7 +479,7 @@ def assert_wide_kernel_meet(a, b):
 
 
 class TestMeetExact:
-    """meet returns exactly the canonical basis of the annihilator route."""
+    """meet returns exactly the canonical basis of the left-kernel oracle."""
 
     def test_random_pairs_p3_to_p22(self):
         rng = random.Random(14)
