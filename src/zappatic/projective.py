@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, compress
+from itertools import combinations, combinations_with_replacement, compress
 from operator import itemgetter, mul
 
 from zappatic import linalg
@@ -63,8 +63,9 @@ class Subspace:
     equations vanishes at y.  Every vector of S is zero off the support, and
     in the coordinate space on the support S is the row space of its basis
     restricted to those columns, which is the orthogonal complement of that
-    restriction's right kernel, whose basis the equations are.  So a
-    containment test reads the equations, and meet reduces against them.
+    restriction's right kernel, whose basis the equations are.  So meet
+    reduces against the equations, and a containment test is that
+    reduction with no column left.
     """
 
     ambient_dim: int
@@ -111,20 +112,17 @@ class Subspace:
         forms = linalg.nullspace([[row[c] for c in cols] for row in self.basis])
         return tuple([(itemgetter(*compress(cols, f)), tuple(filter(None, f))) for f in forms])
 
-    def _holds_on_support(self, y) -> bool:
-        """Every equation vanishes at y (see the lemma in the class docstring)."""
-        return not any(sum(map(mul, f, get(y))) for get, f in self.equations)
-
     def contains_point(self, p: ProjPoint) -> bool:
-        if p.ambient_dim != self.ambient_dim:
-            raise RangeError("ambient dimension mismatch")
-        support = self.support
-        return (all(c in support for c, x in enumerate(p.coords) if x)
-                and self._holds_on_support(p.coords))
+        """contains of the point's one-row subspace: p's coordinates are
+        primitive with a positive leading entry, a canonical basis row."""
+        return self.contains(_canonical(p.ambient_dim, [p.coords]))
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether meet's reduction of other against this subspace leaves no
+        column; with the supports tested first it reads no column of other."""
         _check_same_ambient(self, other)
-        return other.support <= self.support and all(map(self._holds_on_support, other.basis))
+        return (other.support <= self.support
+                and next(_reduced_columns(self, other, ()), None) is None)
 
     def point(self) -> ProjPoint:
         """The point that this subspace is.  Its one canonical basis row is
@@ -368,27 +366,15 @@ class QuadricForm:
         )
 
     def restrict(self, s: Subspace) -> "QuadricForm":
-        """Form induced on the subspace, in its basis coordinates."""
-        b = s.basis
-        return QuadricForm(
-            [[self.bilinear(b[i], b[j]) for j in range(len(b))] for i in range(len(b))]
-        )
+        """Form induced on the subspace, in its basis coordinates: congruent
+        by the matrix whose columns are its basis rows."""
+        return self.congruent(zip(*s.basis))
 
     def congruent(self, m) -> "QuadricForm":
-        """Form after substituting x -> M x, i.e. the matrix M^T A M."""
-        n = len(self.matrix)
-        prod = [
-            [
-                sum(m[k][i] * self.matrix[k][l] for k in range(n))
-                for l in range(n)
-            ]
-            for i in range(n)
-        ]
-        out = [
-            [sum(prod[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return QuadricForm(out)
+        """Form after substituting x -> M x, i.e. the matrix M^T A M: the
+        Gram matrix of the columns of M under bilinear."""
+        cols = list(zip(*m))
+        return QuadricForm([[self.bilinear(u, v) for v in cols] for u in cols])
 
 
 def quadric_rank(q: QuadricForm) -> int:
@@ -480,24 +466,24 @@ def plucker(line: Subspace) -> PluckerPoint:
     """Pluecker image of a line in P^3."""
     if line.ambient_dim != 3 or line.dim != 1:
         raise RangeError("need a line (dim 1) in P^3")
-    u, v = line.basis
-    return PluckerPoint([u[i] * v[j] - u[j] * v[i] for (i, j) in _PAIRS])
+    return PluckerPoint(_minors(*line.basis))
+
+
+def _minors(u, v):
+    """The 2x2 minors of rows u and v of P^3, in _PAIRS order: the Pluecker
+    coordinates of the line they span, up to a nonzero factor."""
+    return [u[i] * v[j] - u[j] * v[i] for (i, j) in _PAIRS]
 
 
 def dual_plane_in_klein(pi: Subspace) -> Subspace:
     """Plane of P^5 swept by the Pluecker images of the lines of a plane.
 
-    Spanned by the images of the three lines joining pairs of basis points;
-    it lies entirely inside the Klein quadric.
+    Spanned by the images of the three lines joining pairs of basis points,
+    read off each pair's minors; it lies entirely inside the Klein quadric.
     """
     if pi.ambient_dim != 3 or pi.dim != 2:
         raise RangeError("need a plane (dim 2) in P^3")
-    a, b, c = pi.basis
-    imgs = []
-    for u, v in ((a, b), (a, c), (b, c)):
-        line = Subspace(3, [u, v])
-        imgs.append(list(plucker(line).coords))
-    out = Subspace(5, imgs)
+    out = Subspace(5, [_minors(u, v) for u, v in combinations(pi.basis, 2)])
     if out.dim != 2:
         raise RangeError("degenerate plane basis")
     return out

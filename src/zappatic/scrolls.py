@@ -22,7 +22,7 @@ the ruling conic in the Klein quadric from the dual plane of that plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import isqrt
 
 from zappatic import linalg
@@ -180,12 +180,11 @@ def _lines_through(q: QuadricForm, p: ProjPoint) -> tuple[Subspace, Subspace]:
     t = _tangent_plane(q, p)
     if t.dim != 2:
         raise RangeError("quadric is singular at the point")
-    # complete p to a basis of the tangent plane by two of its rref rows
-    pairs = combinations(t.basis, 2)
-    pair = next((fs for fs in pairs if linalg.rank([*fs, p.coords]) == 3), None)
-    if pair is None:
-        raise InternalCheckError("tangent plane basis degenerate")
-    f0, f1 = pair
+    # p in t has weight p[c]/row[c] on the canonical row of pivot c; the two
+    # rows left by dropping the last one with weight complete p to a basis
+    pivots = [next(c for c, x in enumerate(row) if x) for row in t.basis]
+    last = max(k for k, c in enumerate(pivots) if p.coords[c])
+    f0, f1 = (row for k, row in enumerate(t.basis) if k != last)
     aa = q.bilinear(f0, f0)
     bb = 2 * q.bilinear(f0, f1)
     cc = q.bilinear(f1, f1)

@@ -9,10 +9,11 @@ kernel's content-reducing elimination must agree with it.  The incidence
 reference is the direct route that
 the arrangement module avoids: it meets every pair of double lines and
 finds the planes and double lines through each point, and the planes on
-each double line, by containment tests that rank the stacked rows over
-Fractions rather than read Subspace's equations; the report reference ranks the span
-of every point's planes, which classify_point reads off the local graph for
-a chain of three.  The report-against-complex check compares a report's
+each double line, by containment tests that rank the stacked rows with
+the fraction-free Bareiss elimination rather than reduce against
+Subspace's equations; the report reference ranks the span of every point's
+planes the same way, which classify_point reads off the local graph for a
+chain of three.  The report-against-complex check compares a report's
 point counts with the cells that complexes.build_dual_graph made from its
 types, and reads each central plane off the local edges rather than the
 vertex order.  The chain feasibility reference is
@@ -20,10 +21,11 @@ the depth-first search over all placements that scrolls.chain_feasible
 replaced with a direct witness; it costs 2^a.  The strip walk counts the
 triangles at every vertex of both directrices of a placement's triangulated
 strip, a count that chain_feasible bounds on the degree-a side only.  The
-homology reference ranks both dense boundary matrices, where
-complexes.homology reads h_0 off the connected components and ranks d_2
-from sparse columns, and the disjoint-pair reference meets every pair of
-central planes, where the constructions read contacts off the incidence.
+homology reference ranks both dense boundary matrices, orienting each
+cell by a walk of its own, where complexes.homology reads h_0 off the
+connected components and ranks d_2 from sparse columns, and the
+disjoint-pair reference meets every pair of central planes, where the
+constructions read contacts off the incidence.
 The reference writer builds the file's object for json.dumps, which
 serialize.dumps replaces with its own string joins.
 The Euler-characteristic formula and the parameter count are the second and
@@ -178,15 +180,15 @@ def frac_meet(a_rows, b_rows, ncols):
     return frac_rref(images)
 
 
-def frac_contains(basis, rows) -> bool:
-    """Whether the row span of basis holds every one of rows, by frac_rank
+def bareiss_contains(basis, rows) -> bool:
+    """Whether the row span of basis holds every one of rows, by bareiss_rank
     of the stacked rows."""
-    return frac_rank(list(basis) + list(rows)) == len(basis)
+    return bareiss_rank(list(basis) + list(rows)) == len(basis)
 
 
 def containment_incidence(arr):
     """IncidenceData from all plane and line meets plus containment tests,
-    each decided by frac_contains."""
+    each decided by bareiss_contains."""
     from zappatic.arrangement import IncidenceData, SingularPoint
     from zappatic.projective import meet
 
@@ -209,16 +211,16 @@ def containment_incidence(arr):
     points = []
     for key in sorted(candidates):
         p = candidates[key]
-        incident = frozenset(i for i in range(v) if frac_contains(arr.planes[i].basis, [p.coords]))
+        incident = frozenset(i for i in range(v) if bareiss_contains(arr.planes[i].basis, [p.coords]))
         edges = tuple((i, j) for i, j, line in double_lines
-                      if frac_contains(line.basis, [p.coords]))
+                      if bareiss_contains(line.basis, [p.coords]))
         points.append(SingularPoint(p, incident, edges))
     return IncidenceData(tuple(double_lines), tuple(point_meets), tuple(points))
 
 
 def containment_report(arr, inc):
     """ZappaticReport with the plane count of each double line by
-    frac_contains, the span of each point's planes by frac_rank, and an
+    bareiss_contains, the span of each point's planes by bareiss_rank, and an
     explicit check that each point meet is absorbed into a Zappatic point
     whose vertex order holds both planes.
 
@@ -231,7 +233,7 @@ def containment_report(arr, inc):
 
     violations = []
     for i, j, line in inc.double_lines:
-        on = sum(1 for k in range(len(arr)) if frac_contains(arr.planes[k].basis, line.basis))
+        on = sum(1 for k in range(len(arr)) if bareiss_contains(arr.planes[k].basis, line.basis))
         if on > 2:
             violations.append(f"double line of planes ({i},{j}) lies on {on} planes")
     types = []
@@ -239,7 +241,7 @@ def containment_report(arr, inc):
         t = classify_point(arr, inc, k)
         if t.kind in ("R", "S", "E") or t.reason == "span too small":
             rows = [row for i in sp.incident_planes for row in arr.planes[i].basis]
-            full = frac_rank(rows) - 1 == 2 * t.n - len(sp.local_edges)
+            full = bareiss_rank(rows) - 1 == 2 * t.n - len(sp.local_edges)
             if not full:
                 t = SingularityType("NonZappatic", t.n, "span too small")
             elif t.kind == "NonZappatic":
@@ -354,10 +356,30 @@ def dfs_components(num_vertices, edges):
     return count
 
 
-def dense_homology(graph):
-    """(h0, h1, h2) from the ranks of the dense boundary matrices d1 and d2."""
-    from zappatic.complexes import _cycle_boundary
+def walk_signs(edges, cell):
+    """Signs of a 2-cell's edges along its closed walk: the walk starts at
+    the smaller vertex that the last and first edges share, and an edge
+    counts +1 when the walk leaves it from its first end.  Raises
+    RangeError when the edges do not chain from that vertex, on the same
+    cells as complexes.homology, which orients by the same rule."""
+    from zappatic.errors import RangeError
 
+    shared = set(edges[cell[0]]) & set(edges[cell[-1]]) if len(cell) > 1 else set()
+    if not shared:
+        raise RangeError("2-cell boundary is not a closed walk")
+    path = [min(shared)]
+    for k in cell:
+        ends = list(edges[k])
+        if path[-1] not in ends:
+            raise RangeError("2-cell boundary is not a closed walk")
+        ends.remove(path[-1])
+        path.append(ends[0])
+    return [1 if edges[k][0] == a else -1 for k, a in zip(cell, path)]
+
+
+def dense_homology(graph):
+    """(h0, h1, h2) from the ranks of the dense boundary matrices d1 and d2,
+    each cell oriented by walk_signs."""
     v, e, f = graph.num_vertices, graph.num_edges, graph.num_faces
     d1 = [[0] * e for _ in range(v)]
     for k, (a, b) in enumerate(graph.edges):
@@ -366,7 +388,7 @@ def dense_homology(graph):
             d1[b][k] += 1
     d2 = [[0] * f for _ in range(e)]
     for c, cell in enumerate(graph.two_cells):
-        for k, s in zip(cell, _cycle_boundary(graph, cell)):
+        for k, s in zip(cell, walk_signs(graph.edges, cell)):
             d2[k][c] += s
     r1, r2 = frac_rank(d1), frac_rank(d2)
     return (v - r1, e - r1 - r2, f - r2)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,26 @@ class TestHomologyAgainstDenseBoundaries:
     def test_cells_on_shared_edges(self, graph):
         got = _outcome(betti, graph)
         assert got == _outcome(dense_homology, graph)
+
+    @settings(max_examples=400)
+    @given(st.one_of(dual_graphs(), complexes_on_shared_edges()))
+    def test_each_cell_boundary_is_a_cycle(self, graph):
+        """d1 d2 = 0: the signed edges of each cell that homology orients
+        have no boundary.  The ranks above cannot see a wrong sign on a
+        cell whose edges are its own."""
+        from zappatic.complexes import _cycle_boundary
+
+        for cell in graph.two_cells:
+            try:
+                signs = _cycle_boundary(graph, cell)
+            except RangeError:  # a cell it cannot orient, compared above
+                continue
+            ends = Counter()
+            for k, s in zip(cell, signs):
+                a, b = graph.edges[k]
+                ends[a] -= s
+                ends[b] += s
+            assert not any(ends.values())
 
     @settings(max_examples=400)
     @given(dual_graphs())

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from zappatic import constructions
@@ -116,6 +119,30 @@ def test_coordinate_torus_equals_the_abstract_torus(n, m):
     assert (res.report.f_counts, res.report.r_counts, res.report.s_counts) == (
         {6: n * m}, {}, {})
     assert invariants_of(res.graph) == invariants_of(build_torus_complex(n, m))
+
+
+@pytest.mark.parametrize("n, triples, chi, g, betti", [
+    (3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], 2, 3, (1, 0, 1)),
+    (5, list(product((0, 1), (2, 3), (4, 5))), 2, 5, (1, 0, 1)),
+    (6, [t for i in range(7) for t in ((i, (i + 1) % 7, (i + 3) % 7),
+                                       (i, (i + 2) % 7, (i + 3) % 7))], 0, 8, (1, 2, 1)),
+], ids=["tetrahedron", "octahedron", "moebius_torus"])
+def test_named_triangulations(n, triples, chi, g, betti):
+    """The coordinate planes of the tetrahedron (a quartic K3 limit in P^3),
+    the octahedron (a degree-8 K3 in P^5) and the 7-vertex Moebius torus
+    (in P^6) put an E_m point at each vertex of degree m, and have K^2 = 0
+    and p_omega = 1, as their K3 and abelian smoothings do."""
+    res = constructions._coordinate_planes(n, triples)
+    assert res.report.is_zappatic
+    assert (res.arrangement.ambient_dim, len(res.arrangement)) == (n, len(triples))
+    degree = Counter(c for t in triples for c in t)
+    points = res.incidence.singular_points
+    assert [(t.kind, t.n) for t in res.report.types] == [
+        ("E", degree[sp.point.coords.index(1)]) for sp in points]
+    assert len(points) == n + 1
+    inv = invariants_of(res.graph)
+    assert (inv.chi, inv.p_omega, inv.K2_interval, inv.g) == (chi, 1, (0, 0), g)
+    assert (inv.homology.h0, inv.homology.h1, inv.homology.h2) == betti
 
 
 class TestAttachHandle:

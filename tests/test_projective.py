@@ -30,8 +30,8 @@ from zappatic.projective import (
 )
 
 from oracles import (
+    bareiss_contains,
     basis_pivots,
-    frac_contains,
     frac_meet,
     frac_nullspace,
     frac_rank,
@@ -710,8 +710,8 @@ def nudged_combinations(data, s, n, k):
 
 
 class TestEquations:
-    """A subspace's equations, and the containment tests that read them,
-    against the Fraction oracle."""
+    """A subspace's equations against the Fraction oracle, and the
+    containment tests that reduce against them against Bareiss ranks."""
 
     @settings(max_examples=200)
     @given(subspaces())
@@ -732,23 +732,23 @@ class TestEquations:
 
     @settings(max_examples=300)
     @given(subspaces(), st.data())
-    def test_contains_point_agrees_with_frac_rank(self, drawn, data):
+    def test_contains_point_agrees_with_bareiss_rank(self, drawn, data):
         n, s = drawn
         (y,) = nudged_combinations(data, s, n, 1)
         if not any(y):
             y = data.draw(st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any))
         p = ProjPoint(y)
-        assert s.contains_point(p) == frac_contains(s.basis, [p.coords])
+        assert s.contains_point(p) == bareiss_contains(s.basis, [p.coords])
 
     @settings(max_examples=300)
     @given(subspaces(), st.data())
-    def test_contains_agrees_with_frac_rank(self, drawn, data):
+    def test_contains_agrees_with_bareiss_rank(self, drawn, data):
         n, s = drawn
         if data.draw(st.booleans()):
             _, t = data.draw(subspaces(n))
         else:
             t = Subspace(n, nudged_combinations(data, s, n, data.draw(st.integers(0, 3))))
-        assert s.contains(t) == frac_contains(s.basis, t.basis)
+        assert s.contains(t) == bareiss_contains(s.basis, t.basis)
 
     @pytest.mark.parametrize(
         "rows, point, inside",
