@@ -35,7 +35,7 @@ from zappatic.scrolls import chain_feasible, degenerate_balanced
 JSON_BEGIN = "--- JSON ---"
 JSON_END = "--- END JSON ---"
 
-SCROLL_FAMILIES = {"chain", "cycle", "X", "Y", "Z"}
+SCROLL_FAMILIES = ("chain", "cycle", "X", "Y", "Z")
 
 
 def _print_json_block(payload: dict) -> None:
@@ -77,10 +77,7 @@ def cmd_construct(args) -> int:
     for note in res.discrepancies:
         print(f"discrepancy: {note}")
     payload = {
-        "family": res.family,
-        "d": res.d,
-        "g": res.g,
-        "seed": seed,
+        **metadata,
         "planes": inv.v,
         "edges": inv.e,
         "r_counts": {str(k): v for k, v in inv.r_counts.items()},
@@ -97,10 +94,15 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    arr, _meta = serialize.read_arrangement(args.path)
+def _read_classified(path):
+    """An arrangement file's arrangement, metadata, incidence and report."""
+    arr, meta = serialize.read_arrangement(path)
     inc = compute_incidence(arr)
-    report = zappatic_report(arr, inc)
+    return arr, meta, inc, zappatic_report(arr, inc)
+
+
+def cmd_classify(args) -> int:
+    _arr, _meta, inc, report = _read_classified(args.path)
     if not inc.singular_points:
         print("no singular points; Zappatic: " + ("yes" if report.is_zappatic else "no"))
         return 0
@@ -138,9 +140,7 @@ def cmd_invariants(args) -> int:
         return 0
     if args.path is None:
         raise RangeError("need an arrangement file or --abstract")
-    arr, meta = serialize.read_arrangement(args.path)
-    inc = compute_incidence(arr)
-    report = zappatic_report(arr, inc)
+    arr, meta, inc, report = _read_classified(args.path)
     inv = invariants_of(build_dual_graph(arr, inc, report))
     sm = smoothing_of(inv) if args.smooth else None
     family = meta.get("family")
@@ -166,11 +166,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    arr, _meta = serialize.read_arrangement(args.path)
-    inc = compute_incidence(arr)
-    report = zappatic_report(arr, inc)
-    graph = build_dual_graph(arr, inc, report)
-    dot = to_dot(graph)
+    arr, _meta, inc, report = _read_classified(args.path)
+    dot = to_dot(build_dual_graph(arr, inc, report))
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(dot)
     print(f"wrote {args.dot}")
@@ -282,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a plane configuration family")
-    c.add_argument("--family", required=True, choices=["chain", "cycle", "X", "Y", "Z"])
+    c.add_argument("--family", required=True, choices=SCROLL_FAMILIES)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--g", type=int, default=None)
     c.add_argument("--seed", type=int, default=0)

@@ -3,10 +3,12 @@
 The dual complex has one vertex per plane and one edge per double line.
 Cycle points (E_n) attach honest 2-cells; chain points (R_n) only contribute
 an open face (recorded, drawn dashed, but never part of the boundary map);
-fork points (S_n) contribute an angle.  Homology is computed over Q: h_0 is
-the number of connected components of the graph, found by union-find, and
-h_1, h_2 follow from it and the rank of the integer boundary matrix d_2,
-one sparse column per 2-cell, taken by linalg.sparse_rank.
+fork points (S_n) contribute an angle.  A 2-cell is any closed walk on its
+edges in order, oriented once, for d_2 and for DOT; an open one is refused.
+Homology is computed over Q: h_0 is the number of connected components of
+the graph, found by union-find, and h_1, h_2 follow from it and the rank of
+the integer boundary matrix d_2, one sparse column per 2-cell, taken by
+linalg.sparse_rank.
 """
 
 from __future__ import annotations
@@ -69,28 +71,24 @@ class HomologyReport:
             raise InternalCheckError("Euler characteristic mismatch")
 
 
-def _cycle_boundary(graph: DualGraph, cell):
-    """Signed incidence of one 2-cell: walk the edge cycle and orient."""
+def _closed_walk(graph: DualGraph, cell):
+    """The vertices of a 2-cell's closed walk, its start repeated at the end.
+    The start is an end of the first edge, the smaller first, from which the
+    edges chain back to it; a cell with no such end is refused."""
     edges = graph.edges
     if len(cell) < 2:
         raise RangeError("a 2-cell needs at least two edges")
-    first, last = edges[cell[0]], edges[cell[-1]]
-    shared = set(first) & set(last)
-    if not shared:
-        raise RangeError("2-cell boundary is not a closed walk")
-    at = min(shared)
-    signs = []
-    for k in cell:
-        a, b = edges[k]
-        if at == a:
-            signs.append(1)
-            at = b
-        elif at == b:
-            signs.append(-1)
-            at = a
+    for start in sorted(set(edges[cell[0]])):
+        walk = [start]
+        for k in cell:
+            a, b = edges[k]
+            if walk[-1] not in (a, b):
+                break
+            walk.append(b if walk[-1] == a else a)
         else:
-            raise RangeError("2-cell boundary is not a closed walk")
-    return signs
+            if walk[-1] == start:
+                return walk
+    raise RangeError("2-cell boundary is not a closed walk")
 
 
 def homology(graph: DualGraph) -> HomologyReport:
@@ -98,16 +96,16 @@ def homology(graph: DualGraph) -> HomologyReport:
 
     h0 is the number of connected components, so rank d1 = v - h0 with no
     matrix built; h1 and h2 follow from the rank of the integer d2, one
-    sparse column per 2-cell.  A cell that runs along an edge twice has
-    entry +-2 or 0 there, and sparse_rank ignores the zeros.
+    sparse column per 2-cell, signed along its closed walk.  A cell that
+    runs along an edge twice has +-2 or 0 there; sparse_rank skips zeros.
     """
     v, e, f = graph.num_vertices, graph.num_edges, graph.num_faces
     h0 = count_components(range(v), graph.edges)
     d2 = []
     for cell in graph.two_cells:
         col = Counter()
-        for k, s in zip(cell, _cycle_boundary(graph, cell)):
-            col[k] += s
+        for k, at in zip(cell, _closed_walk(graph, cell)):
+            col[k] += 1 if graph.edges[k][0] == at else -1
         d2.append(col)
     r2 = linalg.sparse_rank(d2)
     return HomologyReport(h0, e - (v - h0) - r2, f - r2, v - e + f)
@@ -209,8 +207,8 @@ def to_dot(graph: DualGraph) -> str:
         if ends is not None:
             lines.append(f"  v{ends[0]} -- v{ends[1]} [style=dashed];")
     for cell in graph.two_cells:
-        verts = _cycle_vertices(graph, cell)
-        lines.append("  /* face: " + " ".join(f"v{x}" for x in verts) + " */")
+        walk = _closed_walk(graph, cell)[:-1]
+        lines.append("  /* face: " + " ".join(f"v{x}" for x in walk) + " */")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -225,11 +223,3 @@ def _open_face_ends(graph: DualGraph, face):
     ends = sorted(v for v, c in cnt.items() if c == 1)
     return (ends[0], ends[1]) if len(ends) == 2 else None
 
-
-def _cycle_vertices(graph: DualGraph, cell):
-    signs = _cycle_boundary(graph, cell)
-    verts = []
-    for k, s in zip(cell, signs):
-        a, b = graph.edges[k]
-        verts.append(a if s == 1 else b)
-    return verts

@@ -21,9 +21,10 @@ the depth-first search over all placements that scrolls.chain_feasible
 replaced with a direct witness; it costs 2^a.  The strip walk counts the
 triangles at every vertex of both directrices of a placement's triangulated
 strip, a count that chain_feasible bounds on the degree-a side only.  The
-homology reference ranks both dense boundary matrices, orienting each
-cell by a walk of its own, where complexes.homology reads h_0 off the
-connected components and ranks d_2 from sparse columns, and the
+homology reference ranks both dense boundary matrices and orients each
+cell by trying every direction of its edges, where complexes.homology
+walks each cell from an end of its first edge, reads h_0 off the
+connected components and ranks d_2 from sparse columns; the
 disjoint-pair reference meets every pair of central planes, where the
 constructions read contacts off the incidence.
 The reference writer builds the file's object for json.dumps, which
@@ -357,24 +358,22 @@ def dfs_components(num_vertices, edges):
 
 
 def walk_signs(edges, cell):
-    """Signs of a 2-cell's edges along its closed walk: the walk starts at
-    the smaller vertex that the last and first edges share, and an edge
-    counts +1 when the walk leaves it from its first end.  Raises
-    RangeError when the edges do not chain from that vertex, on the same
-    cells as complexes.homology, which orients by the same rule."""
+    """Signs of a 2-cell's edges along a closed walk, found by trying every
+    direction of every edge: +1 runs an edge from its first end to its
+    second, -1 back, and a loop counts +1.  The first choice whose steps
+    chain, each ending where the next begins and the last where the first
+    begins, gives the signs.  Raises RangeError when no choice closes, or
+    when the cell has fewer than two edges."""
+    from itertools import product
+
     from zappatic.errors import RangeError
 
-    shared = set(edges[cell[0]]) & set(edges[cell[-1]]) if len(cell) > 1 else set()
-    if not shared:
-        raise RangeError("2-cell boundary is not a closed walk")
-    path = [min(shared)]
-    for k in cell:
-        ends = list(edges[k])
-        if path[-1] not in ends:
-            raise RangeError("2-cell boundary is not a closed walk")
-        ends.remove(path[-1])
-        path.append(ends[0])
-    return [1 if edges[k][0] == a else -1 for k, a in zip(cell, path)]
+    if len(cell) >= 2:
+        for signs in product((1, -1), repeat=len(cell)):
+            steps = [edges[k][::s] for k, s in zip(cell, signs)]
+            if all(steps[i - 1][1] == steps[i][0] for i in range(len(steps))):
+                return [1 if a == b else s for (a, b), s in zip(steps, signs)]
+    raise RangeError("2-cell boundary is not a closed walk")
 
 
 def dense_homology(graph):

@@ -1,9 +1,9 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from zappatic import constructions
+from zappatic import constructions, linalg
 from zappatic.constructions import (
     attach_handle,
     build_X,
@@ -17,7 +17,14 @@ from zappatic.constructions import (
 from zappatic.complexes import build_torus_complex
 from zappatic.errors import GenericityError, RangeError
 from zappatic.invariants import invariants_of
-from zappatic.projective import ProjPoint, Subspace, meet, span, span_subspaces
+from zappatic.projective import (
+    ProjPoint,
+    Subspace,
+    meet,
+    quadric_conditions,
+    span,
+    span_subspaces,
+)
 
 from oracles import meet_first_disjoint_central_pair, verify_transversality
 from test_acceptance import GRID
@@ -121,11 +128,17 @@ def test_coordinate_torus_equals_the_abstract_torus(n, m):
     assert invariants_of(res.graph) == invariants_of(build_torus_complex(n, m))
 
 
+TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+OCTAHEDRON = list(product((0, 1), (2, 3), (4, 5)))
+MOEBIUS_TORUS = [t for i in range(7) for t in ((i, (i + 1) % 7, (i + 3) % 7),
+                                               (i, (i + 2) % 7, (i + 3) % 7))]
+CHAIN_8 = [(i, i + 1, i + 2) for i in range(8)]
+
+
 @pytest.mark.parametrize("n, triples, chi, g, betti", [
-    (3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], 2, 3, (1, 0, 1)),
-    (5, list(product((0, 1), (2, 3), (4, 5))), 2, 5, (1, 0, 1)),
-    (6, [t for i in range(7) for t in ((i, (i + 1) % 7, (i + 3) % 7),
-                                       (i, (i + 2) % 7, (i + 3) % 7))], 0, 8, (1, 2, 1)),
+    (3, TETRAHEDRON, 2, 3, (1, 0, 1)),
+    (5, OCTAHEDRON, 2, 5, (1, 0, 1)),
+    (6, MOEBIUS_TORUS, 0, 8, (1, 2, 1)),
 ], ids=["tetrahedron", "octahedron", "moebius_torus"])
 def test_named_triangulations(n, triples, chi, g, betti):
     """The coordinate planes of the tetrahedron (a quartic K3 limit in P^3),
@@ -143,6 +156,61 @@ def test_named_triangulations(n, triples, chi, g, betti):
     inv = invariants_of(res.graph)
     assert (inv.chi, inv.p_omega, inv.K2_interval, inv.g) == (chi, 1, (0, 0), g)
     assert (inv.homology.h0, inv.homology.h1, inv.homology.h2) == betti
+
+
+def _link_tags(triples):
+    """The tag each vertex's link gives it, for links of at least three
+    triangles: E_n for a cycle of n, R_n for a path of n (its two ends are
+    in one triangle each)."""
+    tags = {}
+    for v in sorted({c for t in triples for c in t}):
+        link = [[c for c in t if c != v] for t in triples if v in t]
+        degree = Counter(c for edge in link for c in edge)
+        assert set(degree.values()) <= {1, 2}  # a path or a cycle
+        if len(link) >= 3:
+            tags[v] = ("E" if 1 not in degree.values() else "R") + str(len(link))
+    return tags
+
+
+HEXAGON_IN_P9 = [(0, i, i % 6 + 1) for i in range(1, 7)] + [
+    (1, 2, 7), (2, 3, 7), (3, 4, 8), (4, 5, 8), (5, 6, 9), (6, 1, 9)]
+
+
+@pytest.mark.parametrize("n, triples, tags", [
+    *[(k + 1, [(0, i, i + 1) for i in range(1, k + 1)], {0: f"R{k}"}) for k in range(3, 8)],
+    (9, HEXAGON_IN_P9, {0: "E6", 1: "R4", 2: "E4", 3: "R4", 4: "E4", 5: "R4", 6: "E4"}),
+    (9, CHAIN_8, {v: "R3" for v in range(2, 8)}),
+], ids=[*(f"fan{k}" for k in range(3, 8)), "hexagon", "chain8"])
+def test_point_types_read_off_the_links(n, triples, tags):
+    """Each singular point is the coordinate point e_v of a vertex v in at
+    least three triangles: R_n when v's link is a path of n triangles, E_n
+    when it is a cycle of n."""
+    res = constructions._coordinate_planes(n, triples)
+    got = {sp.point.coords.index(1): t.tag
+           for sp, t in zip(res.incidence.singular_points, res.report.types)}
+    assert all(sum(map(abs, sp.point.coords)) == 1 for sp in res.incidence.singular_points)
+    assert got == _link_tags(triples) == tags
+
+
+@pytest.mark.parametrize("n, triples, f0, f1", [
+    (3, TETRAHEDRON, 4, 6),
+    (5, OCTAHEDRON, 6, 12),
+    (6, MOEBIUS_TORUS, 7, 21),
+    (8, _grid_torus_triangles(3, 3), 9, 27),
+    (11, _grid_torus_triangles(3, 4), 12, 36),
+    (9, CHAIN_8, 10, 17),
+    (6, [((i - 1) % 7, i, (i + 1) % 7) for i in range(7)], 7, 14),
+], ids=["tetrahedron", "octahedron", "moebius_torus", "torus3x3", "torus3x4",
+        "chain8", "cycle7"])
+def test_quadric_hilbert_function_is_the_face_count(n, triples, f0, f1):
+    """h(2) of the union of coordinate planes, the rank of the conditions
+    for a quadric to contain every plane, is f_0 + f_1: one for each vertex
+    and each edge of the triangulation."""
+    res = constructions._coordinate_planes(n, triples)
+    edges = {pair for t in triples for pair in combinations(sorted(t), 2)}
+    assert (len({c for t in triples for c in t}), len(edges)) == (f0, f1)
+    _, rows = quadric_conditions([], res.arrangement.planes, n)
+    assert linalg.rank(rows) == f0 + f1
 
 
 class TestAttachHandle:
