@@ -214,21 +214,29 @@ def cmd_quadrics(args) -> int:
     return 0
 
 
-def _rref_by_distinct_columns(rows) -> tuple[tuple[int, ...], ...]:
-    """linalg.rref(rows), reducing each distinct column once.
+def _ranks_on_the_kernel(rows, extra) -> tuple[int, int]:
+    """(rank of rows, rank of rows stacked on extra), for rows = D E with D
+    its distinct columns in first-occurrence order and E the 0/1 spread of
+    each to its copies.
 
-    Equal columns fall in one class, numbered in first-occurrence order, so
-    rows = D E with D the matrix of distinct columns and E the 0/1 spread of
-    each class to its columns.  If U D = rref(D), then U rows = rref(D) E,
-    and that is already canonical: its pivots are the first occurrences of
-    D's pivot classes, so they increase, it is zero at the other rows'
-    pivots, and its entries are rref(D)'s, so its rows are primitive with
-    positive pivots.  Canonical rref is unique, so it is linalg.rref(rows).
+    The second rank is rank D plus the rank of extra on ker E, whose basis is
+    e_k - e_j for each column k that copies an earlier column j.  That is the
+    rank of the stack only when ker rows = ker E, that is when D has
+    independent columns; otherwise this raises InternalCheckError.
     """
-    classes = {}
-    spread = [classes.setdefault(col, len(classes)) for col in zip(*rows)]
-    return tuple([tuple([r[k] for k in spread])
-                  for r in linalg.rref(list(zip(*classes)))])
+    n = len(rows)
+    firsts = {}  # distinct column of rows -> extra's column under its first copy
+    lifted = []
+    for col in zip(*rows, *extra):
+        key, below = col[:n], col[n:]
+        if key in firsts:
+            lifted.append([a - b for a, b in zip(below, firsts[key])])
+        else:
+            firsts[key] = below
+    rank = linalg.rank(list(zip(*firsts)))
+    if rank != len(firsts):
+        raise InternalCheckError("the distinct columns of the conditions are dependent")
+    return rank, rank + linalg.rank(list(zip(*lifted)))
 
 
 def _run_quadric_oracle(d: int) -> tuple[int, int]:
@@ -237,13 +245,19 @@ def _run_quadric_oracle(d: int) -> tuple[int, int]:
     random codimension-3 subspace.  Each count is the number of quadric
     monomials minus the rank of the conditions; no kernel basis is built.
 
-    The curve's conditions are reduced once, exactly: monomials of equal
-    weight take equal values at every sample, and _rref_by_distinct_columns
-    reduces each distinct column once and spreads the rows back, which is
-    linalg.rref of the conditions.  Their rref rows span the same
-    conditions, so the second rank stacks them on the subspace's.
+    Monomials of equal weight take equal values at every sample, so the
+    curve's conditions are R = D E, with D the 2d + 1 distinct columns, one
+    per weight, and E the 0/1 spread of each weight to its monomials.  D is
+    a Vandermonde matrix at 2d + 2 distinct nodes, so its columns are
+    independent and ker R = ker E, spanned by e_mu - e_first for each
+    monomial mu after the first of its weight.  Hence rank [R; S] = rank D
+    + rank(S K), where K is that basis and S the subspace's conditions, and
+    the kernel ranks D and S K rather than the stack.  If D's columns were
+    dependent, ker R would be larger than ker E; _ranks_on_the_kernel
+    checks rank D against the number of weights and raises
+    InternalCheckError otherwise.
 
-    The subspace is the row span of [I | R], with the 3(d - 2) entries of R
+    The subspace is the row span of [I | A], with the 3(d - 2) entries of A
     drawn in [-9, 9].  The identity block makes its d - 2 rows independent,
     so it has codimension 3 with no redraw, and its rows are already its
     canonical basis; a random point of the Grassmannian's big cell is as
@@ -256,16 +270,15 @@ def _run_quadric_oracle(d: int) -> tuple[int, int]:
     samples = [
         ProjPoint([t**k for k in range(d + 1)]) for t in range(-(d + 1), d + 1)
     ]
-    monomials, rows = quadric_conditions(samples, [], d)
-    reduced = _rref_by_distinct_columns(rows)
-    count_all = len(monomials) - len(reduced)
+    monomials, curve = quadric_conditions(samples, [], d)
     rng = random.Random(0)
     sigma = Subspace(d, [
         [int(i == j) for j in range(d - 2)] + [rng.randint(-9, 9) for _ in range(3)]
         for i in range(d - 2)
     ])
     _, rows = quadric_conditions([], [sigma], d)
-    return count_all, len(monomials) - linalg.rank([*reduced, *rows])
+    rank, rank3 = _ranks_on_the_kernel(curve, rows)
+    return len(monomials) - rank, len(monomials) - rank3
 
 
 @functools.cache

@@ -538,7 +538,7 @@ class TestSmallCommands:
         assert "formula 2 = oracle 2" in out
 
     def test_quadrics_oracle_d12_pinned(self, capsys):
-        # the 80 x 91 evaluation system of the analyze workload's largest oracle
+        # the 55 x 66 kernel input of the analyze workload's largest oracle
         code, out, _ = run_cli(["quadrics", "--d", "12", "--g", "0", "--oracle"], capsys)
         assert code == 0
         assert out == (
@@ -607,7 +607,7 @@ def _oracle_inputs(d):
     return samples, sigma
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", range(2, 13))
 def test_quadric_oracle_rank_count_is_the_kernel_basis_size(d):
     samples, sigma = _oracle_inputs(d)
     assert _run_quadric_oracle(d) == (

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zappatic import _bareiss, cli, linalg
+from zappatic import _bareiss, cli, linalg, projective
+from zappatic.errors import InternalCheckError
 from zappatic.projective import PluckerPoint, ProjPoint, Subspace, plucker
 
 from oracles import (
@@ -444,10 +445,10 @@ def kernel_inputs(monkeypatch, argv):
 
 def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
     mats = kernel_inputs(monkeypatch, ["quadrics", "--d", "7", "--g", "0", "--oracle"])
-    # the curve's evaluation system's 15 distinct columns, reduced once; the
-    # codim-3 subspace; and the curve's 15 reduced rows, spread back to the
-    # 36 monomials, stacked on the subspace's 15 conditions
-    assert [(len(m), len(m[0])) for m in mats] == [(16, 15), (5, 8), (30, 36)]
+    # the codim-3 subspace; the curve's evaluation system's 15 distinct
+    # columns, ranked; and the subspace's 15 conditions on the 21 differences
+    # of monomials of equal weight that span the curve's kernel
+    assert [(len(m), len(m[0])) for m in mats] == [(5, 8), (16, 15), (15, 21)]
     for m in mats:
         assert_pure_kernel_matches_references(m)
 
@@ -466,22 +467,45 @@ def matrices_with_repeated_columns(draw):
 
 
 @settings(max_examples=300)
-@given(matrices_with_repeated_columns())
-def test_distinct_column_rref_spread_back_is_the_rref(m):
-    ours = cli._rref_by_distinct_columns(m)
-    assert ours == linalg.rref(m)
-    ref = frac_rref(m)
-    assert len(ours) == len(ref)
-    for a, b in zip(ours, ref):
-        piv = next(x for x in a if x)
-        assert piv > 0 and [Fraction(x, piv) for x in a] == b
+@given(matrices_with_repeated_columns(), st.data())
+def test_ranks_on_the_kernel_are_the_stacked_ranks(m, data):
+    # a matrix with no rows keeps no column count: draw one
+    cols = list(zip(*m)) if m else [()] * data.draw(st.integers(1, 3))
+    row = st.lists(st.integers(-4, 4), min_size=len(cols), max_size=len(cols))
+    # a 0/1 row per class of equal columns keeps the classes and makes the
+    # distinct columns independent, negated and zero ones included
+    classes = list(dict.fromkeys(cols))
+    tagged = [*m, *([int(col == c) for col in cols] for c in classes)]
+    for rows in (m, tagged):
+        # rows in the row span of rows vanish on its kernel, so a lift off
+        # the kernel adds rank
+        combos = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                             max_size=len(rows)), max_size=3))
+        extra = [[sum(c * r[k] for c, r in zip(cs, rows)) for k in range(len(cols))]
+                 for cs in combos]
+        extra += data.draw(st.lists(row, min_size=1, max_size=3))
+        if bareiss_rank(rows) < len(classes):
+            with pytest.raises(InternalCheckError, match="distinct columns"):
+                cli._ranks_on_the_kernel(rows, extra)
+        else:
+            assert cli._ranks_on_the_kernel(rows, extra) == (
+                bareiss_rank(rows), bareiss_rank([*rows, *extra]))
 
 
-def test_distinct_column_rref_merges_only_equal_columns():
-    # a negated column is a class of its own
-    assert cli._rref_by_distinct_columns([[1, -1, 1], [2, -2, 2]]) == ((1, -1, 1),)
-    assert cli._rref_by_distinct_columns([[0, 3, 0, 3], [1, 0, 1, 0]]) == (
-        (1, 0, 1, 0), (0, 1, 0, 1))
+def test_ranks_on_the_kernel_refuse_dependent_distinct_columns(monkeypatch):
+    # a negated column is a class of its own, so the classes (1, 2) and
+    # (-1, -2) are dependent
+    for m in ([[1, 2, 1], [2, 4, 2]], [[1, -1, 1], [2, -2, 2]]):
+        with pytest.raises(InternalCheckError, match="distinct columns"):
+            cli._ranks_on_the_kernel(m, [[1, 0, 0]])
+    monkeypatch.setattr(projective, "quadric_conditions",
+                        lambda samples, _subspaces, _d: (
+                            range(3), [[1, 2, 1], [2, 4, 2]] if samples else [[1, 0, 0]]))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["quadrics", "--d", "3", "--g", "0", "--oracle"]) == 4
+    assert err.getvalue() == (
+        "internal error: the distinct columns of the conditions are dependent\n")
 
 
 def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
