@@ -69,7 +69,15 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     meets some plane producing p in p, or in a double line that crosses
     another one at p on a common plane, so the planes through p are the
     planes of the meets that produce p, and the local edges at p are the
-    double lines whose two planes both pass through p.
+    double lines whose two planes both pass through p.  Those are read off
+    the table of each plane's double lines by neighbour, so a point costs
+    the double lines of its own planes, not a scan of all of them.
+
+    Only pairs of planes that share a coordinate are met.  Every vector of
+    a subspace is zero off its support, so planes with disjoint supports
+    meet in nothing and record nothing: no double line, no point meet.  The
+    coordinate planes of a triangulation share a coordinate only when
+    their triangles share a vertex, so their pairs are mostly skipped.
 
     The crossings are read off the pair table, with one exception.  Double
     lines (s, u) and (s, w) lie in the plane P_s and cross there.  If they
@@ -99,10 +107,14 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     old = IncidenceData((), (), ()) if base is None else base
     k = max((j + 1 for _, j, _ in old.double_lines + old.point_meets), default=0)
     v = len(arr)
+    supports = [plane.support for plane in arr.planes]
     new_lines = []
     new_points = []
     for i in range(v):
+        support = supports[i]
         for j in range(max(i + 1, k), v):
+            if support.isdisjoint(supports[j]):
+                continue
             inter = meet(arr.planes[i], arr.planes[j])
             if inter.dim == 1:
                 new_lines.append((i, j, inter))
@@ -114,7 +126,10 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     through: dict[tuple[int, ...], tuple[ProjPoint, set[int]]] = {
         sp.point.coords: (sp.point, set(sp.incident_planes)) for sp in old.singular_points
     }
-    lines_at = [{} for _ in range(v)]  # neighbour -> double line, per plane
+    # neighbour -> double line, per plane, in increasing order of neighbour:
+    # double_lines is sorted, so plane i's lines (u, i), u < i, come before
+    # its lines (i, w), each in increasing order
+    lines_at = [{} for _ in range(v)]
     for i, j, line in double_lines:
         lines_at[i][j] = lines_at[j][i] = line
     for i, j, p in point_meets:
@@ -132,9 +147,11 @@ def compute_incidence(arr: Arrangement, base: IncidenceData | None = None) -> In
     points = []
     for key in sorted(through):
         p, planes = through[key]
-        edges = tuple((i, j) for i, j, _ in double_lines if i in planes and j in planes)
+        order = sorted(planes)
+        # in the order of double_lines
+        edges = tuple([(i, j) for i in order for j in lines_at[i] if j > i and j in planes])
         # sorted: the iteration order of a scan over the planes
-        points.append(SingularPoint(p, frozenset(sorted(planes)), edges))
+        points.append(SingularPoint(p, frozenset(order), edges))
     return IncidenceData(tuple(double_lines), tuple(point_meets), tuple(points))
 
 
@@ -239,7 +256,8 @@ def classify_point(
       * if P3 lay in that P^3, P1 and P3 would meet in a line; so P3, which
         shares a line with P2, adds exactly one dimension.
     For forks, 3-cycles and longer chains the pairwise meets do not decide
-    the span, and it is ranked.
+    the span, and it is ranked on the union of the planes' supports: every
+    other column of the stacked bases is zero and adds nothing to the rank.
     """
     sp = inc.singular_points[point_index]
     planes = sorted(sp.incident_planes)
@@ -256,7 +274,8 @@ def classify_point(
     if shape_name == "chain" and n == 3:
         span_dim = 4
     else:
-        span_dim = linalg.rank([row for i in planes for row in arr.planes[i].basis]) - 1
+        get = itemgetter(*sorted(frozenset().union(*(arr.planes[i].support for i in planes))))
+        span_dim = linalg.rank([get(row) for i in planes for row in arr.planes[i].basis]) - 1
     if span_dim != n + excess:
         return SingularityType("NonZappatic", n, "span too small")
     return SingularityType(kind, n, vertex_order=order)

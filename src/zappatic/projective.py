@@ -89,8 +89,8 @@ class Subspace:
     def support(self) -> frozenset[int]:
         """Coordinates that are nonzero somewhere on the subspace.
 
-        Computed once per subspace, and not a field, so equality, hashing
-        and repr see the basis alone.
+        Computed once per subspace, or set by coordinate_subspace, and not a
+        field, so equality, hashing and repr see the basis alone.
         """
         return frozenset(c for c, col in enumerate(zip(*self.basis)) if any(col))
 
@@ -183,14 +183,18 @@ def coordinate_subspace(ambient_dim: int, coords) -> Subspace:
     """The subspace spanned by the unit vectors e_c, c in coords.
 
     Its canonical basis is those unit rows in increasing order of c, so it
-    is set directly.
+    is set directly, and so is its support, the set of those c, which
+    would otherwise be read off every column of the basis.
     """
+    coords = sorted(coords)
     basis = []
-    for c in sorted(coords):
+    for c in coords:
         row = [0] * (ambient_dim + 1)
         row[c] = 1
         basis.append(tuple(row))
-    return _canonical(ambient_dim, basis)
+    s = _canonical(ambient_dim, basis)
+    object.__setattr__(s, "support", frozenset(coords))
+    return s
 
 
 def _reduced_columns(a, b, b_cols):

@@ -29,6 +29,10 @@ disjoint-pair reference meets every pair of central planes, where the
 constructions read contacts off the incidence.
 The reference writer builds the file's object for json.dumps, which
 serialize.dumps replaces with its own string joins.
+The coordinate changes, invertible by frac_rank, and the moved copy of an
+arrangement put it in a random integer frame with its planes in any order,
+where every support is full and every sparse shortcut gives way to the
+dense route.
 The Euler-characteristic formula and the parameter count are the second and
 third routes to invariants.hilbert_dim.  The Klein form is the quadric that
 projective.klein_value evaluates, as a matrix.  The transversality check
@@ -38,6 +42,7 @@ constructions._attach_pair runs while it samples, redone from the record.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -139,6 +144,32 @@ def bareiss_rref(rows):
             if q:
                 m[a] = [p * x - q * y for x, y in zip(m[a], m[i])]
     return tuple(frac_primitive(m[i]) for i in range(k))
+
+
+def coordinate_changes(n, seed, bound, count=10):
+    """count random invertible (n+1) x (n+1) integer matrices, entries
+    in [-bound, bound]."""
+    rng = random.Random(seed)
+    while count:
+        m = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(n + 1)]
+        if frac_rank(m) == n + 1:
+            count -= 1
+            yield m
+
+
+def moved(arr, m, order=None):
+    """arr with every basis row x of every plane replaced by m x, and with
+    its planes listed in order, a permutation of their indices (default:
+    as they are)."""
+    from zappatic.arrangement import Arrangement
+    from zappatic.projective import Subspace
+
+    n = arr.ambient_dim
+    planes = arr.planes if order is None else [arr.planes[i] for i in order]
+    return Arrangement(n, [
+        Subspace(n, [[sum(a * x for a, x in zip(mrow, row)) for mrow in m] for row in p.basis])
+        for p in planes
+    ])
 
 
 def frac_primitive(vec):

@@ -1,21 +1,25 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from oracles import frac_rank
+from oracles import coordinate_changes, frac_rank, moved
 from test_acceptance import GRID
+from test_constructions import MOEBIUS_TORUS, OCTAHEDRON, TETRAHEDRON, _grid_torus_triangles
 from test_golden import LEDGER_CASES
-from zappatic import arrangement, linalg
+from zappatic import arrangement, constructions, linalg
 from zappatic.arrangement import (
     Arrangement,
     classify_point,
     compute_incidence,
     zappatic_report,
 )
-from zappatic.constructions import build_X, build_Z, cycle_planes
+from zappatic.complexes import build_dual_graph
+from zappatic.constructions import build_X, build_Y, build_Z, cycle_planes
 from zappatic.errors import RangeError
+from zappatic.invariants import invariants_of
 from zappatic.projective import Subspace, meet
 
 
@@ -49,26 +53,6 @@ def cyclic_triple_in_p3():
     b = plane([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
     c = plane([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], 3)
     return Arrangement(3, [a, b, c])
-
-
-def coordinate_changes(n, seed, bound, count=10):
-    """count random invertible (n+1) x (n+1) integer matrices, entries
-    in [-bound, bound]."""
-    rng = random.Random(seed)
-    while count:
-        m = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(n + 1)]
-        if linalg.rank(m) == n + 1:
-            count -= 1
-            yield m
-
-
-def moved(arr, m):
-    """arr with every basis row x of every plane replaced by m x."""
-    n = arr.ambient_dim
-    return Arrangement(n, [
-        Subspace(n, [[sum(a * x for a, x in zip(mrow, row)) for mrow in m] for row in p.basis])
-        for p in arr.planes
-    ])
 
 
 def meets(monkeypatch):
@@ -109,14 +93,22 @@ class TestIncidence:
         assert inc.singular_points == ()
 
     @pytest.mark.parametrize(
-        "build", [lambda: build_X(16, 4, 0), lambda: build_Z(14, 4, 0)], ids=["X16", "Z14"]
+        "build, disjoint",
+        [(lambda: build_X(16, 4, 0), 37), (lambda: build_Z(14, 4, 0), 0)],
+        ids=["X16", "Z14"],
     )
-    def test_triangle_free_build_meets_only_plane_pairs(self, build, monkeypatch):
+    def test_triangle_free_build_meets_only_plane_pairs(self, build, disjoint, monkeypatch):
         """With no triangle of double lines, every crossing of two double
         lines is the point of a point meet, so the incidence meets the plane
-        pairs and no two lines: all C(v,2) pairs from scratch, and the v-1
-        pairs with the last plane when grown from the others."""
+        pairs and no two lines.  Planes with disjoint supports meet in
+        nothing and are not met: the C(v,2) pairs less the disjoint ones
+        from scratch, and the pairs of the last plane with the others that
+        share a coordinate with it when grown from those others."""
         arr = build().arrangement
+        sup = [p.support for p in arr.planes]
+        v = len(arr)
+        overlapping = [(i, j) for i, j in combinations(range(v), 2) if sup[i] & sup[j]]
+        assert len(overlapping) == v * (v - 1) // 2 - disjoint
         inc = compute_incidence(arr)
         neighbours = [set() for _ in arr.planes]
         for i, j, _ in inc.double_lines:
@@ -125,12 +117,11 @@ class TestIncidence:
         assert not any(neighbours[i] & neighbours[j] for i, j, _ in inc.double_lines)
         base = compute_incidence(Arrangement(arr.ambient_dim, arr.planes[:-1]))
         met = meets(monkeypatch)
-        v = len(arr)
         assert compute_incidence(arr) == inc
-        assert met == [(2, 2)] * (v * (v - 1) // 2)
+        assert met == [(2, 2)] * len(overlapping)
         met.clear()
         assert compute_incidence(arr, base) == inc
-        assert met == [(2, 2)] * (v - 1)
+        assert met == [(2, 2)] * sum(j == v - 1 for _, j in overlapping)
 
     def test_triangle_meets_two_of_its_lines(self, monkeypatch):
         """The E_3 triple is a triangle of double lines, whose point is no
@@ -343,6 +334,61 @@ class TestProjectiveInvariance:
         assert tags(arr) == expected
         for m in coordinate_changes(arr.ambient_dim, seed=7, bound=3):
             assert tags(moved(arr, m)) == expected
+
+
+def relabelled(graph, name):
+    """The dual graph with vertex x named name[x], as its vertex count, its
+    sorted edges and the multisets of its 2-cells, open faces and angles,
+    each cell the sorted tuple of its edges' vertex pairs."""
+    def pair(k):
+        a, b = graph.edges[k]
+        return tuple(sorted((name[a], name[b])))
+
+    def cells(faces):
+        return Counter(tuple(sorted(map(pair, face))) for face in faces)
+
+    return (graph.num_vertices, sorted(map(pair, range(graph.num_edges))),
+            cells(graph.two_cells), cells(graph.open_faces), cells(graph.angles))
+
+
+def _coordinate(n, triples):
+    return lambda: constructions._coordinate_planes(n, triples)
+
+
+@pytest.mark.parametrize("seed, build", [
+    (1, lambda: build_X(8, 2, 0)),
+    (2, lambda: build_X(12, 3, 1)),
+    (3, lambda: build_X(16, 4, 2)),
+    (4, lambda: build_Y(13, 3, 0)),
+    (5, lambda: build_Z(14, 4, 0)),
+    (6, _coordinate(3, TETRAHEDRON)),
+    (7, _coordinate(5, OCTAHEDRON)),
+    (8, _coordinate(6, MOEBIUS_TORUS)),
+    (9, _coordinate(19, _grid_torus_triangles(4, 5))),
+], ids=["X(8,2)", "X(12,3)", "X(16,4)", "Y(13,3)", "Z(14,4)",
+        "tetrahedron", "octahedron", "moebius_torus", "torus_4x5"])
+def test_whole_pipeline_invariant_under_coordinate_change_and_plane_order(seed, build):
+    """A random integer change of coordinates fills every support, so the
+    moved copy takes the dense route through every sparse shortcut, and a
+    random plane order changes the side each meet reduces and which pairs
+    come first.  The copy has the original's answers: whether it is
+    Zappatic, its violations, its point types, the invariants and homology
+    of its dual complex, and that complex itself, up to the plane order."""
+    res = build()
+    arr = res.arrangement
+    [m] = coordinate_changes(arr.ambient_dim, seed=seed, bound=2, count=1)
+    order = list(range(len(arr)))
+    random.Random(seed).shuffle(order)
+    copy = moved(arr, m, order)
+    inc = compute_incidence(copy)
+    report = zappatic_report(copy, inc)
+    assert report.is_zappatic == res.report.is_zappatic
+    assert len(report.violations) == len(res.report.violations)
+    assert Counter(t.tag for t in report.types) == Counter(t.tag for t in res.report.types)
+    graph = build_dual_graph(copy, inc, report)
+    assert invariants_of(graph) == invariants_of(res.graph)
+    position = {i: k for k, i in enumerate(order)}
+    assert relabelled(graph, range(len(arr))) == relabelled(res.graph, position)
 
 
 def test_r3_points_of_the_builds_span_a_p4():

@@ -116,11 +116,13 @@ def _grid_torus_triangles(n, m):
         (v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
 
 
-@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 5)])
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 5), (20, 20)])
 def test_coordinate_torus_equals_the_abstract_torus(n, m):
     """The coordinate planes of a triangulated torus in P^(nm-1), built as
     chains and cycles are, have nm E_6 points and the cell counts,
-    invariants and homology of build_torus_complex(n, m)."""
+    invariants and homology of build_torus_complex(n, m).  At 20 x 20, 800
+    planes in P^399, all but 4,800 of the 319,600 plane pairs have disjoint
+    supports and are not met."""
     res = constructions._coordinate_planes(n * m - 1, _grid_torus_triangles(n, m))
     assert res.report.is_zappatic
     assert (res.report.f_counts, res.report.r_counts, res.report.s_counts) == (

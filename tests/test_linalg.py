@@ -536,9 +536,11 @@ def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
     assert reduced and {(len(m), len(m[0])) for m in reduced} <= {(3, 6), (3, 7)}
     assert len(set(reduced)) == len(reduced)
     # classify_point's twelve-row span stacks of the four planes at each of
-    # the four S_4 points; an R_3 point's span is forced, so no nine-row
-    # stack of three planes reaches the kernel
-    assert ranked == [(12, 7)] * 4
+    # the four S_4 points, on the columns where those planes are not all
+    # zero: the first two points' planes miss one of P^6's seven coordinates;
+    # an R_3 point's span is forced, so no nine-row stack of three planes
+    # reaches the kernel
+    assert ranked == [(12, 6), (12, 6), (12, 7), (12, 7)]
     assert not any(nr == 9 for nr, _ in shapes)
     for m in mats:
         assert_pure_kernel_matches_references(m)

@@ -867,6 +867,7 @@ class TestEquationCalls:
         dense = span([random_point(rng, n + 1) for _ in range(len(coords))], n)
         with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as ns:
             for s in (coordinate_subspace(n, coords), Subspace(n, [e(c, n + 1).coords for c in coords])):
+                assert s.support == frozenset(coords)
                 assert s.equations == ()
                 assert s.contains_point(e(coords[0], n + 1))
                 assert s.contains(span([e(c, n + 1) for c in coords], n))
