@@ -203,6 +203,20 @@ def _graph_shape(vertices, edges):
 
     order: for a chain the path from one end, for a cycle a closed walk,
     for a fork the center followed by the sorted leaves.
+
+    The edges join distinct vertices.  One pass over the degrees names the
+    only shape the graph can take, and one walk, which never steps back to
+    the vertex it came from, confirms a chain or a cycle:
+      * n - 1 edges and two leaves: a chain exactly when the walk from the
+        smaller leaf meets n distinct vertices, since its n - 1 steps are
+        then all the edges;
+      * n >= 3 edges and no leaf: a cycle exactly when the walk from the
+        smallest vertex meets n distinct vertices, since the one edge off
+        that path must then join its two ends, each of which needs a
+        second edge;
+      * n - 1 >= 3 edges and n - 1 leaves: a fork, with no walk, since the
+        leaves hold n - 1 of the 2(n - 1) edge ends and the other vertex
+        the other n - 1, so every edge joins a leaf to that vertex.
     """
     adj = {v: [] for v in vertices}
     for a, b in edges:
@@ -210,29 +224,25 @@ def _graph_shape(vertices, edges):
         adj[b].append(a)
     n = len(vertices)
     ne = len(edges)
-    if len(set(edges)) != ne or count_components(vertices, edges) != 1:
+    leaves = [v for v in vertices if len(adj[v]) == 1]
+    if ne == n - 1 and len(leaves) == 2:
+        shape, first = "chain", min(leaves)
+    elif ne == n >= 3 and not leaves:
+        shape, first = "cycle", min(vertices)
+    elif ne == n - 1 >= 3 and len(leaves) == n - 1:
+        center = next(v for v in vertices if len(adj[v]) != 1)
+        return "fork", (center, *sorted(leaves))
+    else:
         return None
-
-    def walk(first):
-        order = [first]
-        prev = None
-        while len(order) < n:
-            nxt = next(y for y in adj[order[-1]] if y != prev)
-            prev = order[-1]
-            order.append(nxt)
-        return tuple(order)
-
-    deg = {v: len(adj[v]) for v in vertices}
-    degs = sorted(deg.values())
-    if ne == n - 1 and degs == [1, 1] + [2] * (n - 2):
-        return "chain", walk(min(v for v in vertices if deg[v] == 1))
-    if ne == n and degs == [2] * n:
-        return "cycle", walk(min(vertices))
-    if ne == n - 1 and n >= 4 and degs == [1] * (n - 1) + [n - 1]:
-        center = next(v for v in vertices if deg[v] == n - 1)
-        leaves = sorted(v for v in vertices if v != center)
-        return "fork", tuple([center] + leaves)
-    return None
+    order = [first]
+    prev = None
+    for _ in range(n - 1):
+        nxt = next((y for y in adj[order[-1]] if y != prev), None)
+        if nxt is None:
+            return None
+        prev = order[-1]
+        order.append(nxt)
+    return (shape, tuple(order)) if len(set(order)) == n else None
 
 
 # local graph shape -> (type, required span dimension minus n)

@@ -39,8 +39,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 
+from zappatic import linalg
 from zappatic.arrangement import (
     Arrangement,
     IncidenceData,
@@ -56,6 +59,7 @@ from zappatic.projective import (
     Subspace,
     coordinate_subspace,
     meet,
+    meet_dim,
     span,
     span_subspaces,
 )
@@ -80,15 +84,21 @@ class ConstructionResult:
     arrangement: Arrangement
     incidence: IncidenceData
     report: ZappaticReport
-    graph: DualGraph
     attachments: tuple[AttachmentRecord, ...]
     discrepancies: tuple[str, ...] = ()
     family: str = ""
     seed: int | None = None
 
+    @cached_property
+    def graph(self) -> DualGraph:
+        """The dual graph, built on first read: a build reads only the
+        graph of the result it returns, never those of its intermediates."""
+        return build_dual_graph(self.arrangement, self.incidence, self.report)
+
     @property
     def num_edges(self) -> int:
-        return self.graph.num_edges
+        """One edge of the dual graph per double line."""
+        return len(self.incidence.double_lines)
 
     @property
     def d(self) -> int:
@@ -109,8 +119,7 @@ def _finish(arr, attachments=(), inc=None, report=None) -> ConstructionResult:
         report = zappatic_report(arr, inc)
     if not report.is_zappatic:
         raise InternalCheckError(f"construction produced violations: {report.violations}")
-    graph = build_dual_graph(arr, inc, report)
-    return ConstructionResult(arr, inc, report, graph, tuple(attachments))
+    return ConstructionResult(arr, inc, report, tuple(attachments))
 
 
 def _named(result, family, d, g, seed=None, note=None) -> ConstructionResult:
@@ -168,21 +177,22 @@ def cycle_planes(d: int) -> ConstructionResult:
 def _random_point_in(sub: Subspace, rng: random.Random) -> ProjPoint:
     while True:
         coeffs = [rng.randint(-SAMPLE_HEIGHT, SAMPLE_HEIGHT) for _ in sub.basis]
-        vec = [
-            sum(c * row[k] for c, row in zip(coeffs, sub.basis))
-            for k in range(sub.ambient_dim + 1)
-        ]
+        vec = [sum(map(mul, coeffs, col)) for col in zip(*sub.basis)]
         if any(vec):
             return ProjPoint(vec)
 
 
 def _line_in(plane: Subspace, anchor: ProjPoint | None, avoid, rng) -> Subspace:
     """A line in ``plane`` through the anchor (or a sampled point when there
-    is none) and a second sampled point, holding no point of ``avoid``."""
+    is none) and a second sampled point, holding no point of ``avoid``.
+
+    A point lies on the line when it adds nothing to the rank of the line's
+    two rows, so each try ranks one stacked matrix per avoided point and
+    takes no equations of a line it may throw away."""
     while True:
         first = anchor if anchor is not None else _random_point_in(plane, rng)
         line = span([first, _random_point_in(plane, rng)], plane.ambient_dim)
-        if line.dim == 1 and not any(line.contains_point(p) for p in avoid):
+        if line.dim == 1 and all(linalg.rank([*line.basis, p.coords]) == 3 for p in avoid):
             return line
 
 
@@ -330,13 +340,15 @@ def _attach_pair(
                 if pi.contains(arr.planes[k]):
                     raise _Retry(f"3-space meets plane {k} beyond the chosen line")
                 continue
-            inter = meet(pi, arr.planes[k])
-            if inter.dim >= 1:
-                if inter.dim == 1 and (
-                    pi.dim == n - 1 or (anchored and inter == span(anchors, n))
+            # the meet itself is built only to compare a line with the anchors' line
+            dim = meet_dim(pi, arr.planes[k])
+            if dim >= 1:
+                if dim == 1 and (
+                    pi.dim == n - 1
+                    or (anchored and meet(pi, arr.planes[k]) == span(anchors, n))
                 ):
                     continue
-                raise _Retry(f"3-space meets plane {k} in dimension {inter.dim}")
+                raise _Retry(f"3-space meets plane {k} in dimension {dim}")
         x1 = _sample_on_line(line1, anchors[0], rng)
         x2 = _sample_on_line(line2, anchors[1], rng)
         w_l2 = span_subspaces([line2, span([x1], n)], n)  # plane through l2 and the transversal

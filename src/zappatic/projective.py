@@ -312,6 +312,30 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     canonical basis row, and they are set as they are.  One vector c needs
     no rref: primitive(c.B) is the one canonical row, with its sign fixed.
     """
+    got = _meet_kernel(a, b)
+    if isinstance(got, Subspace):
+        return got
+    b_cols, kernel = got
+    images = [[sum(map(mul, v, col)) for col in b_cols] for v in kernel]
+    return _canonical(a.ambient_dim, [linalg.primitive(row) for row in images])
+
+
+def meet_dim(a: Subspace, b: Subspace) -> int:
+    """meet(a, b).dim, from meet's shortcuts and kernel alone: x -> x.B is
+    injective on the kernel (see meet), so the meet has one dimension per
+    kernel vector, and its canonical rows, with their products and
+    contents, are never formed."""
+    got = _meet_kernel(a, b)
+    if isinstance(got, Subspace):
+        return got.dim
+    return len(got[1]) - 1
+
+
+def _meet_kernel(a: Subspace, b: Subspace):
+    """The part of meet that meet_dim shares: the meet itself when one of
+    the two shortcuts decides it, and otherwise (b_cols, kernel), the
+    columns of the side b with fewer rows and the rref of the left kernel
+    of the reduced matrix R."""
     _check_same_ambient(a, b)
     if a.support.isdisjoint(b.support):
         return _canonical(a.ambient_dim, ())
@@ -323,13 +347,9 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     b_cols = list(zip(*b.basis))
     cols = _reduced_columns(a, b, b_cols)
     if m <= 3:
-        kernel = _small_kernel(cols, m)
-    else:
-        kernel = linalg.nullspace(list(cols), ncols=m)
-        if len(kernel) > 1:
-            kernel = linalg.rref(kernel)
-    images = [[sum(map(mul, v, col)) for col in b_cols] for v in kernel]
-    return _canonical(a.ambient_dim, [linalg.primitive(row) for row in images])
+        return b_cols, _small_kernel(cols, m)
+    kernel = linalg.nullspace(list(cols), ncols=m)
+    return b_cols, linalg.rref(kernel) if len(kernel) > 1 else kernel
 
 
 @dataclass(frozen=True)

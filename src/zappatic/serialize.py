@@ -102,9 +102,12 @@ def dumps(arr: Arrangement, metadata: dict | None = None) -> str:
     outside int64.  The plane list is joined here; ambient_dim and metadata
     go through json.dumps.  A JSON string holds no raw newline, so indenting
     every line of the metadata text by one space nests it one level down.
+    The coordinate planes of a build share their unit rows, each row with
+    up to two other planes, so each distinct row is rendered once.
     """
+    text = {row: _row_text(row) for row in {row for p in arr.planes for row in p.basis}}
     planes = _list_text([
-        _list_text([_row_text(row) for row in p.basis], 2) for p in arr.planes
+        _list_text([text[row] for row in p.basis], 2) for p in arr.planes
     ], 1)
     fields = [f'"ambient_dim": {json.dumps(arr.ambient_dim)}']
     if metadata:

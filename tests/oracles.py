@@ -16,7 +16,9 @@ planes the same way, which classify_point reads off the local graph for a
 chain of three.  The report-against-complex check compares a report's
 point counts with the cells that complexes.build_dual_graph made from its
 types, and reads each central plane off the local edges rather than the
-vertex order.  The chain feasibility reference is
+vertex order.  The local-graph reference classifies by
+union-find and a sorted degree list, where arrangement._graph_shape
+makes one degree pass and one walk.  The chain feasibility reference is
 the depth-first search over all placements that scrolls.chain_feasible
 replaced with a direct witness; it costs 2^a.  The strip walk counts the
 triangles at every vertex of both directrices of a placement's triangulated
@@ -386,6 +388,47 @@ def dfs_components(num_vertices, edges):
                     seen.add(y)
                     stack.append(y)
     return count
+
+
+def graph_shape(vertices, edges):
+    """The local-graph classifier that arrangement._graph_shape replaced:
+    ('chain'|'cycle'|'fork', order) or None, deciding connectivity by
+    union-find and the shape by the sorted degree list.
+
+    order: for a chain the path from one end, for a cycle a closed walk,
+    for a fork the center followed by the sorted leaves.
+    """
+    from zappatic.arrangement import count_components
+
+    adj = {v: [] for v in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    n = len(vertices)
+    ne = len(edges)
+    if len(set(edges)) != ne or count_components(vertices, edges) != 1:
+        return None
+
+    def walk(first):
+        order = [first]
+        prev = None
+        while len(order) < n:
+            nxt = next(y for y in adj[order[-1]] if y != prev)
+            prev = order[-1]
+            order.append(nxt)
+        return tuple(order)
+
+    deg = {v: len(adj[v]) for v in vertices}
+    degs = sorted(deg.values())
+    if ne == n - 1 and degs == [1, 1] + [2] * (n - 2):
+        return "chain", walk(min(v for v in vertices if deg[v] == 1))
+    if ne == n and degs == [2] * n:
+        return "cycle", walk(min(vertices))
+    if ne == n - 1 and n >= 4 and degs == [1] * (n - 1) + [n - 1]:
+        center = next(v for v in vertices if deg[v] == n - 1)
+        leaves = sorted(v for v in vertices if v != center)
+        return "fork", tuple([center] + leaves)
+    return None
 
 
 def walk_signs(edges, cell):

@@ -12,7 +12,7 @@ import pytest
 
 from zappatic import linalg
 from zappatic.arrangement import compute_incidence
-from zappatic.complexes import build_torus_complex, homology
+from zappatic.complexes import build_dual_graph, build_torus_complex, homology
 from zappatic.constructions import (
     build_X,
     build_Z,
@@ -73,6 +73,12 @@ def test_criterion_01_construction_counts(grid_results):
 def test_report_counts_and_centrals_match_the_dual_complex(grid_results):
     for key, res in grid_results.items():
         assert not report_disagreements(res.incidence, res.report, res.graph), key
+
+
+def test_lazy_graph_is_the_dual_graph_of_the_build(grid_results):
+    for key, res in grid_results.items():
+        assert res.graph == build_dual_graph(res.arrangement, res.incidence, res.report), key
+        assert res.num_edges == res.graph.num_edges, key
 
 
 def test_disjoint_central_pair_matches_plane_meets(grid_results):

@@ -2,16 +2,18 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
-from oracles import coordinate_changes, frac_rank, moved
+from oracles import coordinate_changes, frac_rank, graph_shape, moved
 from test_acceptance import GRID
 from test_constructions import MOEBIUS_TORUS, OCTAHEDRON, TETRAHEDRON, _grid_torus_triangles
 from test_golden import LEDGER_CASES
 from zappatic import arrangement, constructions, linalg
 from zappatic.arrangement import (
     Arrangement,
+    _graph_shape,
     classify_point,
     compute_incidence,
     zappatic_report,
@@ -298,6 +300,29 @@ class TestClassification:
             f"double line of planes ({i},{j}) lies on 4 planes"
             for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         ]
+
+
+def test_graph_shape_matches_the_union_find_reference():
+    """_graph_shape against the classifier it replaced, on every edge list
+    over at most six vertices: each edge written low-high, each written
+    high-low, and with its first edge repeated.  The labels are not
+    positions and are listed out of order, so the ends, a cycle's start
+    and a fork's leaves are found by value."""
+    labels = [7, 2, 11, 0, 5, 13]
+    shapes = Counter()
+    for n in range(len(labels) + 1):
+        vertices = labels[:n]
+        pairs = list(combinations(sorted(vertices), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            for listed in (edges, [(b, a) for a, b in edges], edges[:1] + edges):
+                got = _graph_shape(vertices, listed)
+                assert got == graph_shape(vertices, listed), listed
+                shapes[got and got[0]] += 1
+    # labelled paths, cycles and stars on 2..6 vertices, each listed twice
+    assert shapes["chain"] == 2 * sum(factorial(n) // 2 for n in range(2, 7))
+    assert shapes["cycle"] == 2 * sum(factorial(n - 1) // 2 for n in range(3, 7))
+    assert shapes["fork"] == 2 * sum(n for n in range(4, 7))
 
 
 class TestProjectiveInvariance:

@@ -1,9 +1,11 @@
+import contextlib
+import io
 from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
-from zappatic import constructions, linalg
+from zappatic import cli, complexes, constructions, linalg
 from zappatic.constructions import (
     attach_handle,
     build_X,
@@ -14,13 +16,14 @@ from zappatic.constructions import (
     cycle_planes,
     first_disjoint_central_pair,
 )
-from zappatic.complexes import build_torus_complex
+from zappatic.complexes import build_dual_graph, build_torus_complex
 from zappatic.errors import GenericityError, RangeError
 from zappatic.invariants import invariants_of
 from zappatic.projective import (
     ProjPoint,
     Subspace,
     meet,
+    meet_dim,
     quadric_conditions,
     span,
     span_subspaces,
@@ -443,6 +446,25 @@ class TestCycleFromChain:
         inv = invariants_of(res.graph)
         assert (inv.g, inv.chi, inv.p_omega) == (1, 0, 0)
 
+    def test_d5_tolerates_the_line_by_dimension(self, monkeypatch):
+        """In P^4 the 3-space of the free lines is a hyperplane: it meets the
+        chain's central plane in a line, which the check accepts from its
+        dimension alone, with no meet built."""
+        seen = []
+
+        def recorded(a, b):
+            seen.append((a.ambient_dim, a.dim, meet_dim(a, b)))
+            return seen[-1][2]
+
+        def no_meet(a, b):
+            raise AssertionError("a free-line attachment builds a meet")
+
+        monkeypatch.setattr(constructions, "meet_dim", recorded)
+        monkeypatch.setattr(constructions, "meet", no_meet)
+        res = cycle_from_chain(5, seed=21)
+        assert (4, 3, 1) in seen
+        assert meet(res.attachments[0].span_pi, res.arrangement.planes[1]).dim == 1
+
 
 class TestTransversalityReport:
     def test_flags_contained_plane(self):
@@ -550,6 +572,50 @@ class TestCrossModuleConsistency:
                 for a, b in sp.local_edges:
                     assert (min(a, b), max(a, b)) in edges
                     assert a in sp.incident_planes and b in sp.incident_planes
+
+
+class TestLazyGraph:
+    """A result builds its dual graph when the graph is first read."""
+
+    def test_intermediates_carry_their_own_graph(self, monkeypatch):
+        seen = []
+        for name in ("attach_handle", "_attach_pair", "cycle_from_chain", "_z_step"):
+            def recorded(*args, _step=getattr(constructions, name)):
+                seen.append(_step(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(constructions, name, recorded)
+        build_X(14, 4, 1)
+        build_Y(13, 3, 1)
+        build_Z(14, 4, 2)
+        for d in range(5, 10):
+            constructions.cycle_from_chain(d, 3)
+        # each handle and each cycle closure is also an _attach_pair
+        assert len(seen) == 2 * 3 + (2 + 2) + 3 + 2 * 5
+        for res in seen:
+            assert res.graph == build_dual_graph(res.arrangement, res.incidence, res.report)
+            assert res.num_edges == res.graph.num_edges
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "X", "--d", "12", "--g", "4"],
+        ["--family", "Y", "--d", "13", "--g", "3"],
+        ["--family", "Z", "--d", "14", "--g", "4"],
+        ["--family", "chain", "--d", "6"],
+        ["--family", "cycle", "--d", "7"],
+    ])
+    def test_one_dual_graph_per_construct(self, argv, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_dual_graph(*args)
+
+        for module in (cli, complexes, constructions):
+            monkeypatch.setattr(module, "build_dual_graph", counted)
+        out = str(tmp_path / "out.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["construct", *argv, "--seed", "1", "--out", out]) == 0
+        assert len(calls) == 1
 
 
 def _assert_records_in_ambient(res):

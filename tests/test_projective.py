@@ -22,6 +22,7 @@ from zappatic.projective import (
     dual_plane_in_klein,
     klein_value,
     meet,
+    meet_dim,
     plucker,
     quadric_rank,
     quadrics_through,
@@ -476,6 +477,63 @@ def assert_wide_kernel_meet(a, b):
     assume(got.dim in (1, 2))
     assert got == oracle_meet(a, b) and meet(b, a) == got
     assert got.basis == linalg.rref(got.basis)
+
+
+@st.composite
+def exact_pairs(draw):
+    """(a, b): a pair of the kinds that TestMeetExact meets, in P^3..P^22:
+    spans of one to four points (small entries or past 2^64), spans through
+    one or two common points, a span and the span of some of its points, a
+    span and itself, a span and the empty subspace, and two coordinate
+    subspaces."""
+    n = draw(st.integers(3, 22))
+    kind = draw(st.sampled_from(
+        ["random", "shared rows", "nested", "identical", "empty", "coordinate"]))
+    if kind == "coordinate":
+        coords = st.sets(st.integers(0, n), min_size=1, max_size=4)
+        return coordinate_subspace(n, draw(coords)), coordinate_subspace(n, draw(coords))
+    point = st.lists(ENTRY, min_size=n + 1, max_size=n + 1).filter(any)
+    pts = [draw(point) for _ in range(draw(st.integers(1, 4)))]
+    a = Subspace(n, pts)
+    if kind == "identical":
+        return a, a
+    if kind == "empty":
+        return a, Subspace(n)
+    if kind == "nested":
+        return a, Subspace(n, pts[: draw(st.integers(1, len(pts)))])
+    common = pts[: draw(st.integers(1, 2))] if kind == "shared rows" else []
+    own = [draw(point) for _ in range(draw(st.integers(int(not common), 4 - len(common))))]
+    return a, Subspace(n, common + own)
+
+
+class TestMeetDim:
+    """meet_dim is the dimension of meet, read off the same reduction."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(exact_pairs(), sparse_pairs().map(lambda pair: pair[1:])))
+    def test_dimension_of_meet_on_the_exact_pairs(self, pair):
+        a, b = pair
+        assert meet_dim(a, b) == meet_dim(b, a) == meet(a, b).dim
+
+    @pytest.mark.parametrize(
+        "build, d, g, seed",
+        [("X", 12, 4, 0), ("Y", 9, 2, 1), ("Z", 11, 3, 2)],
+    )
+    def test_planes_double_lines_and_spans_of_constructions(self, build, d, g, seed):
+        """Every pair among a build's planes, double lines and attachment
+        3-spaces, which are what the quadric attachment meets."""
+        from zappatic.constructions import build_X, build_Y, build_Z
+
+        res = {"X": build_X, "Y": build_Y, "Z": build_Z}[build](d, g, seed)
+        parts = [*res.arrangement.planes,
+                 *(line for _, _, line in res.incidence.double_lines),
+                 *(rec.span_pi for rec in res.attachments)]
+        dims = set()
+        for a, b in combinations(parts, 2):
+            dim = meet_dim(a, b)
+            assert dim == meet(a, b).dim
+            dims.add(dim)
+        assert dims == {-1, 0, 1, 2}
 
 
 class TestMeetExact:
