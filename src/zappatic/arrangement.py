@@ -179,25 +179,6 @@ class SingularityType:
         return f"{self.kind}{self.n}"
 
 
-def count_components(vertices, edges) -> int:
-    """Number of connected components of a graph, by union-find."""
-    parent = {v: v for v in vertices}
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = len(parent)
-    for a, b in edges:
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
-
-
 def _graph_shape(vertices, edges):
     """Classify the local graph: ('chain'|'cycle'|'fork', order) or None.
 

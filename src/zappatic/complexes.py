@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from zappatic import linalg
 from zappatic.errors import InternalCheckError, RangeError
 from zappatic.arrangement import Arrangement, IncidenceData, ZappaticReport
-from zappatic.arrangement import count_components
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,25 @@ def _closed_walk(graph: DualGraph, cell):
             if walk[-1] == start:
                 return walk
     raise RangeError("2-cell boundary is not a closed walk")
+
+
+def count_components(vertices, edges) -> int:
+    """Number of connected components of a graph, by union-find."""
+    parent = {v: v for v in vertices}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = len(parent)
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
 
 
 def homology(graph: DualGraph) -> HomologyReport:

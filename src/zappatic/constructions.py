@@ -58,7 +58,6 @@ from zappatic.projective import (
     ProjPoint,
     Subspace,
     coordinate_subspace,
-    meet,
     meet_dim,
     span,
     span_subspaces,
@@ -340,12 +339,13 @@ def _attach_pair(
                 if pi.contains(arr.planes[k]):
                     raise _Retry(f"3-space meets plane {k} beyond the chosen line")
                 continue
-            # the meet itself is built only to compare a line with the anchors' line
+            # pi holds the anchors' line, so a line meet is that line exactly
+            # when plane k holds both anchors
             dim = meet_dim(pi, arr.planes[k])
             if dim >= 1:
                 if dim == 1 and (
                     pi.dim == n - 1
-                    or (anchored and meet(pi, arr.planes[k]) == span(anchors, n))
+                    or (anchored and all(map(arr.planes[k].contains_point, anchors)))
                 ):
                     continue
                 raise _Retry(f"3-space meets plane {k} in dimension {dim}")

@@ -122,7 +122,7 @@ class Subspace:
         column; with the supports tested first it reads no column of other."""
         _check_same_ambient(self, other)
         return (other.support <= self.support
-                and next(_reduced_columns(self, other, ()), None) is None)
+                and next(_reduced_columns(self, other), None) is None)
 
     def point(self) -> ProjPoint:
         """The point that this subspace is.  Its one canonical basis row is
@@ -197,38 +197,28 @@ def coordinate_subspace(ambient_dim: int, coords) -> Subspace:
     return s
 
 
-def _reduced_columns(a, b, b_cols):
+def _reduced_columns(a, b):
     """The nonzero columns of meet's reduced matrix R, produced lazily:
-    b's own columns off a's support, read from b_cols, the columns of b's
-    basis, then, for each equation f of a, the column (f.B_i)_i (see
-    meet)."""
+    b's own columns off a's support, then, for each equation f of a, the
+    column (f.B_i)_i (see meet)."""
     for c in b.support - a.support:
-        yield b_cols[c]
+        yield [row[c] for row in b.basis]
     for get, f in a.equations:
         col = [sum(map(mul, f, get(row))) for row in b.basis]
         if any(col):
             yield col
 
 
-def _small_kernel(cols, m):
+def _small_kernel(cols):
     """Left kernel, in rref, of the matrix with these nonzero columns of
-    m <= 3 entries each, decided from cross products (see meet): [] at rank
-    m, [c] at rank m - 1 >= 1, at rank 1 with m = 3 the rref of the plane
-    orthogonal to the first column, and at rank 0 linalg.nullspace of no
-    column, the unit vectors.  cols is read no further than the column that
-    proves rank m."""
+    three entries each, decided from cross products (see meet): [] at rank
+    3, [c] at rank 2, at rank 1 the rref of the plane orthogonal to the
+    first column, and at rank 0 linalg.nullspace of no column, the unit
+    vectors.  cols is read no further than the column that proves rank 3."""
     cols = iter(cols)
     first = next(cols, None)
     if first is None:
-        return linalg.nullspace([], ncols=m)
-    if m == 1:
-        return []
-    if m == 2:
-        x, y = first
-        for u, v in cols:
-            if x * v - y * u:
-                return []
-        return [(-y, x)]
+        return linalg.nullspace([], ncols=3)
     x, y, z = first
     for u, v, w in cols:
         c = (y * w - z * v, z * u - x * w, x * v - y * u)
@@ -280,27 +270,24 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     kernel, so R has the left kernel of that reduction, and the meet is
     the same canonical subspace.
 
-    For m <= 3 the rank of R is read off cross products, stopping at the
-    first column that proves rank m (the meet is empty).  With m = 1 any
-    nonzero column does.  With m = 2 the first column (x, y) is
-    perpendicular to c = (-y, x); a later column with a nonzero dot product
-    with c gives rank 2, and otherwise every column lies on the line of the
-    first, the rank is 1 and the kernel is (c).  With m = 3, cross the first
-    column r with each later column until a cross product c is nonzero, at
-    column j.  The columns between r and column j lie on the line of r, so
-    they, r and column j are all orthogonal to c, and c spans the vectors
-    orthogonal to both r and column j.  So R has rank 3 exactly when some
-    column after j has a nonzero dot product with c; otherwise every column
-    lies in the span of r and column j, the rank is 2 and the kernel is (c).
-    When no cross product is nonzero, every column is a multiple of the
-    first, (x, y, z), and the kernel is the plane orthogonal to it (a meet
-    that is a line).  Its rref is written down, each row made primitive: if
-    z != 0, (z, 0, -x) and (0, z, -y), signed so that z > 0, which are zero
-    at each other's pivot; if z = 0 and y != 0, (y, -x, 0) and (0, 0, 1);
-    and otherwise (0, 1, 0) and (0, 0, 1).  With no column at all (b lies in
-    a) the kernel is linalg.nullspace of none, the unit vectors.  For m > 3
-    the kernel is linalg.nullspace of all the columns, put in rref when it
-    has more than one vector.
+    When b is a plane, m = 3, the rank of R is read off cross products,
+    stopping at the first column that proves rank 3 (the meet is empty).
+    Cross the first column r with each later column until a cross product c
+    is nonzero, at column j.  The columns between r and column j lie on the
+    line of r, so they, r and column j are all orthogonal to c, and c spans
+    the vectors orthogonal to both r and column j.  So R has rank 3 exactly
+    when some column after j has a nonzero dot product with c; otherwise
+    every column lies in the span of r and column j, the rank is 2 and the
+    kernel is (c).  When no cross product is nonzero, every column is a
+    multiple of the first, (x, y, z), and the kernel is the plane
+    orthogonal to it (a meet that is a line).  Its rref is written down,
+    each row made primitive: if z != 0, (z, 0, -x) and (0, z, -y), signed
+    so that z > 0, which are zero at each other's pivot; if z = 0 and
+    y != 0, (y, -x, 0) and (0, 0, 1); and otherwise (0, 1, 0) and
+    (0, 0, 1).  With no column at all (b lies in a) the kernel is
+    linalg.nullspace of none, the unit vectors.  For any other m the kernel
+    is linalg.nullspace of all the columns, put in rref when it has more
+    than one vector.
 
     The meet is spanned by the images v.B of a kernel basis, and its
     canonical basis is read off them with no reduction of the images.
@@ -315,8 +302,8 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     got = _meet_kernel(a, b)
     if isinstance(got, Subspace):
         return got
-    b_cols, kernel = got
-    images = [[sum(map(mul, v, col)) for col in b_cols] for v in kernel]
+    b, kernel = got
+    images = [[sum(map(mul, v, col)) for col in zip(*b.basis)] for v in kernel]
     return _canonical(a.ambient_dim, [linalg.primitive(row) for row in images])
 
 
@@ -333,9 +320,9 @@ def meet_dim(a: Subspace, b: Subspace) -> int:
 
 def _meet_kernel(a: Subspace, b: Subspace):
     """The part of meet that meet_dim shares: the meet itself when one of
-    the two shortcuts decides it, and otherwise (b_cols, kernel), the
-    columns of the side b with fewer rows and the rref of the left kernel
-    of the reduced matrix R."""
+    the two shortcuts decides it, and otherwise (b, kernel), the side b
+    with fewer rows and the rref of the left kernel of the reduced matrix
+    R."""
     _check_same_ambient(a, b)
     if a.support.isdisjoint(b.support):
         return _canonical(a.ambient_dim, ())
@@ -343,13 +330,11 @@ def _meet_kernel(a: Subspace, b: Subspace):
         return coordinate_subspace(a.ambient_dim, a.support & b.support)
     if len(a.basis) < len(b.basis):
         a, b = b, a
-    m = len(b.basis)
-    b_cols = list(zip(*b.basis))
-    cols = _reduced_columns(a, b, b_cols)
-    if m <= 3:
-        return b_cols, _small_kernel(cols, m)
-    kernel = linalg.nullspace(list(cols), ncols=m)
-    return b_cols, linalg.rref(kernel) if len(kernel) > 1 else kernel
+    cols = _reduced_columns(a, b)
+    if len(b.basis) == 3:
+        return b, _small_kernel(cols)
+    kernel = linalg.nullspace(list(cols), ncols=len(b.basis))
+    return b, linalg.rref(kernel) if len(kernel) > 1 else kernel
 
 
 @dataclass(frozen=True)

@@ -398,7 +398,7 @@ def graph_shape(vertices, edges):
     order: for a chain the path from one end, for a cycle a closed walk,
     for a fork the center followed by the sorted leaves.
     """
-    from zappatic.arrangement import count_components
+    from zappatic.complexes import count_components
 
     adj = {v: [] for v in vertices}
     for a, b in edges:

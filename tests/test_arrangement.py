@@ -399,7 +399,16 @@ def test_whole_pipeline_invariant_under_coordinate_change_and_plane_order(seed, 
     come first.  The copy has the original's answers: whether it is
     Zappatic, its violations, its point types, the invariants and homology
     of its dual complex, and that complex itself, up to the plane order."""
-    res = build()
+    assert_invariant_when_moved(build(), seed)
+
+
+@pytest.mark.parametrize("d, g, s", GRID)
+def test_whole_pipeline_invariant_on_the_acceptance_grid(d, g, s):
+    """The same check on every acceptance-grid build, one seeded copy each."""
+    assert_invariant_when_moved(build_X(d, g, s), 100 * d + 10 * g + s)
+
+
+def assert_invariant_when_moved(res, seed):
     arr = res.arrangement
     [m] = coordinate_changes(arr.ambient_dim, seed=seed, bound=2, count=1)
     order = list(range(len(arr)))

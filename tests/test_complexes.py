@@ -5,17 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zappatic import cli, serialize
-from zappatic.arrangement import (
-    Arrangement,
-    compute_incidence,
-    count_components,
-    zappatic_report,
-)
+from zappatic.arrangement import Arrangement, compute_incidence, zappatic_report
 from zappatic.complexes import (
     DualGraph,
     _closed_walk,
     build_dual_graph,
     build_torus_complex,
+    count_components,
     homology,
     to_dot,
 )

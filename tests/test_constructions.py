@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 from collections import Counter
 from itertools import combinations, product
 
@@ -31,7 +32,7 @@ from zappatic.projective import (
 
 from oracles import meet_first_disjoint_central_pair, verify_transversality
 from test_acceptance import GRID
-from test_golden import LEDGER_CASES
+from test_golden import DIGESTS, LEDGER_CASES, ledger_digest
 
 
 class TestChain:
@@ -378,6 +379,25 @@ class TestAttachmentRules:
                 assert avoid
                 assert not any(line.contains_point(p) for p in avoid)
 
+    @pytest.mark.parametrize("name", ["X_10_3_1", "X_12_4_1", "Y_9_2_7", "Y_9_2_37"])
+    def test_anchor_line_asks_plane_k_for_both_anchors(self, name, monkeypatch):
+        """A handle's 3-space may meet a third plane in the anchors' line:
+        the check asks that plane for both anchors with contains_point and
+        builds no meet.  On these ledgers X refuses a plane that holds the
+        first anchor only and Y lets through one that holds both, and every
+        ledger keeps its recorded digest."""
+        asked = []
+        contains_point = Subspace.contains_point
+
+        def recorded(self, p):
+            asked.append(contains_point(self, p))
+            return asked[-1]
+
+        monkeypatch.setattr(Subspace, "contains_point", recorded)
+        assert not hasattr(constructions, "meet")
+        assert ledger_digest(name) == json.loads(DIGESTS.read_text())["attachment_ledger"][name]
+        assert asked == ([True, True] if name.startswith("Y") else [True, False])
+
 
 class TestLineSampler:
     """``_line_in`` on scripted draws: no build samples a free line through a
@@ -449,18 +469,18 @@ class TestCycleFromChain:
     def test_d5_tolerates_the_line_by_dimension(self, monkeypatch):
         """In P^4 the 3-space of the free lines is a hyperplane: it meets the
         chain's central plane in a line, which the check accepts from its
-        dimension alone, with no meet built."""
+        dimension alone, asking no plane for an anchor."""
         seen = []
 
         def recorded(a, b):
             seen.append((a.ambient_dim, a.dim, meet_dim(a, b)))
             return seen[-1][2]
 
-        def no_meet(a, b):
-            raise AssertionError("a free-line attachment builds a meet")
+        def no_anchor(self, p):
+            raise AssertionError("a free-line attachment asks a plane for its anchors")
 
         monkeypatch.setattr(constructions, "meet_dim", recorded)
-        monkeypatch.setattr(constructions, "meet", no_meet)
+        monkeypatch.setattr(Subspace, "contains_point", no_anchor)
         res = cycle_from_chain(5, seed=21)
         assert (4, 3, 1) in seen
         assert meet(res.attachments[0].span_pi, res.arrangement.planes[1]).dim == 1

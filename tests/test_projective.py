@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zappatic import linalg
+from zappatic import arrangement, constructions, linalg, scrolls
+from zappatic.arrangement import compute_incidence
 from zappatic.constructions import build_Z
 from zappatic.errors import RangeError
 from zappatic.projective import (
@@ -33,12 +35,16 @@ from zappatic.projective import (
 from oracles import (
     bareiss_contains,
     basis_pivots,
+    coordinate_changes,
     frac_meet,
     frac_nullspace,
     frac_rank,
     frac_rref,
     klein_form,
+    moved,
 )
+from test_constructions import TETRAHEDRON
+from test_scrolls import HYPERBOLIC
 
 
 def e(i, n):
@@ -279,19 +285,18 @@ def plane_pairs(draw):
 
 @st.composite
 def small_columns(draw):
-    """(m, columns): the nonzero columns, 0 <= k <= 20 of them, of an m-row
-    integer matrix, 1 <= m <= 3: integer combinations of up to m drawn
-    columns, so of rank 0 to m and often multiples of each other."""
-    m = draw(st.integers(1, 3))
-    entries = st.lists(ENTRY, min_size=m, max_size=m)
-    gens = draw(st.lists(entries, min_size=1, max_size=m))
+    """The nonzero columns, 0 <= k <= 20 of them, of a 3-row integer
+    matrix: integer combinations of up to three drawn columns, so of rank
+    0 to 3 and often multiples of each other."""
+    entries = st.tuples(ENTRY, ENTRY, ENTRY)
+    gens = draw(st.lists(entries, min_size=1, max_size=3))
     cols = []
     for _ in range(draw(st.integers(0, 20))):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
-        col = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(m))
+        col = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3))
         if any(col):
             cols.append(col)
-    return m, cols
+    return cols
 
 
 def read_up_to(cols):
@@ -300,23 +305,23 @@ def read_up_to(cols):
     raise AssertionError("read past the column that proves full rank")
 
 
-def assert_small_kernel(cols, m):
+def assert_small_kernel(cols):
     """_small_kernel against linalg.rank and the row span of
     linalg.nullspace, which it takes itself only when no column is given;
-    a kernel of more than one vector is that nullspace's rref.  At rank m
+    a kernel of more than one vector is that nullspace's rref.  At rank 3
     the columns are fed only up to the first that proves it."""
     rows = [list(col) for col in cols]
     rank = linalg.rank(rows) if rows else 0
-    kernel = linalg.nullspace(rows, ncols=m)
-    if rank == m:
-        stop = next(j for j in range(1, len(rows) + 1) if linalg.rank(rows[:j]) == m)
+    kernel = linalg.nullspace(rows, ncols=3)
+    if rank == 3:
+        stop = next(j for j in range(1, len(rows) + 1) if linalg.rank(rows[:j]) == 3)
         cols = read_up_to(cols[:stop])
     with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as counted:
-        got = _small_kernel(cols, m)
+        got = _small_kernel(cols)
     assert counted.call_count == (rank == 0)
-    assert len(got) == m - rank
+    assert len(got) == 3 - rank
     if got:
-        assert Subspace(m - 1, got) == Subspace(m - 1, kernel)
+        assert Subspace(2, got) == Subspace(2, kernel)
     if len(got) > 1:
         assert tuple(got) == linalg.rref(kernel)
     return rank
@@ -327,9 +332,8 @@ class TestSmallKernel:
 
     @settings(max_examples=300)
     @given(small_columns())
-    def test_against_rank_and_nullspace(self, data):
-        m, cols = data
-        assert_small_kernel(cols, m)
+    def test_against_rank_and_nullspace(self, cols):
+        assert_small_kernel(cols)
 
     @settings(max_examples=100)
     @given(
@@ -339,46 +343,32 @@ class TestSmallKernel:
     )
     def test_zero_cross_product_up_to_the_last_column(self, first, multiples, last):
         cols = [first] + [tuple(m * x for x in first) for m in multiples] + [last]
-        assert assert_small_kernel(cols, 3) in (1, 2)
+        assert assert_small_kernel(cols) in (1, 2)
 
     @pytest.mark.parametrize(
-        "cols, m, rank",
+        "cols, rank",
         [
-            ([], 1, 0),
-            ([(-(2**65),)], 1, 1),
-            ([(3,), (-6,)], 1, 1),
-            ([], 2, 0),
-            ([(2**65, -3)], 2, 1),
-            ([(2, -4), (-1, 2), (2**64, -(2**65))], 2, 1),
-            ([(2, -4), (-1, 2), (0, 1), (7, 7)], 2, 2),
-            ([], 3, 0),
-            ([(2**65, 0, -3)], 3, 1),
-            ([(1, 2, 3), (-2, -4, -6), (3, 6, 9)], 3, 1),
-            ([(1, 0, 0), (2, 0, 0), (0, 1, 0)], 3, 2),
-            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (5, -7, 0)], 3, 2),
-            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3, 3),
-            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1), (1, 1, 1)], 3, 3),
-            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1)], 3, 2),
+            ([], 0),
+            ([(2**65, 0, -3)], 1),
+            ([(1, 2, 3), (-2, -4, -6), (3, 6, 9)], 1),
+            ([(1, 0, 0), (2, 0, 0), (0, 1, 0)], 2),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (5, -7, 0)], 2),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3),
+            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1), (1, 1, 1)], 3),
+            ([(2**64 + 1, 3, 0), (0, 2**66, 1), (2**64 + 1, 3 + 2**66, 1)], 2),
         ],
     )
-    def test_ranks_0_to_m(self, cols, m, rank):
-        assert assert_small_kernel(cols, m) == rank
+    def test_ranks_0_to_3(self, cols, rank):
+        assert assert_small_kernel(cols) == rank
 
-    @pytest.mark.parametrize(
-        "cols, m",
-        [
-            ([(5,), (1,)], 1),
-            ([(2, -4), (-1, 2), (0, 1), (7, 7)], 2),
-            ([(1, 2, 3), (2, 4, 6), (0, 1, 0), (1, 3, 3), (0, 0, 1), (1, 1, 1)], 3),
-        ],
-    )
-    def test_full_rank_stops_at_the_column_that_proves_it(self, cols, m):
+    def test_full_rank_stops_at_the_column_that_proves_it(self):
         """A disjoint pair is decided without reading the columns after the
-        one that proves rank m."""
+        one that proves rank 3."""
+        cols = [(1, 2, 3), (2, 4, 6), (0, 1, 0), (1, 3, 3), (0, 0, 1), (1, 1, 1)]
         stop = next(j for j in range(1, len(cols) + 1)
-                    if linalg.rank([list(c) for c in cols[:j]]) == m)
+                    if linalg.rank([list(c) for c in cols[:j]]) == 3)
         assert stop < len(cols)
-        assert _small_kernel(read_up_to(cols[:stop]), m) == []
+        assert _small_kernel(read_up_to(cols[:stop])) == []
 
 
 @st.composite
@@ -622,8 +612,9 @@ class TestMeetExact:
     # meets in both orders read.  Each side's equations are one
     # linalg.nullspace call, however many meets read them; the shortcuts,
     # and a meet that b's own columns decide, read none.  The only other
-    # kernel call is that of no column, when b lies in a: a meet that is a
-    # line has its kernel written down.
+    # kernel calls are those of a smaller side that is not a plane, one per
+    # meet (of no column when b lies in a): a plane's kernel is read off
+    # cross products, or written down when the meet is a line.
     PATHS = {
         "coordinate nested": ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
                               [[0, 0, 1, 0, 0, 0]], 0),
@@ -673,15 +664,17 @@ class TestMeetExact:
         nullspace = linalg.nullspace
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs)
             return nullspace(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "nullspace", counted)
         assert_meet_exact(a, b)
-        equations = [args for args in calls if args[0]]
+        # a kernel of R names its width; an equations call does not
+        equations = [kwargs for kwargs in calls if "ncols" not in kwargs]
         # each one a side that has equations, which it keeps
         assert len(equations) == read == sum(bool(s.__dict__.get("equations")) for s in (a, b))
-        assert len(calls) - read == 2 * (case == "b in a")
+        # the paths past the shortcuts whose smaller side has two rows
+        assert len(calls) - read == 2 * (case in ("b in a", "line then plane", "pivots not 1"))
         if case == "b in a":
             assert meet(a, b) == b
         if case.startswith("plane pair"):
@@ -865,7 +858,7 @@ class TestClosedFormLineMeets:
     def test_each_case_against_the_oracle(self, drawn):
         case, a, b = drawn
         assume(a.dim == 2 and a != b)
-        x, y, z = next(_reduced_columns(a, b, list(zip(*b.basis))))
+        x, y, z = next(_reduced_columns(a, b))
         assert {"z": z != 0, "y": z == 0 and y != 0, "x": y == z == 0}[case]
         got = meet(a, b)
         assert got.dim == 1
@@ -878,13 +871,97 @@ class TestClosedFormLineMeets:
     )
     def test_complement_is_the_rref_of_the_kernel(self, first):
         cols = [first, tuple(-3 * v for v in first)]
-        got = _small_kernel(cols, 3)
+        got = _small_kernel(cols)
         ref = frac_rref(frac_nullspace([list(first)]))
         assert len(got) == len(ref) == 2
         for row, want in zip(got, ref):
             lead = next(v for v in row if v)
             assert lead > 0 and linalg.primitive(row) == row
             assert [Fraction(v, lead) for v in row] == want
+
+
+def kernel_widths(monkeypatch):
+    """The list that records the width of every kernel of R taken from now
+    on; an equations call names no width."""
+    widths = []
+    nullspace = linalg.nullspace
+
+    def counted(rows, ncols=None):
+        if ncols is not None:
+            widths.append(ncols)
+        return nullspace(rows, ncols=ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    return widths
+
+
+def recorded_meets(module, monkeypatch):
+    """The list of the (a, b) that module's meet is called with from now on."""
+    met = []
+
+    def recorded(a, b):
+        met.append((a, b))
+        return meet(a, b)
+
+    monkeypatch.setattr(module, "meet", recorded)
+    return met
+
+
+class TestPointAndLineSides:
+    """A meet whose smaller side is a point or a line takes linalg.nullspace
+    of its reduced columns; only a plane's kernel is read off cross
+    products."""
+
+    def test_random_sides_of_one_and_two_rows_p3_to_p22(self, monkeypatch):
+        rng = random.Random(38)
+        widths = kernel_widths(monkeypatch)
+        sizes = Counter()
+        for _ in range(80):
+            n = rng.randint(3, 22)
+            h = rng.choice([5, 2**70])
+            m = rng.randint(1, 2)
+            common = [random_point(rng, n + 1, h) for _ in range(rng.randint(0, m))]
+            b = span(common + [random_point(rng, n + 1, h) for _ in range(m - len(common))], n)
+            a = span(common + [random_point(rng, n + 1, h)
+                               for _ in range(rng.randint(m, 4) - len(common))], n)
+            del widths[:]
+            assert_meet_exact(a, b)
+            assert widths == [m, m]
+            sizes[m, meet(a, b).dim] += 1
+        # both sizes, and every meet a point side can have, and a line side
+        # inside the other, meeting it in a point, or missing it
+        assert {(1, -1), (1, 0), (2, -1), (2, 0), (2, 1)} <= set(sizes)
+
+    def test_ruling_plane_meets_of_section_duality_check(self, monkeypatch):
+        met = recorded_meets(scrolls, monkeypatch)
+        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
+        out = scrolls.section_duality_check(HYPERBOLIC, pi, 8, base_point=ProjPoint([1, 0, 0, 0]))
+        assert out["passed"] is True
+        assert len(met) == 8 and all(a.dim == 1 and b == pi for a, b in met)
+        widths = kernel_widths(monkeypatch)
+        for a, b in met:
+            del widths[:]
+            assert_meet_exact(a, b)
+            assert widths == [2, 2] and meet(a, b).dim == 0
+
+    @pytest.mark.parametrize("seed", [None, 6], ids=["coordinate", "moved"])
+    def test_line_crossings_of_the_tetrahedron(self, seed, monkeypatch):
+        """The tetrahedron's four triangles of double lines each cross two
+        lines in a vertex: by support when the planes are coordinate planes,
+        through the kernel of a line side when they are moved."""
+        arr = constructions._coordinate_planes(3, TETRAHEDRON).arrangement
+        if seed is not None:
+            [m] = coordinate_changes(3, seed=seed, bound=2, count=1)
+            arr = moved(arr, m)
+        met = recorded_meets(arrangement, monkeypatch)
+        compute_incidence(arr)
+        crossings = [(a, b) for a, b in met if a.dim == b.dim == 1]
+        assert len(crossings) == 4
+        widths = kernel_widths(monkeypatch)
+        for a, b in crossings:
+            del widths[:]
+            assert_meet_exact(a, b)
+            assert widths == ([] if seed is None else [2, 2]) and meet(a, b).dim == 0
 
 
 class TestEquationCalls:
