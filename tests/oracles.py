@@ -159,19 +159,22 @@ def coordinate_changes(n, seed, bound, count=10):
             yield m
 
 
-def moved(arr, m, order=None):
-    """arr with every basis row x of every plane replaced by m x, and with
-    its planes listed in order, a permutation of their indices (default:
-    as they are)."""
-    from zappatic.arrangement import Arrangement
+def moved_subspace(sub, m):
+    """sub with every basis row x replaced by m x."""
     from zappatic.projective import Subspace
 
-    n = arr.ambient_dim
+    return Subspace(sub.ambient_dim, [
+        [sum(a * x for a, x in zip(mrow, row)) for mrow in m] for row in sub.basis])
+
+
+def moved(arr, m, order=None):
+    """arr with every plane moved by m (moved_subspace), and with its planes
+    listed in order, a permutation of their indices (default: as they
+    are)."""
+    from zappatic.arrangement import Arrangement
+
     planes = arr.planes if order is None else [arr.planes[i] for i in order]
-    return Arrangement(n, [
-        Subspace(n, [[sum(a * x for a, x in zip(mrow, row)) for mrow in m] for row in p.basis])
-        for p in planes
-    ])
+    return Arrangement(arr.ambient_dim, [moved_subspace(p, m) for p in planes])
 
 
 def frac_primitive(vec):

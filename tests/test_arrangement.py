@@ -6,10 +6,10 @@ from math import factorial
 
 import pytest
 
-from oracles import coordinate_changes, frac_rank, graph_shape, moved
+from oracles import coordinate_changes, frac_rank, graph_shape, moved, moved_subspace
 from test_acceptance import GRID
-from test_constructions import MOEBIUS_TORUS, OCTAHEDRON, TETRAHEDRON, _grid_torus_triangles
-from test_golden import LEDGER_CASES
+from test_constructions import _grid_torus_triangles
+from test_golden import LEDGER_CASES, MOEBIUS_TORUS, OCTAHEDRON, TETRAHEDRON
 from zappatic import arrangement, constructions, linalg
 from zappatic.arrangement import (
     Arrangement,
@@ -398,7 +398,8 @@ def test_whole_pipeline_invariant_under_coordinate_change_and_plane_order(seed, 
     random plane order changes the side each meet reduces and which pairs
     come first.  The copy has the original's answers: whether it is
     Zappatic, its violations, its point types, the invariants and homology
-    of its dual complex, and that complex itself, up to the plane order."""
+    of its dual complex, that complex itself, up to the plane order, and
+    its double lines, each the image of the original's."""
     assert_invariant_when_moved(build(), seed)
 
 
@@ -423,6 +424,10 @@ def assert_invariant_when_moved(res, seed):
     assert invariants_of(graph) == invariants_of(res.graph)
     position = {i: k for k, i in enumerate(order)}
     assert relabelled(graph, range(len(arr))) == relabelled(res.graph, position)
+    # each double line of the copy is the image of the original's
+    assert {(i, j): line for i, j, line in inc.double_lines} == {
+        tuple(sorted((position[i], position[j]))): moved_subspace(line, m)
+        for i, j, line in res.incidence.double_lines}
 
 
 def test_r3_points_of_the_builds_span_a_p4():

@@ -460,13 +460,20 @@ class TestInvariantsCommand:
         assert "chi=0" in out and "h2=1" in out
         assert "homology=(1,2,1)" in out
 
-    def test_abstract_torus_3_5_pinned(self, capsys):
-        code, out, _ = run_cli(["invariants", "--abstract", "torus", "3", "5"], capsys)
+    @pytest.mark.parametrize("n, m, expected", [
+        (3, 5, "v=30 e=45 f=15 chi=0 h2=1 homology=(1,2,1)\n"
+               "g=16 p_omega=1 K2=[0,0]\n"),
+        (20, 20, "v=800 e=1200 f=400 chi=0 h2=1 homology=(1,2,1)\n"
+                 "g=401 p_omega=1 K2=[0,0]\n"),
+        (30, 30, "v=1800 e=2700 f=900 chi=0 h2=1 homology=(1,2,1)\n"
+                 "g=901 p_omega=1 K2=[0,0]\n"),
+        (60, 60, "v=7200 e=10800 f=3600 chi=0 h2=1 homology=(1,2,1)\n"
+                 "g=3601 p_omega=1 K2=[0,0]\n"),
+    ], ids=["3x5", "20x20", "30x30", "60x60"])
+    def test_abstract_torus_pinned(self, n, m, expected, capsys):
+        code, out, _ = run_cli(["invariants", "--abstract", "torus", str(n), str(m)], capsys)
         assert code == 0
-        assert out == (
-            "v=30 e=45 f=15 chi=0 h2=1 homology=(1,2,1)\n"
-            "g=16 p_omega=1 K2=[0,0]\n"
-        )
+        assert out == expected
 
     def test_abstract_torus_non_integer_size_exit_2(self, capsys):
         code, _out, err = run_cli(["invariants", "--abstract", "torus", "x", "3"], capsys)
@@ -616,7 +623,7 @@ def test_quadric_oracle_rank_count_is_the_kernel_basis_size(d):
     )
 
 
-@pytest.mark.parametrize("d", range(2, 17))
+@pytest.mark.parametrize("d", [*range(2, 17), 20, 24])  # 20, 24: big-integer shapes
 def test_quadric_oracle_agrees_with_the_formula(d, capsys):
     code, out, _ = run_cli(["quadrics", "--d", str(d), "--g", "0", "--oracle"], capsys)
     through, codim3 = (d + 2) * (d + 1) // 2 - (2 * d + 1), d - 1

@@ -2,7 +2,7 @@ import contextlib
 import io
 import json
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -32,7 +32,14 @@ from zappatic.projective import (
 
 from oracles import meet_first_disjoint_central_pair, verify_transversality
 from test_acceptance import GRID
-from test_golden import DIGESTS, LEDGER_CASES, ledger_digest
+from test_golden import (
+    DIGESTS,
+    LEDGER_CASES,
+    MOEBIUS_TORUS,
+    OCTAHEDRON,
+    TETRAHEDRON,
+    ledger_digest,
+)
 
 
 class TestChain:
@@ -134,10 +141,6 @@ def test_coordinate_torus_equals_the_abstract_torus(n, m):
     assert invariants_of(res.graph) == invariants_of(build_torus_complex(n, m))
 
 
-TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-OCTAHEDRON = list(product((0, 1), (2, 3), (4, 5)))
-MOEBIUS_TORUS = [t for i in range(7) for t in ((i, (i + 1) % 7, (i + 3) % 7),
-                                               (i, (i + 2) % 7, (i + 3) % 7))]
 CHAIN_8 = [(i, i + 1, i + 2) for i in range(8)]
 
 
