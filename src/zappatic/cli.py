@@ -118,6 +118,8 @@ def cmd_classify(args) -> int:
 
 def cmd_invariants(args) -> int:
     if args.abstract:
+        if args.path is not None or args.smooth:
+            raise RangeError("--abstract takes no arrangement file and no --smooth")
         kind = args.abstract[0]
         if kind != "torus":
             raise RangeError(f"unknown abstract complex {kind!r}")

@@ -15,6 +15,7 @@ builds that costs about ten times the joins.  Reading goes through json.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from zappatic.arrangement import Arrangement
@@ -25,13 +26,18 @@ _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+
+
 def _decode_int(x) -> int:
     if type(x) is int:  # what json.load gives for nearly every entry
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    # a plain decimal string: int() would also take "1_0", " 0 ", "+1" and
+    # non-ASCII digits
+    if type(x) is str and _DECIMAL.fullmatch(x):
         try:
             return int(x)
-        except ValueError:  # not a decimal integer, or over the int-string limit
+        except ValueError:  # over the int-string limit
             pass
     raise RangeError(f"bad integer entry {x!r:.40}")
 

@@ -11,6 +11,9 @@ definition shares its name and that one is called.
 Every name that a module of ``src/zappatic`` (except ``__init__.py``) or of
 ``tests`` imports, at top level or inside a function, must appear in that
 module as an ``ast.Name``, which is also the root of every attribute chain.
+
+No test module imports ``unittest.mock``: a test watches calls with
+``tests/spy.py`` alone.
 """
 
 from __future__ import annotations
@@ -104,6 +107,33 @@ def test_unused_import_rule_on_a_sample_module(tmp_path):
         "    return os.path.join(esc('x'), str(gcd(2, 4)))\n"
     )
     assert _unused_imports([path]) == ["m.py:3 js", "m.py:4 compile", "m.py:7 lcm"]
+
+
+def _mock_imports(paths):
+    """'file:line' of each import of unittest.mock or of a name in it."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[:2] == ["unittest", "mock"] for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_test_imports_unittest_mock():
+    assert _mock_imports(sorted((ROOT / "tests").glob("*.py"))) == []
+
+
+def test_mock_import_rule_on_a_sample_module(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import unittest\nimport unittest.mock\nfrom unittest import TestCase, mock\n"
+                    "from unittest.mock import patch\nimport unittest.mockery\nfrom . import mock\n")
+    assert _mock_imports([path]) == ["m.py:2", "m.py:3", "m.py:4"]
 
 
 def _sample_tree(root, modules, perfbench):

@@ -7,10 +7,11 @@ from math import factorial
 import pytest
 
 from oracles import coordinate_changes, frac_rank, graph_shape, moved, moved_subspace
+from spy import spy
 from test_acceptance import GRID
 from test_constructions import _grid_torus_triangles
 from test_golden import LEDGER_CASES, MOEBIUS_TORUS, OCTAHEDRON, TETRAHEDRON
-from zappatic import arrangement, constructions, linalg
+from zappatic import constructions, linalg
 from zappatic.arrangement import (
     Arrangement,
     _graph_shape,
@@ -22,7 +23,7 @@ from zappatic.complexes import build_dual_graph
 from zappatic.constructions import build_X, build_Y, build_Z, cycle_planes
 from zappatic.errors import RangeError
 from zappatic.invariants import invariants_of
-from zappatic.projective import Subspace, meet
+from zappatic.projective import Subspace
 
 
 def coord_plane(missing, n):
@@ -57,19 +58,6 @@ def cyclic_triple_in_p3():
     return Arrangement(3, [a, b, c])
 
 
-def meets(monkeypatch):
-    """The list that records the dimensions of both sides of every meet that
-    compute_incidence makes from now on."""
-    met = []
-
-    def counted(a, b):
-        met.append((a.dim, b.dim))
-        return meet(a, b)
-
-    monkeypatch.setattr(arrangement, "meet", counted)
-    return met
-
-
 def tags(arr):
     return Counter(t.tag for t in zappatic_report(arr).types)
 
@@ -93,51 +81,6 @@ class TestIncidence:
         assert inc.double_lines == ()
         assert inc.point_meets == ()
         assert inc.singular_points == ()
-
-    @pytest.mark.parametrize(
-        "build, disjoint",
-        [(lambda: build_X(16, 4, 0), 37), (lambda: build_Z(14, 4, 0), 0)],
-        ids=["X16", "Z14"],
-    )
-    def test_triangle_free_build_meets_only_plane_pairs(self, build, disjoint, monkeypatch):
-        """With no triangle of double lines, every crossing of two double
-        lines is the point of a point meet, so the incidence meets the plane
-        pairs and no two lines.  Planes with disjoint supports meet in
-        nothing and are not met: the C(v,2) pairs less the disjoint ones
-        from scratch, and the pairs of the last plane with the others that
-        share a coordinate with it when grown from those others."""
-        arr = build().arrangement
-        sup = [p.support for p in arr.planes]
-        v = len(arr)
-        overlapping = [(i, j) for i, j in combinations(range(v), 2) if sup[i] & sup[j]]
-        assert len(overlapping) == v * (v - 1) // 2 - disjoint
-        inc = compute_incidence(arr)
-        neighbours = [set() for _ in arr.planes]
-        for i, j, _ in inc.double_lines:
-            neighbours[i].add(j)
-            neighbours[j].add(i)
-        assert not any(neighbours[i] & neighbours[j] for i, j, _ in inc.double_lines)
-        base = compute_incidence(Arrangement(arr.ambient_dim, arr.planes[:-1]))
-        met = meets(monkeypatch)
-        assert compute_incidence(arr) == inc
-        assert met == [(2, 2)] * len(overlapping)
-        met.clear()
-        assert compute_incidence(arr, base) == inc
-        assert met == [(2, 2)] * sum(j == v - 1 for _, j in overlapping)
-
-    def test_triangle_meets_two_of_its_lines(self, monkeypatch):
-        """The E_3 triple is a triangle of double lines, whose point is no
-        point meet's: the incidence meets the three plane pairs and then two
-        of the lines, once.  Grown from its own incidence, it meets nothing."""
-        arr = cyclic_triple_in_p3()
-        met = meets(monkeypatch)
-        inc = compute_incidence(arr)
-        assert met == [(2, 2)] * 3 + [(1, 1)]
-        [sp] = inc.singular_points
-        assert sp.point.coords == (0, 0, 1, 0) and sp.incident_planes == {0, 1, 2}
-        met.clear()
-        assert compute_incidence(arr, inc) == inc
-        assert met == []
 
     @pytest.mark.parametrize(
         "planes, message",
@@ -220,7 +163,7 @@ class TestClassification:
         rep = zappatic_report(arr, inc)
         assert rep.is_zappatic and rep.r_counts == {3: 1}
 
-    def test_r3_chain_needs_no_rank(self, monkeypatch):
+    def test_r3_chain_needs_no_rank(self):
         # the chain <e0,e1,e2> - <e1,e2,e3> - <e2,e3,e4> through e2, listed
         # with its middle plane first: its span is forced, so it is R_3
         # with no rank of the stacked bases
@@ -229,14 +172,11 @@ class TestClassification:
 
         arr = Arrangement(4, [pl(1, 2, 3), pl(0, 1, 2), pl(2, 3, 4)])
         inc = compute_incidence(arr)
-
-        def no_rank(rows):
-            raise AssertionError("an R_3 point's span is ranked")
-
-        monkeypatch.setattr(linalg, "rank", no_rank)
         [sp] = inc.singular_points
         assert sp.point.coords == (0, 0, 1, 0, 0)
-        t = classify_point(arr, inc, 0)
+        with spy(linalg.rank) as ranked:
+            t = classify_point(arr, inc, 0)
+        assert ranked == []
         assert (t.tag, t.central, t.vertex_order) == ("R3", 0, (1, 0, 2))
 
     def test_chain_of_four_planes_in_p4_flagged(self):

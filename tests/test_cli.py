@@ -316,8 +316,10 @@ class TestMalformedArrangementFiles:
             assert "Traceback" not in err, cmd
             assert message is None or err == f"error: {message}\n", cmd
 
-    def test_non_numeric_entry(self, tmp_path, capsys):
-        self._check_exit_2(_plane_file(tmp_path, _rows(["abc", 1])), capsys)
+    # int() reads all but "abc", but the file format has plain decimal strings only
+    @pytest.mark.parametrize("entry", ["abc", "1_0", " 0 ", "+1", "\u0663"])
+    def test_entry_not_a_decimal_integer(self, tmp_path, capsys, entry):
+        self._check_exit_2(_plane_file(tmp_path, _rows([entry, 1])), capsys)
 
     def test_digit_string_over_int_limit(self, tmp_path, capsys):
         huge = "1" + "0" * 4400
@@ -361,7 +363,8 @@ class TestMalformedArrangementFiles:
 FAMILIES = ["chain", "cycle", "X", "Y", "Z"]
 NUMERATORS = [0, 0, 1, 1, -1, 2, 3]
 DENOMINATORS = [1, 1, 1, 2]
-ODD_NUMERATORS = NUMERATORS + [True, False, 0.5, 1.0, "7", "-2", "", 2**70]
+ODD_NUMERATORS = NUMERATORS + [True, False, 0.5, 1.0, "7", "-2", "", 2**70,
+                               "1_0", " 0 ", "+1", "\u0663"]
 ODD_DENOMINATORS = DENOMINATORS + [0, -1, -3, True, 2.0, "4", 2**70]
 
 small_json = st.recursive(
@@ -576,6 +579,10 @@ def _broken_chain(monkeypatch, _tmp_path):
                      None, 2, id="x-without-g"),
         pytest.param(["invariants", "--abstract", "foo"], None, 2, id="abstract-unknown"),
         pytest.param(["invariants", "--abstract", "torus", "3"], None, 2, id="torus-one-size"),
+        pytest.param(["invariants", "{tmp}/missing.json", "--abstract", "torus", "3", "5"], None, 2,
+                     id="abstract-with-file"),
+        pytest.param(["invariants", "--abstract", "torus", "3", "5", "--smooth"], None, 2,
+                     id="abstract-with-smooth"),
         # classify lists the violations; the commands that need a Zappatic
         # arrangement refuse it
         pytest.param(["invariants", "{tmp}/point_meet.json"],

@@ -1,12 +1,11 @@
 import contextlib
 import io
-import json
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from zappatic import cli, complexes, constructions, linalg
+from zappatic import cli, constructions, linalg
 from zappatic.constructions import (
     attach_handle,
     build_X,
@@ -24,22 +23,15 @@ from zappatic.projective import (
     ProjPoint,
     Subspace,
     meet,
-    meet_dim,
     quadric_conditions,
     span,
     span_subspaces,
 )
 
 from oracles import meet_first_disjoint_central_pair, verify_transversality
+from spy import spy
 from test_acceptance import GRID
-from test_golden import (
-    DIGESTS,
-    LEDGER_CASES,
-    MOEBIUS_TORUS,
-    OCTAHEDRON,
-    TETRAHEDRON,
-    ledger_digest,
-)
+from test_golden import LEDGER_CASES, MOEBIUS_TORUS, OCTAHEDRON, TETRAHEDRON
 
 
 class TestChain:
@@ -317,50 +309,36 @@ class TestBuildX:
 
 
 class TestPlaneContacts:
-    def test_disjoint_pair_matches_plane_meets_on_ledger_builds(self, monkeypatch):
+    def test_disjoint_pair_matches_plane_meets_on_ledger_builds(self):
         """Every pair the ledger builds ask for, and the pair of each result,
         agrees with the pair found by meeting the planes."""
-        pairs = []
-
-        def checked(result):
-            pair = first_disjoint_central_pair(result)
-            assert pair == meet_first_disjoint_central_pair(result)
-            pairs.append(pair)
-            return pair
-
-        monkeypatch.setattr(constructions, "first_disjoint_central_pair", checked)
-        for build in LEDGER_CASES.values():
-            checked(build())
-        assert None in pairs and len(set(pairs)) > 2
+        with spy(first_disjoint_central_pair) as asked:
+            for build in LEDGER_CASES.values():
+                constructions.first_disjoint_central_pair(build())  # through the spied reference
+        for c in asked:
+            assert c.result == meet_first_disjoint_central_pair(c.args[0])
+        pairs = {c.result for c in asked}
+        assert None in pairs and len(pairs) > 2
 
 
 class TestAttachmentRules:
     """The facts behind what the quadric attachment tolerates."""
 
-    def test_no_third_plane_through_both_handle_anchors(self, monkeypatch):
+    def test_no_third_plane_through_both_handle_anchors(self):
         """A plane meets the handle's 3-space in the anchor line only if it
         holds both anchors.  The chosen planes are disjoint, so each holds
         one; on the grid and the ledger builds no other plane holds both,
         so the anchor-line rule never fires for X."""
-        calls = []
-        attach = constructions.attach_handle
-
-        def checked(result, i, j, seed):
-            arr = result.arrangement
+        with spy(attach_handle) as calls:
+            for d, g, seed in GRID:
+                build_X(d, g, seed)
+            for build in LEDGER_CASES.values():
+                build()
+        for c in calls:
+            result, i, j, _seed = c.args
+            planes = result.arrangement.planes
             anchors = [constructions._r3_centres(result)[k] for k in (i, j)]
-            through_both = {
-                k for k in range(len(arr))
-                if all(arr.planes[k].contains_point(a) for a in anchors)
-            }
-            assert not through_both
-            calls.append((i, j))
-            return attach(result, i, j, seed)
-
-        monkeypatch.setattr(constructions, "attach_handle", checked)
-        for d, g, seed in GRID:
-            build_X(d, g, seed)
-        for build in LEDGER_CASES.values():
-            build()
+            assert not any(all(p.contains_point(a) for a in anchors) for p in planes)
         # g - 1 handles per grid build, and 2 + 3 for X_10_3_1 and X_12_4_1
         assert len(calls) == sum(g - 1 for _, g, _ in GRID) + 2 + 3
 
@@ -381,25 +359,6 @@ class TestAttachmentRules:
                          if plane in sp.incident_planes]
                 assert avoid
                 assert not any(line.contains_point(p) for p in avoid)
-
-    @pytest.mark.parametrize("name", ["X_10_3_1", "X_12_4_1", "Y_9_2_7", "Y_9_2_37"])
-    def test_anchor_line_asks_plane_k_for_both_anchors(self, name, monkeypatch):
-        """A handle's 3-space may meet a third plane in the anchors' line:
-        the check asks that plane for both anchors with contains_point and
-        builds no meet.  On these ledgers X refuses a plane that holds the
-        first anchor only and Y lets through one that holds both, and every
-        ledger keeps its recorded digest."""
-        asked = []
-        contains_point = Subspace.contains_point
-
-        def recorded(self, p):
-            asked.append(contains_point(self, p))
-            return asked[-1]
-
-        monkeypatch.setattr(Subspace, "contains_point", recorded)
-        assert not hasattr(constructions, "meet")
-        assert ledger_digest(name) == json.loads(DIGESTS.read_text())["attachment_ledger"][name]
-        assert asked == ([True, True] if name.startswith("Y") else [True, False])
 
 
 class TestLineSampler:
@@ -468,25 +427,6 @@ class TestCycleFromChain:
         res = cycle_from_chain(7, seed=23)
         inv = invariants_of(res.graph)
         assert (inv.g, inv.chi, inv.p_omega) == (1, 0, 0)
-
-    def test_d5_tolerates_the_line_by_dimension(self, monkeypatch):
-        """In P^4 the 3-space of the free lines is a hyperplane: it meets the
-        chain's central plane in a line, which the check accepts from its
-        dimension alone, asking no plane for an anchor."""
-        seen = []
-
-        def recorded(a, b):
-            seen.append((a.ambient_dim, a.dim, meet_dim(a, b)))
-            return seen[-1][2]
-
-        def no_anchor(self, p):
-            raise AssertionError("a free-line attachment asks a plane for its anchors")
-
-        monkeypatch.setattr(constructions, "meet_dim", recorded)
-        monkeypatch.setattr(Subspace, "contains_point", no_anchor)
-        res = cycle_from_chain(5, seed=21)
-        assert (4, 3, 1) in seen
-        assert meet(res.attachments[0].span_pi, res.arrangement.planes[1]).dim == 1
 
 
 class TestTransversalityReport:
@@ -600,22 +540,17 @@ class TestCrossModuleConsistency:
 class TestLazyGraph:
     """A result builds its dual graph when the graph is first read."""
 
-    def test_intermediates_carry_their_own_graph(self, monkeypatch):
-        seen = []
-        for name in ("attach_handle", "_attach_pair", "cycle_from_chain", "_z_step"):
-            def recorded(*args, _step=getattr(constructions, name)):
-                seen.append(_step(*args))
-                return seen[-1]
-
-            monkeypatch.setattr(constructions, name, recorded)
-        build_X(14, 4, 1)
-        build_Y(13, 3, 1)
-        build_Z(14, 4, 2)
-        for d in range(5, 10):
-            constructions.cycle_from_chain(d, 3)
+    def test_intermediates_carry_their_own_graph(self):
+        steps = (attach_handle, constructions._attach_pair, cycle_from_chain, constructions._z_step)
+        with spy(*steps) as calls:
+            build_X(14, 4, 1)
+            build_Y(13, 3, 1)
+            build_Z(14, 4, 2)
+            for d in range(5, 10):
+                constructions.cycle_from_chain(d, 3)  # through the spied reference
         # each handle and each cycle closure is also an _attach_pair
-        assert len(seen) == 2 * 3 + (2 + 2) + 3 + 2 * 5
-        for res in seen:
+        assert len(calls) == 2 * 3 + (2 + 2) + 3 + 2 * 5
+        for res in (c.result for c in calls):
             assert res.graph == build_dual_graph(res.arrangement, res.incidence, res.report)
             assert res.num_edges == res.graph.num_edges
 
@@ -626,17 +561,9 @@ class TestLazyGraph:
         ["--family", "chain", "--d", "6"],
         ["--family", "cycle", "--d", "7"],
     ])
-    def test_one_dual_graph_per_construct(self, argv, monkeypatch, tmp_path):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return build_dual_graph(*args)
-
-        for module in (cli, complexes, constructions):
-            monkeypatch.setattr(module, "build_dual_graph", counted)
+    def test_one_dual_graph_per_construct(self, argv, tmp_path):
         out = str(tmp_path / "out.json")
-        with contextlib.redirect_stdout(io.StringIO()):
+        with spy(build_dual_graph) as calls, contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["construct", *argv, "--seed", "1", "--out", out]) == 0
         assert len(calls) == 1
 

@@ -23,10 +23,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import containment_incidence, containment_report, report_disagreements
+from spy import spy
 from test_acceptance import GRID
 from test_golden import LEDGER_CASES
-from zappatic import arrangement, constructions
-from zappatic.arrangement import Arrangement, compute_incidence, zappatic_report
+from zappatic.arrangement import (
+    Arrangement,
+    classify_point,
+    compute_incidence,
+    zappatic_report,
+)
 from zappatic.complexes import build_dual_graph
 from zappatic.constructions import build_X, build_Z
 from zappatic.projective import Subspace
@@ -37,18 +42,10 @@ def ledger_passes():
     """(arrangement, base, incidence) of every incidence pass of the ledger
     builds; base is the incidence of the old planes that an attachment
     attempt starts from (lifted into one more coordinate for Z), or None."""
-    passes = []
-
-    def recording(arr, base=None):
-        inc = compute_incidence(arr, base)
-        passes.append((arr, base, inc))
-        return inc
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "compute_incidence", recording)
+    with spy(compute_incidence) as calls:
         for build in LEDGER_CASES.values():
             build()
-    return passes
+    return [(c.args[0], c.args[1] if len(c.args) > 1 else None, c.result) for c in calls]
 
 
 def assert_matches_complex(arr, inc, report):
@@ -90,39 +87,32 @@ def test_ledger_bases_are_the_incidence_of_the_old_planes(ledger_passes):
 Z_BUILDS = [(8, 2, 13), (11, 3, 2), (14, 4, 0), (20, 6, 1), (32, 10, 0), (44, 14, 0)]
 
 
-def test_grown_reports_match_from_scratch(monkeypatch):
+def test_grown_reports_match_from_scratch():
     """Every attachment attempt of the acceptance grid, the ledger builds
     and Z up to d = 44, accepted or rejected, reuses the old report's types
     and classifies fewer points, yet its report equals the from-scratch one:
     the counts, the types and the violations in order."""
-    calls = []  # one entry per classify_point call
+    with spy(classify_point, zappatic_report) as calls:
+        for d, g, seed in GRID:
+            build_X(d, g, seed)
+        for d, g, seed in Z_BUILDS:
+            build_Z(d, g, seed)
+        for build in LEDGER_CASES.values():
+            build()
     classified = Counter()
     attempts = Counter()
-    classify_point = arrangement.classify_point
-
-    def counted(*args):
-        calls.append(args)
-        return classify_point(*args)
-
-    def checked(arr, inc=None, base=None):
-        start = len(calls)
-        report = zappatic_report(arr, inc, base)
-        if base is not None:
-            classified["grown"] += len(calls) - start
-            start = len(calls)
-            assert report == zappatic_report(arr, inc)
-            classified["scratch"] += len(calls) - start
-            attempts[report.is_zappatic] += 1
-        return report
-
-    monkeypatch.setattr(arrangement, "classify_point", counted)
-    monkeypatch.setattr(constructions, "zappatic_report", checked)
-    for d, g, seed in GRID:
-        build_X(d, g, seed)
-    for d, g, seed in Z_BUILDS:
-        build_Z(d, g, seed)
-    for build in LEDGER_CASES.values():
-        build()
+    points = 0  # the classify_point calls of the report that returns next
+    for c in calls:
+        if c.name == "classify_point":
+            points += 1
+            continue
+        if len(c.args) == 3:  # (arr, inc, base): grown from the old report
+            with spy(classify_point) as scratch:
+                assert c.result == zappatic_report(*c.args[:2])
+            classified["grown"] += points
+            classified["scratch"] += len(scratch)
+            attempts[c.result.is_zappatic] += 1
+        points = 0
     assert attempts[True] and attempts[False]
     assert classified["grown"] < classified["scratch"]
 

@@ -427,32 +427,6 @@ def test_kernel_at_int64_edges_matches_references(m):
         assert linalg.rref(m) == _bareiss.rref(m)
 
 
-def kernel_inputs(monkeypatch, argv):
-    """Every matrix the command hands to linalg.rank and linalg.rref."""
-    seen = []
-    for name in ("rank", "rref"):
-        def record(rows, _op=getattr(linalg, name)):
-            rows = [list(r) for r in rows]
-            seen.append(rows)
-            return _op(rows)
-
-        monkeypatch.setattr(linalg, name, record)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-    monkeypatch.undo()
-    return seen
-
-
-def test_pure_kernel_on_the_quadrics_oracle_system(monkeypatch):
-    mats = kernel_inputs(monkeypatch, ["quadrics", "--d", "7", "--g", "0", "--oracle"])
-    # the codim-3 subspace; the curve's evaluation system's 15 distinct
-    # columns, ranked; and the subspace's 15 conditions on the 21 differences
-    # of monomials of equal weight that span the curve's kernel
-    assert [(len(m), len(m[0])) for m in mats] == [(5, 8), (16, 15), (15, 21)]
-    for m in mats:
-        assert_pure_kernel_matches_references(m)
-
-
 @st.composite
 def matrices_with_repeated_columns(draw):
     """Up to 6 rows whose columns repeat, negate or zero out a few base
@@ -508,68 +482,9 @@ def test_ranks_on_the_kernel_refuse_dependent_distinct_columns(monkeypatch):
         "internal error: the distinct columns of the conditions are dependent\n")
 
 
-def test_pure_kernel_on_the_construct_path(monkeypatch, tmp_path):
-    argv = ["construct", "--family", "Z", "--d", "11", "--g", "3", "--seed", "2",
-            "--out", str(tmp_path / "z.json")]
-    ranked = []
-
-    def rank(rows, _op=linalg.rank):
-        ranked.append((len(rows), len(rows[0])))
-        return _op(rows)
-
-    reduced = []
-
-    def nullspace(rows, ncols=None, _op=linalg.nullspace):
-        reduced.append(tuple(map(tuple, rows)))
-        return _op(rows, ncols)
-
-    monkeypatch.setattr(linalg, "rank", rank)
-    monkeypatch.setattr(linalg, "nullspace", nullspace)
-    mats = kernel_inputs(monkeypatch, argv)
-    shapes = {(len(m), len(m[0])) for m in mats}
-    # meet writes down the kernel of a plane pair that meets in a double
-    # line, so no three-column system reaches the kernel; nullspace sees the
-    # equations of the planes that meets read, each plane's three rows on
-    # its support of six or seven columns, and each plane once
-    assert not any(nc == 3 for _, nc in shapes)
-    assert (3, 6) in shapes
-    assert reduced and {(len(m), len(m[0])) for m in reduced} <= {(3, 6), (3, 7)}
-    assert len(set(reduced)) == len(reduced)
-    # classify_point's twelve-row span stacks of the four planes at each of
-    # the four S_4 points, on the columns where those planes are not all
-    # zero: the first two points' planes miss one of P^6's seven coordinates;
-    # an R_3 point's span is forced, so no nine-row stack of three planes
-    # reaches the kernel
-    assert ranked == [(12, 6), (12, 6), (12, 7), (12, 7)]
-    assert not any(nr == 9 for nr, _ in shapes)
-    for m in mats:
-        assert_pure_kernel_matches_references(m)
-
-
 def densely(columns, nrows):
     """The matrix with these {row: entry} columns, as a list of rows."""
     return [[c.get(r, 0) for c in columns] for r in range(nrows)]
-
-
-@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 5) for m in range(2, 5)])
-def test_pure_kernel_on_torus_boundaries(monkeypatch, n, m):
-    """The command ranks the torus d2 sparsely and hands no dense block to
-    the kernel; written densely, the same d2 has the same rank."""
-    seen = []
-
-    def record(columns, _op=linalg.sparse_rank):
-        columns = [dict(c) for c in columns]
-        seen.append(columns)
-        return _op(columns)
-
-    monkeypatch.setattr(linalg, "sparse_rank", record)
-    mats = kernel_inputs(monkeypatch, ["invariants", "--abstract", "torus", str(n), str(m)])
-    assert mats == []
-    [d2] = seen
-    dense = densely(d2, 3 * n * m)
-    assert len(d2) == n * m
-    assert linalg.sparse_rank(d2) == frac_rank(dense) == bareiss_rank(dense) == n * m - 1
-    assert_pure_kernel_matches_references(dense)
 
 
 @st.composite

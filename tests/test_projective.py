@@ -1,16 +1,13 @@
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zappatic import arrangement, constructions, linalg, scrolls
-from zappatic.arrangement import compute_incidence
+from zappatic import linalg
 from zappatic.constructions import build_Z
 from zappatic.errors import RangeError
 from zappatic.projective import (
@@ -34,17 +31,13 @@ from zappatic.projective import (
 
 from oracles import (
     bareiss_contains,
-    basis_pivots,
-    coordinate_changes,
     frac_meet,
     frac_nullspace,
     frac_rank,
     frac_rref,
     klein_form,
-    moved,
 )
-from test_constructions import TETRAHEDRON
-from test_scrolls import HYPERBOLIC
+from spy import spy
 
 
 def e(i, n):
@@ -316,9 +309,9 @@ def assert_small_kernel(cols):
     if rank == 3:
         stop = next(j for j in range(1, len(rows) + 1) if linalg.rank(rows[:j]) == 3)
         cols = read_up_to(cols[:stop])
-    with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as counted:
+    with spy(linalg.nullspace) as counted:
         got = _small_kernel(cols)
-    assert counted.call_count == (rank == 0)
+    assert len(counted) == (rank == 0)
     assert len(got) == 3 - rank
     if got:
         assert Subspace(2, got) == Subspace(2, kernel)
@@ -382,13 +375,6 @@ def int_rows(draw):
     return n, [[k * x for x in draw(row)] for k in multipliers]
 
 
-def cleared(build):
-    """build() and how many rows it cleared of denominators."""
-    with patch.object(linalg, "clear_denominators", wraps=linalg.clear_denominators) as counted:
-        out = build()
-    return out, counted.call_count
-
-
 class TestIntRowsGoStraightToTheKernel:
     """A Subspace of int rows is reduced once, by the kernel's rref, and is
     the Subspace of the same rows written as Fractions."""
@@ -397,8 +383,9 @@ class TestIntRowsGoStraightToTheKernel:
     @given(int_rows(), st.integers(1, 7))
     def test_int_rows_equal_fraction_rows(self, data, den):
         n, rows = data
-        s, calls = cleared(lambda: Subspace(n, rows))
-        assert calls == 0
+        with spy(linalg.clear_denominators) as cleared:
+            s = Subspace(n, rows)
+        assert cleared == []
         assert s == Subspace(n, [[Fraction(x) for x in r] for r in rows])
         assert s == Subspace(n, [[Fraction(x, den) for x in r] for r in rows])
         assert all(type(x) is int for r in s.basis for x in r)
@@ -417,8 +404,9 @@ class TestIntRowsGoStraightToTheKernel:
         flagged = [[bool(x) if x in (0, 1) and data.draw(st.booleans()) else x for x in r]
                    for r in rows]
         assume(any(type(x) is bool for r in flagged for x in r))
-        s, calls = cleared(lambda: Subspace(n, flagged))
-        assert calls == len(rows)
+        with spy(linalg.clear_denominators) as cleared:
+            s = Subspace(n, flagged)
+        assert len(cleared) == len(rows)
         assert s == Subspace(n, rows)
         assert all(type(x) is int for r in s.basis for x in r)
 
@@ -607,99 +595,6 @@ class TestMeetExact:
         assume(a.dim == b.dim == 3)
         assert_wide_kernel_meet(a, b)
 
-    # (a, b, read): bases in P^5 (P^7 where the supports need the room)
-    # for each path of meet, and how many of the two sides' equations the
-    # meets in both orders read.  Each side's equations are one
-    # linalg.nullspace call, however many meets read them; the shortcuts,
-    # and a meet that b's own columns decide, read none.  The only other
-    # kernel calls are those of a smaller side that is not a plane, one per
-    # meet (of no column when b lies in a): a plane's kernel is read off
-    # cross products, or written down when the meet is a line.
-    PATHS = {
-        "coordinate nested": ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
-                              [[0, 0, 1, 0, 0, 0]], 0),
-        "coordinate equal": ([[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
-                             [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0]], 0),
-        "coordinate one shared": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
-                                  [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]], 0),
-        "coordinate x dense": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
-                               [[1, 2, 0, 3, 0, 0], [0, 1, 1, 0, 0, 0], [5, 0, 0, 1, 1, 0]], 1),
-        "b in a": ([[1, 2, 0, 3, 0, 1], [0, 1, 1, 0, 0, 2], [5, 0, 0, 1, 1, 0]],
-                   [[1, 3, 1, 3, 0, 3], [6, 2, 0, 4, 1, 1]], 1),
-        "line then plane": ([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
-                            [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]], 1),
-        "plane then 3-space": ([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
-                               [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
-                                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], 1),
-        "plane pair disjoint": ([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
-                                [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 2]], 2),
-        "plane pair in a point": ([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
-                                  [[1, 1, 1, 0, 1, 1], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 3]], 2),
-        "plane pair in a line": ([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1]],
-                                 [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]], 2),
-        "pivots not 1": ([[2, 1, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0], [0, 0, 0, 0, 5, 2]],
-                         [[2, 1, 3, 1, 5, 2], [0, 0, 0, 0, 0, 1]], 1),
-        "disjoint by b's own columns": ([[1, 0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 2, 0, 0, 0, 0],
-                                         [0, 0, 1, 3, 0, 0, 0, 0]],
-                                        [[0, 0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 1],
-                                         [0, 0, 0, 0, 1, 0, 1, 0]], 0),
-        "coordinate x dense in a point": ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
-                                           [0, 0, 1, 0, 0, 0]],
-                                          [[1, 1, 1, 0, 0, 0], [1, 2, 3, 1, 0, 1],
-                                           [2, 0, 1, 0, 1, 1]], 1),
-        "pivots not 1, plane b": ([[2, 1, 0, 0, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0, 0, 0],
-                                   [0, 0, 0, 0, 5, 2, 0, 0]],
-                                  [[0, 0, 0, 0, 5, 2, 0, 0], [0, 0, 0, 1, 1, 0, 1, 0],
-                                   [0, 0, 0, 0, 0, 1, 1, 1]], 2),
-    }
-
-    @pytest.mark.parametrize("case", list(PATHS))
-    def test_each_path_against_the_oracle(self, case, monkeypatch):
-        rows_a, rows_b, read = self.PATHS[case]
-        n = len(rows_a[0]) - 1
-        a, b = Subspace(n, rows_a), Subspace(n, rows_b)
-        if case.startswith("pivots not 1"):
-            assert all(row[c] > 1 for row, c in zip(a.basis, (0, 2, 4)))
-        calls = []
-        nullspace = linalg.nullspace
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return nullspace(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "nullspace", counted)
-        assert_meet_exact(a, b)
-        # a kernel of R names its width; an equations call does not
-        equations = [kwargs for kwargs in calls if "ncols" not in kwargs]
-        # each one a side that has equations, which it keeps
-        assert len(equations) == read == sum(bool(s.__dict__.get("equations")) for s in (a, b))
-        # the paths past the shortcuts whose smaller side has two rows
-        assert len(calls) - read == 2 * (case in ("b in a", "line then plane", "pivots not 1"))
-        if case == "b in a":
-            assert meet(a, b) == b
-        if case.startswith("plane pair"):
-            # neither shortcut: the supports meet and one side is not a coordinate plane
-            assert a.support & b.support and max(len(a.support), len(b.support)) > 3
-            dim = {"disjoint": -1, "in a point": 0, "in a line": 1}[case[len("plane pair "):]]
-            assert meet(a, b).dim == dim
-        if case == "disjoint by b's own columns":
-            # in both orders, the other side's columns off one side's support
-            # have rank 3, so they decide the meet with no reduced column
-            for x, y in ((a, b), (b, a)):
-                own = [[row[c] for row in y.basis] for c in y.support - x.support]
-                assert linalg.rank(own) == 3
-            assert a.support & b.support and meet(a, b).dim == -1
-        if case == "coordinate x dense in a point":
-            # a's support is its pivot columns: only b's own columns are read
-            assert a.support == set(basis_pivots(a.basis)) and len(b.support) == 6
-            assert meet(a, b) == span([ProjPoint([1, 1, 1, 0, 0, 0])], 5)
-        if case == "pivots not 1, plane b":
-            # the supports overlap, neither inside the other, and the reduced
-            # columns on a's non-pivot support are needed besides b's own
-            assert a.support & b.support and a.support - b.support and b.support - a.support
-            own = [[row[c] for row in b.basis] for c in b.support - a.support]
-            assert linalg.rank(own) == 2 and meet(a, b).dim == 0
-
     @pytest.mark.parametrize(
         "build, d, g, seed",
         [("X", 12, 4, 0), ("Y", 9, 2, 1), ("Z", 11, 3, 2)],
@@ -880,90 +775,6 @@ class TestClosedFormLineMeets:
             assert [Fraction(v, lead) for v in row] == want
 
 
-def kernel_widths(monkeypatch):
-    """The list that records the width of every kernel of R taken from now
-    on; an equations call names no width."""
-    widths = []
-    nullspace = linalg.nullspace
-
-    def counted(rows, ncols=None):
-        if ncols is not None:
-            widths.append(ncols)
-        return nullspace(rows, ncols=ncols)
-
-    monkeypatch.setattr(linalg, "nullspace", counted)
-    return widths
-
-
-def recorded_meets(module, monkeypatch):
-    """The list of the (a, b) that module's meet is called with from now on."""
-    met = []
-
-    def recorded(a, b):
-        met.append((a, b))
-        return meet(a, b)
-
-    monkeypatch.setattr(module, "meet", recorded)
-    return met
-
-
-class TestPointAndLineSides:
-    """A meet whose smaller side is a point or a line takes linalg.nullspace
-    of its reduced columns; only a plane's kernel is read off cross
-    products."""
-
-    def test_random_sides_of_one_and_two_rows_p3_to_p22(self, monkeypatch):
-        rng = random.Random(38)
-        widths = kernel_widths(monkeypatch)
-        sizes = Counter()
-        for _ in range(80):
-            n = rng.randint(3, 22)
-            h = rng.choice([5, 2**70])
-            m = rng.randint(1, 2)
-            common = [random_point(rng, n + 1, h) for _ in range(rng.randint(0, m))]
-            b = span(common + [random_point(rng, n + 1, h) for _ in range(m - len(common))], n)
-            a = span(common + [random_point(rng, n + 1, h)
-                               for _ in range(rng.randint(m, 4) - len(common))], n)
-            del widths[:]
-            assert_meet_exact(a, b)
-            assert widths == [m, m]
-            sizes[m, meet(a, b).dim] += 1
-        # both sizes, and every meet a point side can have, and a line side
-        # inside the other, meeting it in a point, or missing it
-        assert {(1, -1), (1, 0), (2, -1), (2, 0), (2, 1)} <= set(sizes)
-
-    def test_ruling_plane_meets_of_section_duality_check(self, monkeypatch):
-        met = recorded_meets(scrolls, monkeypatch)
-        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
-        out = scrolls.section_duality_check(HYPERBOLIC, pi, 8, base_point=ProjPoint([1, 0, 0, 0]))
-        assert out["passed"] is True
-        assert len(met) == 8 and all(a.dim == 1 and b == pi for a, b in met)
-        widths = kernel_widths(monkeypatch)
-        for a, b in met:
-            del widths[:]
-            assert_meet_exact(a, b)
-            assert widths == [2, 2] and meet(a, b).dim == 0
-
-    @pytest.mark.parametrize("seed", [None, 6], ids=["coordinate", "moved"])
-    def test_line_crossings_of_the_tetrahedron(self, seed, monkeypatch):
-        """The tetrahedron's four triangles of double lines each cross two
-        lines in a vertex: by support when the planes are coordinate planes,
-        through the kernel of a line side when they are moved."""
-        arr = constructions._coordinate_planes(3, TETRAHEDRON).arrangement
-        if seed is not None:
-            [m] = coordinate_changes(3, seed=seed, bound=2, count=1)
-            arr = moved(arr, m)
-        met = recorded_meets(arrangement, monkeypatch)
-        compute_incidence(arr)
-        crossings = [(a, b) for a, b in met if a.dim == b.dim == 1]
-        assert len(crossings) == 4
-        widths = kernel_widths(monkeypatch)
-        for a, b in crossings:
-            del widths[:]
-            assert_meet_exact(a, b)
-            assert widths == ([] if seed is None else [2, 2]) and meet(a, b).dim == 0
-
-
 class TestEquationCalls:
     """What the equations cost in kernel calls."""
 
@@ -973,10 +784,9 @@ class TestEquationCalls:
         a, b = pair
         assume(a.dim == b.dim == 2 and meet(a, b).dim == 1)
         a.equations, b.equations  # read once, and kept
-        with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as ns, \
-                patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+        with spy(linalg.nullspace, linalg.rref) as calls:
             assert meet(a, b).dim == meet(b, a).dim == 1
-        assert ns.call_count == rref.call_count == 0
+        assert calls == []
 
     def test_equations_cost_one_nullspace_however_many_meets(self):
         """A plane of P^7 met with seven others, disjoint from it or through
@@ -989,24 +799,24 @@ class TestEquationCalls:
         others = [span([ProjPoint(row) for row in a.basis[:k]]
                        + [random_point(rng, n + 1) for _ in range(3 - k)], n)
                   for k in (0, 0, 0, 1, 1, 2, 2)]
-        with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as ns:
+        with spy(linalg.nullspace) as ns:
             for b in others:
                 assert meet(a, b) == meet(b, a) == oracle_meet(a, b)
                 assert not a.contains(b)
-        assert [c.args[0] for c in ns.call_args_list].count(own) == 1
+        assert [c.args[0] for c in ns].count(own) == 1
 
     @pytest.mark.parametrize("coords", [(0, 2, 3), (1,), range(9), (4, 5, 6, 7)])
     def test_a_coordinate_subspace_costs_none(self, coords):
         n = 8
         rng = random.Random(32)
         dense = span([random_point(rng, n + 1) for _ in range(len(coords))], n)
-        with patch.object(linalg, "nullspace", wraps=linalg.nullspace) as ns:
+        with spy(linalg.nullspace) as ns:
             for s in (coordinate_subspace(n, coords), Subspace(n, [e(c, n + 1).coords for c in coords])):
                 assert s.support == frozenset(coords)
                 assert s.equations == ()
                 assert s.contains_point(e(coords[0], n + 1))
                 assert s.contains(span([e(c, n + 1) for c in coords], n))
-        assert ns.call_count == 0
+        assert ns == []
         assert_meet_exact(coordinate_subspace(n, coords), dense)
 
 
