@@ -170,8 +170,7 @@ def cmd_invariants(args) -> int:
 def cmd_graph(args) -> int:
     arr, _meta, inc, report = _read_classified(args.path)
     dot = to_dot(build_dual_graph(arr, inc, report))
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(dot)
+    serialize.write_text(args.dot, dot)
     print(f"wrote {args.dot}")
     return 0
 

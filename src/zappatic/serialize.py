@@ -10,11 +10,18 @@ newline, but dumps writes the plane list itself by string joins: with an
 indent, json.dumps always runs the pure-Python encoder, since CPython uses
 its C encoder only for indent=None, and on the long plane lists of large
 builds that costs about ten times the joins.  Reading goes through json.
+
+write_text, the package's one file writer, writes over an existing file's
+old bytes and then truncates it to the new length, keeping its inode, mode
+and hard links, because truncating to zero before writing makes ext4 start
+writing the new blocks back on close, which the next rewrite waits for; the
+write is not atomic.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -123,9 +130,21 @@ def dumps(arr: Arrangement, metadata: dict | None = None) -> str:
     return "{\n " + ",\n ".join(fields) + "\n}\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8 to path, over the old bytes of an existing file."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_arrangement(path, arr: Arrangement, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(arr, metadata))
+    write_text(path, dumps(arr, metadata))
 
 
 def read_arrangement(path) -> tuple[Arrangement, dict]:

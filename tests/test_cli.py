@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -84,6 +85,54 @@ class TestSerialize:
         path.write_text("{not json")
         with pytest.raises(RangeError):
             serialize.read_arrangement(path)
+
+
+class TestWriteText:
+    """serialize.write_text, behind --out and --dot, rewrites a file in place."""
+
+    def test_shorter_text_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"x" * 5000)
+        serialize.write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+
+    def test_hard_link_sees_the_new_bytes_on_the_same_inode(self, tmp_path):
+        path, link = tmp_path / "f.txt", tmp_path / "link.txt"
+        path.write_text("the old, longer text\n")
+        os.link(path, link)
+        inode = path.stat().st_ino
+        serialize.write_text(path, "new\n")
+        assert link.read_bytes() == b"new\n"
+        assert path.stat().st_ino == link.stat().st_ino == inode
+
+    def test_new_file_gets_the_mode_of_open_for_writing(self, tmp_path):
+        with open(tmp_path / "opened.txt", "w"):
+            pass
+        serialize.write_text(tmp_path / "written.txt", "")
+        assert (tmp_path / "written.txt").stat().st_mode == (tmp_path / "opened.txt").stat().st_mode
+
+    def test_no_output_is_truncated_to_zero(self, tmp_path, capsys, monkeypatch):
+        def run(out, dot):
+            assert main(["construct", "--family", "chain", "--d", "5", "--out", str(out)]) == 0
+            assert main(["graph", str(out), "--dot", str(dot)]) == 0
+            capsys.readouterr()
+            return out.read_bytes(), dot.read_bytes()
+
+        fresh = run(tmp_path / "fresh.json", tmp_path / "fresh.dot")
+        out, dot = tmp_path / "c.json", tmp_path / "c.dot"
+        out.write_bytes(b"x" * 50000)
+        dot.write_bytes(b"x" * 50000)
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append((str(path), flag))
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert run(out, dot) == fresh
+        assert [path for path, _ in flags] == [str(out), str(dot)]
+        assert not any(flag & os.O_TRUNC for _, flag in flags)
 
 
 INT64_EDGES = (-(2**63), 2**63 - 1, 2**63, -(2**63) - 1)
@@ -290,6 +339,13 @@ def _disjoint_planes_file(tmp_path, metadata=None):
         data["metadata"] = metadata
     path = tmp_path / "disjoint.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def _chain_file(tmp_path):
+    """The 5-chain, a Zappatic arrangement that graph accepts."""
+    path = tmp_path / "c.json"
+    serialize.write_arrangement(path, constructions.chain_planes(5).arrangement)
     return path
 
 
@@ -592,6 +648,10 @@ def _broken_chain(monkeypatch, _tmp_path):
         # checked before the counts are printed
         pytest.param(["quadrics", "--d", "5", "--g", "1", "--oracle"], None, 2,
                      id="oracle-with-positive-genus"),
+        pytest.param(["construct", "--family", "chain", "--d", "5", "--out", "{tmp}"], None, 2,
+                     id="construct-out-is-a-directory"),
+        pytest.param(["graph", "{tmp}/c.json", "--dot", "{tmp}"],
+                     lambda _, tmp: _chain_file(tmp), 2, id="graph-dot-is-a-directory"),
         pytest.param(["construct", "--family", "chain", "--d", "5", "--out", "{tmp}/c.json"],
                      _broken_chain, 4, id="internal-check"),
     ],
@@ -605,7 +665,20 @@ def test_error_exits(tmp_path, capsys, monkeypatch, argv, setup, code):
     assert got == code
     assert out == ""
     assert err.startswith("internal error:" if code == 4 else "error:")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,setup", [
+    (["construct", "--family", "chain", "--d", "5", "--out", "{tmp}"], None),
+    (["graph", "{tmp}/c.json", "--dot", "{tmp}"], _chain_file),
+])
+def test_output_path_is_a_directory(tmp_path, capsys, argv, setup):
+    """An output path that is a directory gives the OSError text that
+    open(path, "w") gives."""
+    if setup is not None:
+        setup(tmp_path)
+    got, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert (got, out, err) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def _oracle_inputs(d):
