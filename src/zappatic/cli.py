@@ -234,10 +234,17 @@ def _ranks_on_the_kernel(rows, extra) -> tuple[int, int]:
             lifted.append([a - b for a, b in zip(below, firsts[key])])
         else:
             firsts[key] = below
-    rank = linalg.rank(list(zip(*firsts)))
+    rank = _certified_rank(list(zip(*firsts)))
     if rank != len(firsts):
         raise InternalCheckError("the distinct columns of the conditions are dependent")
-    return rank, rank + linalg.rank(list(zip(*lifted)))
+    return rank, rank + _certified_rank(list(zip(*lifted)))
+
+
+def _certified_rank(m) -> int:
+    """Rank over the rationals of the list of rows m: the rank mod p when it
+    is full, min(rows, columns), and the exact kernel's rank otherwise."""
+    full = min(len(m), len(m[0])) if m else 0
+    return full if linalg.rank_mod_p(m) == full else linalg.rank(m)
 
 
 def _run_quadric_oracle(d: int) -> tuple[int, int]:
@@ -253,7 +260,7 @@ def _run_quadric_oracle(d: int) -> tuple[int, int]:
     independent and ker R = ker E, spanned by e_mu - e_first for each
     monomial mu after the first of its weight.  Hence rank [R; S] = rank D
     + rank(S K), where K is that basis and S the subspace's conditions, and
-    the kernel ranks D and S K rather than the stack.  If D's columns were
+    the oracle ranks D and S K rather than the stack.  If D's columns were
     dependent, ker R would be larger than ker E; _ranks_on_the_kernel
     checks rank D against the number of weights and raises
     InternalCheckError otherwise.

@@ -10,6 +10,11 @@ Fractions.
 
 sparse_rank ranks a matrix given as sparse columns, such as a boundary
 matrix, by column reduction over the integers.
+
+rank_mod_p is the rank over the integers mod a prime.  It is a lower bound
+on the rank over the rationals (a minor that is nonzero mod p is nonzero),
+so it certifies a full rank and nothing else: a caller takes it when it
+equals min(rows, columns), and otherwise asks rank, the one exact kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from math import gcd, lcm
 from operator import index
 
 from zappatic import _bareiss as _py
+
+# The largest prime below 2**15: a product of two residues stays below 2**30.
+MODULUS = 32749
 
 
 def backend_name() -> str:
@@ -42,6 +50,49 @@ def rank(rows) -> int:
 
 def rref(rows) -> tuple[tuple[int, ...], ...]:
     return _py.rref(rows)
+
+
+def rank_mod_p(rows, p: int = MODULUS) -> int:
+    """Rank of an integer matrix over the integers mod the prime p.
+
+    Rows are read once and their entries through operator.index, as rank
+    reads them.  Plain Gaussian elimination on residues: a pivot row is
+    scaled to -1 at its pivot, and adding a multiple of it clears the column
+    below.  Rows are held reversed, so that the columns still to be cleared
+    are a prefix and a combined row keeps only that prefix.
+    """
+    m = []
+    for row in rows:
+        row = [index(x) % p for x in row]
+        row.reverse()
+        m.append(row)
+    if not m:
+        return 0
+    ncols = len(m[0])
+    for row in m:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    nrows = len(m)
+    rank = 0
+    for c in range(ncols - 1, -1, -1):
+        for i in range(rank, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        pivot = m[i]
+        m[i] = m[rank]
+        rank += 1
+        if rank == nrows:
+            break
+        s = p - pow(pivot[c], -1, p)
+        pivot = [y * s % p for y in pivot[:c]]
+        for j in range(rank, nrows):
+            row = m[j]
+            f = row[c]
+            if f:
+                m[j] = [(x + f * y) % p for x, y in zip(row, pivot)]
+    return rank
 
 
 def sparse_rank(columns) -> int:

@@ -3,6 +3,7 @@ import io
 import random
 import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from oracles import (
     frac_rank,
     frac_rref,
 )
+from spy import spy
 
 
 def test_one_kernel_is_reported():
@@ -43,6 +45,7 @@ def test_rank_small_cases():
     assert linalg.rank([[2, 4], [1, 2]]) == 1
     assert linalg.rank([[0, 0], [0, 0]]) == 0
     assert linalg.rank([]) == 0
+    assert linalg.rank_mod_p([]) == linalg.rank_mod_p([[], []]) == 0
 
 
 def test_rank_matches_fraction_oracle():
@@ -153,7 +156,7 @@ def test_kernel_cases_match_fractions(m):
     for rows in (m, [tuple(r) for r in m]):
         before = repr(rows)
         ours = linalg.rref(rows)
-        assert linalg.rank(rows) == len(ours) == len(ref)
+        assert linalg.rank(rows) == linalg.rank_mod_p(rows) == len(ours) == len(ref)
         for a, b in zip(ours, ref):
             piv = next(x for x in a if x)
             assert piv > 0 and [Fraction(x, piv) for x in a] == b
@@ -163,14 +166,14 @@ def test_kernel_cases_match_fractions(m):
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, 1.0])
 def test_kernel_rejects_entries_that_are_not_ints(bad):
-    for op in (linalg.rank, linalg.rref):
+    for op in (linalg.rank, linalg.rref, linalg.rank_mod_p):
         with pytest.raises(TypeError):
             op([[1, 2], [3, bad]])
 
 
 @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5]]])
 def test_kernel_rejects_ragged_rows(m):
-    for op in (linalg.rank, linalg.rref):
+    for op in (linalg.rank, linalg.rref, linalg.rank_mod_p):
         with pytest.raises(ValueError, match="ragged"):
             op(m)
 
@@ -390,6 +393,7 @@ def test_int64_min_rref():
 
 def test_rows_that_are_not_lists():
     assert linalg.rank(iter([[1, 2], [2, 4]])) == 1
+    assert linalg.rank_mod_p(iter([iter([1, 2]), iter([2, 5])])) == 2
     assert linalg.rref([iter([2, 4])]) == ((1, 2),)
     assert linalg.rref((range(3), range(1, 4))) == ((1, 0, -1), (0, 1, 2))
 
@@ -419,7 +423,7 @@ def edge_matrices(draw):
 @given(edge_matrices())
 def test_kernel_at_int64_edges_matches_references(m):
     if len({len(r) for r in m}) > 1:
-        for op in (linalg.rank, linalg.rref):
+        for op in (linalg.rank, linalg.rref, linalg.rank_mod_p):
             with pytest.raises(ValueError, match="ragged"):
                 op(m)
     else:
@@ -480,6 +484,54 @@ def test_ranks_on_the_kernel_refuse_dependent_distinct_columns(monkeypatch):
         assert cli.main(["quadrics", "--d", "3", "--g", "0", "--oracle"]) == 4
     assert err.getvalue() == (
         "internal error: the distinct columns of the conditions are dependent\n")
+
+
+@given(hard_matrices(), st.sampled_from((2, 3, 7, linalg.MODULUS)))
+def test_rank_mod_p_is_a_lower_bound_exact_when_full(m, p):
+    ours = linalg.rank_mod_p(m, p)
+    assert ours <= frac_rank(m)
+    if ours == min(len(m), len(m[0])):
+        assert ours == frac_rank(m)
+    # row rank is column rank over the field of p elements
+    assert linalg.rank_mod_p(zip(*m), p) == ours
+    assert linalg.rank_mod_p([[x + p for x in row] for row in m], p) == ours
+
+
+P = linalg.MODULUS
+
+
+def test_rank_mod_p_falls_short_where_a_minor_is_a_multiple_of_p():
+    def prime(n):
+        return all(n % q for q in range(2, isqrt(n) + 1))
+
+    # the default modulus is the largest prime below 2**15
+    assert prime(P) and not any(map(prime, range(P + 1, 2**15)))
+    assert linalg.rank_mod_p([[P, 0], [0, 1]]) == 1
+    assert linalg.rank_mod_p([[1, 1], [1, P + 1]]) == 1
+    assert linalg.rank_mod_p([[2 * P, -P, 0], [0, 3 * P, P]]) == 0
+    assert linalg.rank_mod_p([[2, 1], [1, 2]], 3) == 1
+
+
+# rows D E and extra, as _ranks_on_the_kernel takes them, where D, the lift
+# of extra to ker E, or both fall short of full rank mod p but not over Q
+SHORT_MOD_P = {
+    "D has a minor that is a multiple of p": (
+        [[P, 0, P], [0, 1, 0]], [[0, 0, 1]]),
+    "the lift has a minor that is a multiple of p": (
+        [[1, 0, 1, 0], [0, 1, 0, 1]], [[0, 0, P, 0], [0, 0, 0, 1]]),
+    "D is a block scaled by p": (
+        [[P, 2 * P, 0, P], [3 * P, 4 * P, 0, 3 * P], [0, 0, 1, 0]], [[1, 0, 0, 2]]),
+    "every entry is a multiple of p": (
+        [[P, -2 * P, P], [3 * P, P, 3 * P]], [[P, 0, 3 * P]]),
+}
+
+
+@pytest.mark.parametrize("rows,extra", SHORT_MOD_P.values(), ids=SHORT_MOD_P)
+def test_ranks_on_the_kernel_fall_back_to_the_exact_kernel(rows, extra):
+    with spy(linalg.rank) as calls:
+        got = cli._ranks_on_the_kernel(rows, extra)
+    assert got == (bareiss_rank(rows), bareiss_rank([*rows, *extra]))
+    assert calls  # the certificate failed, and the exact kernel decided
 
 
 def densely(columns, nrows):

@@ -294,9 +294,17 @@ ROUTES = {
     "quadrics --d 7 --oracle kernel inputs": (
         KERNEL, _command_kernel(["quadrics", "--d", "7", "--g", "0", "--oracle"],
                                lambda calls: _shapes(calls, "rank", "rref")),
-        [(5, 8), (16, 15), (15, 21)],
-        "the codim-3 subspace; the curve's 15 distinct columns; the subspace's 15 "
-        "conditions on the 21 equal-weight monomial differences that span its kernel"),
+        [(5, 8)],
+        "the codim-3 subspace's basis alone: the curve's 15 distinct columns and the "
+        "subspace's 15 conditions on the 21 equal-weight monomial differences are full "
+        "rank mod p, so the certificate answers for both"),
+    "quadrics --d 12 --oracle reaches no wide kernel input": (
+        KERNEL, _command_kernel(["quadrics", "--d", "12", "--g", "0", "--oracle"],
+                               lambda calls: [s for s in _shapes(calls, "rank", "rref")
+                                              if s[1] >= 25]),
+        [],
+        "neither D (26 x 25) nor L (55 x 66) goes to the exact kernel: both are "
+        "certified full rank mod p"),
     "construct Z(11,3,2) kernel inputs": (
         (*KERNEL, linalg.nullspace),
         _command_kernel(["construct", "--family", "Z", "--d", "11", "--g", "3", "--seed", "2",
