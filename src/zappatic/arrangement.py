@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from zappatic import linalg
 from zappatic.errors import RangeError
@@ -230,6 +230,21 @@ def _graph_shape(vertices, edges):
 _SHAPE_TYPES = {"chain": ("R", 1), "fork": ("S", 1), "cycle": ("E", 0)}
 
 
+def _leaf_images(arr: Arrangement, order) -> list[list[int]]:
+    """One nonzero image modulo the centre order[0] per leaf of a fork (see
+    classify_point): a leaf row's entries off the centre's support, then
+    the centre's equations at that row."""
+    centre = arr.planes[order[0]]
+    leaves = [arr.planes[i] for i in order[1:]]
+    off = sorted(frozenset().union(*(leaf.support for leaf in leaves)) - centre.support)
+
+    def image(row):
+        return [row[c] for c in off] + [sum(map(mul, f, get(row))) for get, f in centre.equations]
+
+    # a leaf is a plane other than the centre, so one of its rows is off it
+    return [next(filter(any, map(image, leaf.basis))) for leaf in leaves]
+
+
 def classify_point(
     arr: Arrangement, inc: IncidenceData, point_index: int
 ) -> SingularityType:
@@ -246,9 +261,16 @@ def classify_point(
       * P1 and P2 share a line, so they span a P^3;
       * if P3 lay in that P^3, P1 and P3 would meet in a line; so P3, which
         shares a line with P2, adds exactly one dimension.
-    For forks, 3-cycles and longer chains the pairwise meets do not decide
-    the span, and it is ranked on the union of the planes' supports: every
-    other column of the stacked bases is zero and adds nothing to the rank.
+    A fork of n planes is ranked modulo its centre P0.  Each leaf meets P0
+    in a double line, so modulo P0 its three rows span one class, and the
+    fork spans P0 plus those n - 1 classes: a P^(n+1) exactly when they are
+    independent.  A row y is sent to its entries off P0's support followed
+    by P0's equations at y.  By the lemma of Subspace that map has kernel
+    P0, so it is injective on V/P0, and the span is full exactly when one
+    nonzero image row per leaf gives n - 1 independent rows.  For 3-cycles
+    and longer chains the pairwise meets do not decide the span, and it is
+    ranked on the union of the planes' supports: every other column of the
+    stacked bases is zero and adds nothing to the rank.
     """
     sp = inc.singular_points[point_index]
     planes = sorted(sp.incident_planes)
@@ -264,6 +286,8 @@ def classify_point(
     kind, excess = _SHAPE_TYPES[shape_name]
     if shape_name == "chain" and n == 3:
         span_dim = 4
+    elif shape_name == "fork":
+        span_dim = 2 + linalg.rank(_leaf_images(arr, order))
     else:
         get = itemgetter(*sorted(frozenset().union(*(arr.planes[i].support for i in planes))))
         span_dim = linalg.rank([get(row) for i in planes for row in arr.planes[i].basis]) - 1

@@ -365,6 +365,8 @@ class QuadricForm:
         return len(self.matrix) - 1
 
     def evaluate(self, p: ProjPoint) -> int:
+        if p.ambient_dim != self.ambient_dim:
+            raise RangeError("ambient dimension mismatch")
         return self.bilinear(p.coords, p.coords)
 
     def bilinear(self, u, v) -> int:

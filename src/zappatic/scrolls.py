@@ -17,6 +17,8 @@ witness is written down directly.
 section_duality_check verifies, on exact samples, that intersecting the
 rulings of a smooth quadric with a fixed plane is the linear projection of
 the ruling conic in the Klein quadric from the dual plane of that plane.
+Each sampled ruling is read off one line skew to the seed ruling, in
+closed form; only the seed's point and that line's point are factored.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
+from operator import mul
 
 from zappatic import linalg
 from zappatic.errors import GenericityError, InternalCheckError, RangeError
@@ -232,6 +235,19 @@ def section_duality_check(
     exactly on the rest).  The sampled rulings all meet one ruling through
     base_point, a rational point of the quadric; a point off the quadric
     raises RangeError.
+
+    The seed line M through base_point and the other ruling N through it
+    come from _lines_through.  The sample points p lie on M, and L_t is the
+    ruling of N's family through p.  Those rulings are read off one skew
+    line instead of a factorization per sample: N has a basis point q other
+    than base_point, and the line M' = span(a, b) of M's family through q
+    is not M, so it is skew to M (two lines of one family never meet).
+    L_t meets every line of M's family, M' included, and the point where
+    it does lies on the quadric and on L_t, so on the tangent plane at p,
+    the plane g.y = 0 with g the quadric's matrix times p.  M' does not lie
+    in that plane, whose section of the quadric is M and L_t alone, so it
+    meets it in exactly one point, (g.b) a - (g.a) b.  That point is on the
+    quadric and off M, so it is on L_t, and L_t is its span with p.
     """
     if quadric.ambient_dim != 3:
         raise RangeError("quadric must live on P^3")
@@ -239,12 +255,17 @@ def section_duality_check(
         raise RangeError("requires a smooth quadric (rank 4)")
     if pi.ambient_dim != 3 or pi.dim != 2:
         raise RangeError("requires a plane in P^3")
+    if base_point.ambient_dim != 3:
+        raise RangeError("base point must lie in P^3")
     if n_samples < 6:
         raise RangeError("requires n_samples >= 6")
     if quadric_rank(quadric.restrict(pi)) != 3:
         raise RangeError("plane is tangent to the quadric or contains a ruling")
 
-    seed_line, _other = _lines_through(quadric, base_point)
+    seed_line, other = _lines_through(quadric, base_point)
+    q = ProjPoint(next(row for row in other.basis if row != base_point.coords))
+    skew = next(line for line in _lines_through(quadric, q) if line != other)
+    a, b = skew.basis
 
     # parametrize the opposite ruling family through the points of seed_line
     u, v = seed_line.basis
@@ -253,9 +274,13 @@ def section_duality_check(
     dual = dual_plane_in_klein(pi)
     proj_forms = linalg.nullspace(dual.basis, ncols=6)  # three forms cutting it
     for t in params:
-        pt = ProjPoint([a + t * b for a, b in zip(u, v)])
-        l1, l2 = _lines_through(quadric, pt)
-        ruling = l2 if l1 == seed_line else l1
+        pt = [x + t * y for x, y in zip(u, v)]
+        g = [sum(map(mul, row, pt)) for row in quadric.matrix]
+        ga, gb = sum(map(mul, g, a)), sum(map(mul, g, b))
+        r = [gb * x - ga * y for x, y in zip(a, b)]
+        if not any(r):
+            raise InternalCheckError("skew ruling lies in a tangent plane")
+        ruling = Subspace(3, [pt, r])
         cut = meet(ruling, pi)
         if cut.dim != 0:
             raise RangeError("plane contains a sampled ruling")

@@ -6,23 +6,31 @@ alone.  ``oracles.containment_incidence`` and ``oracles.containment_report``
 find the same by meeting every pair of double lines and by containment
 tests, and check point-meet absorption explicitly.  Both must agree on
 every arrangement the constructions classify, accepted or rejected, on
-random arrangements with many shared lines and points, and on random S_n
-forks.  An attachment
-attempt computes its incidence and report from those of the old planes;
-they must equal the from-scratch incidence and report too.  The counts and
+random arrangements with many shared lines and points, on random S_n
+forks, and on S_4 to S_6 forks, with a coordinate or a general centre,
+that span fully or too little.  An attachment attempt computes its
+incidence and report from those of the old planes; they must equal the
+from-scratch incidence and report too.  The counts and
 central planes of a Zappatic report must match the dual complex built from
 it.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import containment_incidence, containment_report, report_disagreements
+from oracles import (
+    containment_incidence,
+    containment_report,
+    coordinate_changes,
+    moved,
+    report_disagreements,
+)
 from spy import spy
 from test_acceptance import GRID
 from test_golden import LEDGER_CASES
@@ -33,6 +41,7 @@ from zappatic.arrangement import (
     zappatic_report,
 )
 from zappatic.complexes import build_dual_graph
+from zappatic import linalg
 from zappatic.constructions import build_X, build_Z
 from zappatic.projective import Subspace
 
@@ -192,6 +201,52 @@ def test_random_forks_match_reference(fork, data):
         assert report.s_counts == {n: 1}
         (t,) = report.types
         assert t.central == centre
+
+
+def fork_arrangement(n, general, full):
+    """An S_n fork of P^(n+1): the centre <p, a, b>, then per extra w the
+    leaf <p, a + k b, w>, k = 0 .. n - 2, so that it meets the centre in a
+    line through p.  p, a, b are e0, e1, e2, plus for a general centre a
+    seeded tail in [-2, 2] on the other coordinates, which puts the centre
+    off the coordinate planes; the extras are e3 .. e(n+1).  These n + 2
+    vectors are a basis, so the leaves meet one another in p alone and the
+    fork spans P^(n+1).  Unless full, the last extra is the sum of the first
+    two instead: its leaf lies in the span of the other planes."""
+    r = n + 1
+    rng = random.Random(n)
+    units = [[int(i == j) for j in range(r + 1)] for i in range(r + 1)]
+    p, a, b = ([x + (rng.randint(-2, 2) if general and j > 2 else 0) for j, x in enumerate(row)]
+               for row in units[:3])
+    extras = units[3:]
+    if not full:
+        extras[-1] = [x + y for x, y in zip(extras[0], extras[1])]
+    leaves = [[p, [x + k * y for x, y in zip(a, b)], w] for k, w in enumerate(extras)]
+    return Arrangement(r, [Subspace(r, rows) for rows in [[p, a, b], *leaves]])
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["spanning", "span-too-small"])
+@pytest.mark.parametrize("general", [False, True], ids=["coordinate-centre", "general-centre"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fork_spans_match_the_bareiss_rank(n, general, full):
+    """classify_point ranks a fork on one row per leaf modulo its centre;
+    containment_report ranks all 3n rows.  They agree as built, where a
+    general centre has equations that the rank reads, and on moved copies
+    whose centre is listed last."""
+    arr = fork_arrangement(n, general, full)
+    expected = [f"S{n}" if full else "NonZappatic(span too small)"]
+    assert bool(arr.planes[0].equations) == general
+    inc = compute_incidence(arr)
+    with spy(linalg.rank) as calls:
+        report = zappatic_report(arr, inc)
+    assert [t.tag for t in report.types] == expected
+    assert [len(c.args[0]) for c in calls] == [n - 1]
+    assert report == containment_report(arr, inc)
+    for m in coordinate_changes(arr.ambient_dim, seed=n, bound=3, count=3):
+        copy = moved(arr, m, order=range(n - 1, -1, -1))
+        inc = compute_incidence(copy)
+        report = zappatic_report(copy, inc)
+        assert [t.tag for t in report.types] == expected
+        assert report == containment_report(copy, inc)
 
 
 def assert_matches_reference(arr, data):

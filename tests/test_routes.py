@@ -309,11 +309,12 @@ ROUTES = {
         (*KERNEL, linalg.nullspace),
         _command_kernel(["construct", "--family", "Z", "--d", "11", "--g", "3", "--seed", "2",
                         "--out", "{work}/z.json"], _z11_view),
-        {"rank": [(12, 6), (12, 6), (12, 7), (12, 7)],
+        {"rank": [(3, 3), (3, 3), (3, 4), (3, 4)],
          "rref": {(3, 7): 8, (2, 7): 4, (3, 6): 3, (4, 7): 2, (1, 7): 2, (5, 7): 2},
          "nullspace": {(3, 6): 3, (3, 7): 2}, "distinct": 5},
-        "each S_4 point's four planes ranked on their support columns, an R_3 span "
-        "forced; each plane's equations once, on its support; no plane pair's kernel"),
+        "each S_4 point ranked on one image row per leaf modulo its centre (the columns "
+        "off the centre's support, then its equations), an R_3 span forced; each plane's "
+        "equations once, on its support; no plane pair's kernel"),
     "invariants --abstract torus kernel calls": (
         (linalg.sparse_rank, *KERNEL), _torus_kernel_calls, [{"sparse_rank": 1}] * 9,
         "the d2 is ranked sparsely, and no dense block reaches the kernel"),

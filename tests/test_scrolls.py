@@ -7,17 +7,19 @@ import pytest
 from zappatic import linalg
 from zappatic.complexes import homology
 from zappatic.constructions import chain_planes
-from zappatic.errors import RangeError
-from zappatic.projective import ProjPoint, QuadricForm, Subspace, span
+from zappatic.errors import GenericityError, RangeError
+from zappatic.projective import ProjPoint, QuadricForm, Subspace, meet, plucker, quadric_rank, span
 from zappatic.scrolls import (
     DegenLedger,
     FibreComponent,
+    _lines_through,
     chain_feasible,
     degenerate_balanced,
     section_duality_check,
 )
 
 from oracles import dfs_chain_feasible, strip_vertex_counts
+from spy import spy
 
 HYPERBOLIC = QuadricForm(
     [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
@@ -183,6 +185,47 @@ class TestLedgerClass:
             )
 
 
+PI = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
+
+
+def checked(quadric=HYPERBOLIC, pi=PI, n_samples=8, point=(1, 0, 0, 0)):
+    """A call of section_duality_check on these inputs, for pytest.raises."""
+    return lambda: section_duality_check(quadric, pi, n_samples, base_point=ProjPoint(point))
+
+
+def congruent_draws(rng):
+    """Endless (quadric, rational point on it): HYPERBOLIC moved by a random
+    invertible matrix M, entries in [-4, 4], and M^-1 e0."""
+    while True:
+        mat = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        if linalg.rank(mat) < 4:
+            continue
+        sol = linalg.solve(mat, [1, 0, 0, 0])
+        yield HYPERBOLIC.congruent(mat), ProjPoint(linalg.clear_denominators(sol))
+
+
+def assert_rulings_are_the_factored_ones(q, pi, base_point):
+    """Each sampled ruling, its cut with pi and its Pluecker point are those
+    of the ruling that _lines_through factors out at the sample point, the
+    one other than the seed line; the samples are u + t v on the seed line's
+    basis u, v, for t = 0, 1, -1, 2, -2, 3, -3, 4.  The check itself factors
+    at two points alone: base_point and a point of the skew line."""
+    seed_line, _ = _lines_through(q, base_point)
+    u, v = seed_line.basis
+    with spy(meet, plucker, _lines_through) as calls:
+        out = section_duality_check(q, pi, 8, base_point=base_point)
+    assert out == {"passed": True, "samples": 8}
+    assert [c.name for c in calls].count("_lines_through") == 2
+    cuts = [c for c in calls if c.name == "meet"]
+    points = [c for c in calls if c.name == "plucker"]
+    assert len(cuts) == len(points) == 8
+    for t, cut, point in zip((0, 1, -1, 2, -2, 3, -3, 4), cuts, points):
+        l1, l2 = _lines_through(q, ProjPoint([x + t * y for x, y in zip(u, v)]))
+        ruling = l2 if l1 == seed_line else l1
+        assert cut.args == (ruling, pi) and cut.result == meet(ruling, pi)
+        assert point.args == (ruling,) and point.result == plucker(ruling)
+
+
 def random_plane(rng):
     while True:
         pts = [ProjPoint([rng.randint(-9, 9) for _ in range(4)]) for _ in range(3)]
@@ -196,8 +239,7 @@ def random_plane(rng):
 
 class TestSectionDuality:
     def test_standard_quadric_generic_plane(self):
-        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
-        out = section_duality_check(HYPERBOLIC, pi, 8, base_point=ProjPoint([1, 0, 0, 0]))
+        out = section_duality_check(HYPERBOLIC, PI, 8, base_point=ProjPoint([1, 0, 0, 0]))
         assert out["passed"] is True
 
     def test_plane_containing_ruling_rejected(self):
@@ -208,37 +250,48 @@ class TestSectionDuality:
 
     def test_rank_check(self):
         rank2 = QuadricForm([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
         with pytest.raises(RangeError):
-            section_duality_check(rank2, pi, 8, base_point=ProjPoint([0, 0, 1, 0]))
+            section_duality_check(rank2, PI, 8, base_point=ProjPoint([0, 0, 1, 0]))
 
     def test_base_point_off_the_quadric_rejected(self):
-        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
         with pytest.raises(RangeError, match="does not lie on the quadric"):
-            section_duality_check(HYPERBOLIC, pi, 8, base_point=ProjPoint([1, 0, 0, 1]))
+            section_duality_check(HYPERBOLIC, PI, 8, base_point=ProjPoint([1, 0, 0, 1]))
 
     @pytest.mark.parametrize(
-        "quadric,pi,n_samples,match",
+        "call,match",
         [
-            pytest.param(QuadricForm([[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
-                         Subspace(2, [[1, 0, 0], [0, 1, 0]]), 8, "P\\^3", id="conic"),
-            pytest.param(HYPERBOLIC, Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0]]), 8,
+            pytest.param(checked(QuadricForm([[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+                                 Subspace(2, [[1, 0, 0], [0, 1, 0]])), "P\\^3", id="conic"),
+            pytest.param(checked(pi=Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0]])),
                          "plane in P\\^3", id="line-for-plane"),
-            pytest.param(HYPERBOLIC, Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]]),
-                         5, "n_samples >= 6", id="five-samples"),
+            pytest.param(checked(n_samples=5), "n_samples >= 6", id="five-samples"),
+            pytest.param(checked(point=[1, 0, 0]), "base point must lie in P\\^3",
+                         id="base-point-in-P2"),
+            pytest.param(lambda: HYPERBOLIC.evaluate(ProjPoint([0, 0, 0, 1, 5])),
+                         "ambient dimension mismatch", id="evaluate-a-point-of-P4"),
         ],
     )
-    def test_input_checks(self, quadric, pi, n_samples, match):
+    def test_input_checks(self, call, match):
         with pytest.raises(RangeError, match=match):
-            section_duality_check(quadric, pi, n_samples, base_point=ProjPoint([1, 0, 0, 0]))
+            call()
+
+    # (1, 0, 0, 1) lies on both forms; the discriminant of the tangent
+    # section is negative on the first, and twice a square on the second
+    @pytest.mark.parametrize("diagonal,message", [
+        pytest.param((1, 1, 1, -1), "no real ruling", id="sphere"),
+        pytest.param((1, -2, 1, -1), "no rational ruling", id="irrational-rulings"),
+    ])
+    def test_seed_line_needs_a_rational_ruling(self, diagonal, message):
+        q = QuadricForm([[x if i == j else 0 for j in range(4)] for i, x in enumerate(diagonal)])
+        with pytest.raises(GenericityError, match=f"quadric has {message} through the point"):
+            section_duality_check(q, PI, 8, base_point=ProjPoint([1, 0, 0, 1]))
 
     # points of x0 x3 = x1 x2; the check passes whichever ruling seeds the family
-    @pytest.mark.parametrize(
-        "point", [[1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0], [1, 2, 3, 6], [2, -1, 4, -2]]
-    )
+    HYPERBOLIC_POINTS = [[1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0], [1, 2, 3, 6], [2, -1, 4, -2]]
+
+    @pytest.mark.parametrize("point", HYPERBOLIC_POINTS)
     def test_base_points_on_the_hyperbolic_quadric(self, point):
-        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
-        out = section_duality_check(HYPERBOLIC, pi, 8, base_point=ProjPoint(point))
+        out = section_duality_check(HYPERBOLIC, PI, 8, base_point=ProjPoint(point))
         assert out == {"passed": True, "samples": 8}
 
     # (substitution matrix M, a rational point of the image M^T A M)
@@ -253,8 +306,7 @@ class TestSectionDuality:
     def test_base_point_on_congruent_images(self, mat, point):
         q = HYPERBOLIC.congruent(mat)
         assert q.evaluate(ProjPoint(point)) == 0
-        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
-        assert section_duality_check(q, pi, 8, base_point=ProjPoint(point))["passed"] is True
+        assert section_duality_check(q, PI, 8, base_point=ProjPoint(point))["passed"] is True
 
     # forms with no rational point: the identity, minus the A_4 Cartan matrix,
     # a positive form with off-diagonal terms (no real points), and
@@ -269,24 +321,17 @@ class TestSectionDuality:
     @pytest.mark.parametrize("mat", POINTLESS)
     def test_form_without_rational_points_rejects_every_base_point(self, mat):
         q = QuadricForm(mat)
-        pi = Subspace(3, [[1, 0, 0, 1], [0, 1, 1, 0], [1, 2, 3, 4]])
         points = [p for p in product(range(-2, 3), repeat=4) if any(p)]
         for p in points:
             with pytest.raises(RangeError, match="does not lie on the quadric"):
-                section_duality_check(q, pi, 8, base_point=ProjPoint(list(p)))
+                section_duality_check(q, PI, 8, base_point=ProjPoint(list(p)))
 
     def test_twenty_randomized_instances(self):
         rng = random.Random(97)
         done = 0
-        while done < 20:
-            mat = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-            if linalg.rank(mat) < 4:
-                continue
-            q = HYPERBOLIC.congruent(mat)
-            sol = linalg.solve(mat, [1, 0, 0, 0])
-            if sol is None:
-                continue
-            hint = ProjPoint(linalg.clear_denominators(sol))
+        for q, hint in congruent_draws(rng):
+            if done == 20:
+                break
             pi = random_plane(rng)
             try:
                 out = section_duality_check(q, pi, 8, base_point=hint)
@@ -294,3 +339,20 @@ class TestSectionDuality:
                 continue  # tangent plane or plane through a ruling: resample
             assert out["passed"] is True
             done += 1
+
+    def test_sampled_rulings_are_the_factored_ones(self):
+        for point in [[1, 0, 0, 0], *self.HYPERBOLIC_POINTS]:
+            assert_rulings_are_the_factored_ones(HYPERBOLIC, PI, ProjPoint(point))
+        for mat, point in self.CONGRUENT:
+            assert_rulings_are_the_factored_ones(HYPERBOLIC.congruent(mat), PI, ProjPoint(point))
+
+    def test_sampled_rulings_are_the_factored_ones_on_random_draws(self):
+        rng = random.Random(43)
+        done = 0
+        for q, hint in congruent_draws(rng):
+            if done == 300:
+                break
+            pi = random_plane(rng)
+            if quadric_rank(q.restrict(pi)) == 3:  # no tangent plane, no plane through a ruling
+                assert_rulings_are_the_factored_ones(q, pi, hint)
+                done += 1
