@@ -252,7 +252,8 @@ def classify_point(
 
     Chain with maximal span (n+1) gives R_n, fork with span n+1 gives S_n,
     cycle with span n gives E_n.  A point where only two planes touch, or
-    whose local graph or span fails the test, is not Zappatic.
+    whose local graph or span fails the test, is not Zappatic.  A point on
+    two planes is their point meet, so they share no line: no local edge.
 
     A chain P1 - P2 - P3 of three planes through p always spans a P^4, so
     it is R_3 with no rank:
@@ -276,9 +277,7 @@ def classify_point(
     planes = sorted(sp.incident_planes)
     n = len(planes)
     if n < 3:
-        if not sp.local_edges:
-            return SingularityType("NonZappatic", n, "isolated plane-pair contact")
-        return SingularityType("NonZappatic", n, "local graph not chain/fork/cycle")
+        return SingularityType("NonZappatic", n, "isolated plane-pair contact")
     shape = _graph_shape(planes, sp.local_edges)
     if shape is None:
         return SingularityType("NonZappatic", n, "local graph not chain/fork/cycle")

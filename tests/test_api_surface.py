@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zappatic"
 
-# Paper formulas kept for `zappatic certify` (ROADMAP open item 4); item 6
+# Paper formulas kept for `zappatic certify` (ROADMAP open item 4); item 7
 # plans to give them a caller in `zappatic hilbert` instead.
 WAITING_FOR_CALLER = {"ciro_bound", "brill_noether"}
 

@@ -41,6 +41,18 @@ def cycle_graph(n):
     return DualGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(edges=((0, 2),)), "edge endpoint out of range"),
+    (dict(edges=((-1, 0),)), "edge endpoint out of range"),
+    (dict(edges=((0, 1), (1, 0)), two_cells=((0, 2),)), "face references a missing edge"),
+    (dict(edges=((0, 1),), open_faces=((1,),)), "face references a missing edge"),
+    (dict(edges=((0, 1),), angles=((-1,),)), "face references a missing edge"),
+], ids=["endpoint_past_v", "negative_endpoint", "two_cell", "open_face", "angle"])
+def test_dual_graph_refuses_a_dangling_reference(fields, message):
+    with pytest.raises(RangeError, match=message):
+        DualGraph(2, **fields)
+
+
 class TestHomology:
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_path_graph(self, n):
@@ -373,3 +385,50 @@ class TestDot:
     def test_deterministic(self):
         g = build_torus_complex(2, 3)
         assert to_dot(g) == to_dot(build_torus_complex(2, 3))
+
+    def test_pinned_non_simplicial_torus(self):
+        """The whole DOT text of the 2 x 3 torus, whose grid triangulation
+        is not simplicial: every edge, in edge-id order, and every hexagon."""
+        assert to_dot(build_torus_complex(2, 3)) == TORUS_2x3_DOT
+
+
+TORUS_2x3_DOT = """\
+graph zappatic {
+  v0;
+  v1;
+  v2;
+  v3;
+  v4;
+  v5;
+  v6;
+  v7;
+  v8;
+  v9;
+  v10;
+  v11;
+  v0 -- v1 [label="C_{0,1}"];
+  v0 -- v5 [label="C_{0,5}"];
+  v1 -- v6 [label="C_{1,6}"];
+  v2 -- v3 [label="C_{2,3}"];
+  v1 -- v2 [label="C_{1,2}"];
+  v3 -- v8 [label="C_{3,8}"];
+  v4 -- v5 [label="C_{4,5}"];
+  v3 -- v4 [label="C_{3,4}"];
+  v5 -- v10 [label="C_{5,10}"];
+  v6 -- v7 [label="C_{6,7}"];
+  v6 -- v11 [label="C_{6,11}"];
+  v0 -- v7 [label="C_{0,7}"];
+  v8 -- v9 [label="C_{8,9}"];
+  v7 -- v8 [label="C_{7,8}"];
+  v2 -- v9 [label="C_{2,9}"];
+  v10 -- v11 [label="C_{10,11}"];
+  v9 -- v10 [label="C_{9,10}"];
+  v4 -- v11 [label="C_{4,11}"];
+  /* face: v0 v1 v6 v11 v10 v5 */
+  /* face: v2 v3 v8 v7 v6 v1 */
+  /* face: v4 v5 v10 v9 v8 v3 */
+  /* face: v6 v7 v0 v5 v4 v11 */
+  /* face: v8 v9 v2 v1 v0 v7 */
+  /* face: v10 v11 v4 v3 v2 v9 */
+}
+"""

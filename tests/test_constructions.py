@@ -123,14 +123,22 @@ def _grid_torus_triangles(n, m):
 def test_coordinate_torus_equals_the_abstract_torus(n, m):
     """The coordinate planes of a triangulated torus in P^(nm-1), built as
     chains and cycles are, have nm E_6 points and the cell counts,
-    invariants and homology of build_torus_complex(n, m).  At 20 x 20, 800
-    planes in P^399, all but 4,800 of the 319,600 plane pairs have disjoint
-    supports and are not met."""
+    invariants and homology of build_torus_complex(n, m).  Their planes are
+    numbered as its vertices are, so the two complexes have the same edges
+    and the same 2-cells, each cell read as its set of vertex pairs.  At
+    20 x 20, 800 planes in P^399, all but 4,800 of the 319,600 plane pairs
+    have disjoint supports and are not met."""
     res = constructions._coordinate_planes(n * m - 1, _grid_torus_triangles(n, m))
     assert res.report.is_zappatic
     assert (res.report.f_counts, res.report.r_counts, res.report.s_counts) == (
         {6: n * m}, {}, {})
-    assert invariants_of(res.graph) == invariants_of(build_torus_complex(n, m))
+    torus = build_torus_complex(n, m)
+    assert invariants_of(res.graph) == invariants_of(torus)
+
+    def cells(graph):
+        return {frozenset(graph.edges[k] for k in cell) for cell in graph.two_cells}
+    assert set(res.graph.edges) == set(torus.edges)
+    assert cells(res.graph) == cells(torus)
 
 
 CHAIN_8 = [(i, i + 1, i + 2) for i in range(8)]

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from zappatic import linalg
+from zappatic import linalg, scrolls
 from zappatic.complexes import homology
 from zappatic.constructions import chain_planes
 from zappatic.errors import GenericityError, RangeError
@@ -235,6 +235,40 @@ def random_plane(rng):
             continue
         if pl.dim == 2:
             return pl
+
+
+def constant_point():
+    """A plucker that gives every ruling the first ruling's point."""
+    rulings = []
+
+    def point(ruling):
+        rulings.append(ruling)
+        return plucker(rulings[0])
+    return point
+
+
+def wrong_sixth_point():
+    """A plucker that gives the sixth ruling the point of the line
+    x2 = x3 = 0, which is not that ruling."""
+    rulings = []
+
+    def point(ruling):
+        rulings.append(ruling)
+        return plucker(Subspace(3, [[1, 0, 0, 0], [0, 1, 0, 0]]) if len(rulings) == 6 else ruling)
+    return point
+
+
+@pytest.mark.parametrize("fake, reason", [
+    (constant_point, "no unique projectivity on the fit set"),
+    (wrong_sixth_point, "sample off the fitted projection"),
+], ids=["constant", "wrong_sixth"])
+def test_section_duality_fails_on_a_wrong_pluecker_point(monkeypatch, fake, reason):
+    """Each refusal of the projection is reached by corrupting the Pluecker
+    points: a constant one fits a projectivity many ways, and a wrong one
+    after the four fitted samples lies off the fitted one."""
+    monkeypatch.setattr(scrolls, "plucker", fake())
+    assert section_duality_check(HYPERBOLIC, PI, 8, base_point=ProjPoint([1, 0, 0, 0])) == {
+        "passed": False, "reason": reason}
 
 
 class TestSectionDuality:
